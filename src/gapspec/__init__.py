@@ -1,7 +1,7 @@
 """gapspec: spectra, Fredholm determinants and eigenvalue expansions for the
 sine, Airy and Bessel integrable kernels."""
 
-from ._backend import backend_name
+from .specfun import backend_name
 from .errors import (
     ArgumentError,
     DegeneracyError,

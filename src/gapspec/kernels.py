@@ -1,19 +1,25 @@
-"""Pointwise evaluation of the sine, Airy and Bessel integrable kernels.
+"""Evaluation of the sine, Airy and Bessel integrable kernels.
 
 Each kernel has the form K(lam, mu) = (phi(lam) psi(mu) - psi(lam) phi(mu))
 / (lam - mu) (times 1/2 for Bessel).  The difference quotient cancels
 catastrophically near the diagonal, so inside |lam - mu| <= delta_switch the
 kernel is evaluated by a 3-term Taylor expansion about the midpoint, with
 all derivatives reduced through the defining ODEs.
+
+The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
+whole Nystrom grid from one special-function call, and `kernel_eval` runs the
+same forms on a single pair.
 """
 
 import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import specfun
-from ._backend import bessel_j_pair
 from .errors import ArgumentError, DomainError
+from .specfun import bessel_j_pair
 
 __all__ = [
     "Family",
@@ -24,6 +30,7 @@ __all__ = [
     "delta_switch",
     "kernel_eval",
     "kernel_diag",
+    "kernel_matrix",
     "airy_convolution",
 ]
 
@@ -101,84 +108,83 @@ class IntervalSpec:
 
 
 def delta_switch(lam, mu):
-    """Near-diagonal switch radius for the Taylor branch."""
-    return 1e-4 * max(1.0, abs(lam) + abs(mu))
+    """Near-diagonal switch radius for the Taylor branch (elementwise)."""
+    return 1e-4 * np.maximum(1.0, np.abs(lam) + np.abs(mu))
 
 
 def _check_domain(spec, x):
-    if spec.family is Family.BESSEL and x < 0.0:
-        raise DomainError(f"Bessel kernel argument must be > 0, got {x}")
+    if spec.family is Family.BESSEL:
+        x = np.asarray(x)
+        bad = x < 0.0
+        if bad.any():
+            raise DomainError(f"Bessel kernel argument must be > 0, got {x[bad].flat[0]}")
 
 
-def _airy_phi_psi(x):
-    return specfun.airy_ai(x), specfun.airy_ai_prime(x)
+# The forms below take the kernel's working variable: u = sqrt(x) for
+# Bessel, where the kernel is regular at the hard edge and the Taylor switch
+# scale stays meaningful for small x, and x itself otherwise. They take each
+# pair sorted as s >= t, which makes every value bit-symmetric in (lam, mu).
 
 
-def _bessel_phi_psi(a, x):
-    """phi(x) = J_a(sqrt x), psi(x) = sqrt(x) J_a'(sqrt x)."""
-    u = math.sqrt(x)
-    ja, ja1 = bessel_j_pair(a, u)
-    # u * J_a'(u) = a J_a(u) - u J_{a+1}(u)
-    return ja, a * ja - u * ja1
+def _variable(spec, x):
+    return np.sqrt(x) if spec.family is Family.BESSEL else x
 
 
-def _sine_exact(lam, mu):
-    d = lam - mu
-    return math.sin(d) / (math.pi * d)
+def _edge_values(spec, t):
+    """Special-function values the forms need at the points t."""
+    if spec.family is Family.AIRY:
+        return specfun.airy_pair(t)
+    if spec.family is Family.BESSEL:
+        return bessel_j_pair(spec.a, t)
+    return ()
 
 
-def _sine_taylor(lam, mu):
-    d2 = (lam - mu) ** 2
-    return (1.0 - d2 / 6.0 * (1.0 - d2 / 20.0)) / math.pi
+def _near(spec, s, t):
+    """Mask of the pairs that take the Taylor branch."""
+    if spec.family is Family.BESSEL:
+        # relative in u: the expansion parameter is (u - w)/(u + w)
+        return np.abs(s - t) <= 1e-4 * (s + t)
+    return np.abs(s - t) <= delta_switch(s, t)
 
 
-def _airy_exact(lam, mu):
-    a1, p1 = _airy_phi_psi(lam)
-    a2, p2 = _airy_phi_psi(mu)
-    return (a1 * p2 - p1 * a2) / (lam - mu)
+def _exact(spec, s, vs, t, vt):
+    """Difference-quotient form, from the values vs at s and vt at t."""
+    fam = spec.family
+    if fam is Family.SINE:
+        d = s - t
+        return np.sin(d) / (math.pi * d)
+    if fam is Family.AIRY:
+        (a1, p1), (a2, p2) = vs, vt
+        return (a1 * p2 - p1 * a2) / (s - t)
+    # Bessel, with p(u) = J_a(u), q(u) = u J_a'(u) = a J_a(u) - u J_{a+1}(u):
+    # the a J_a(u) J_a(w) parts of p(u) q(w) - q(u) p(w) cancel
+    # algebraically, so the numerator is formed directly as
+    # u J_{a+1}(u) J_a(w) - w J_{a+1}(w) J_a(u) to avoid losing digits at
+    # small arguments and large orders.
+    (ja_u, j1_u), (ja_w, j1_w) = vs, vt
+    return (s * j1_u * ja_w - t * j1_w * ja_u) / (s - t) / (2.0 * (s + t))
 
 
-def _airy_taylor(lam, mu):
-    m = 0.5 * (lam + mu)
-    h = 0.5 * (lam - mu)
-    a = specfun.airy_ai(m)
-    b = specfun.airy_ai_prime(m)
-    s1 = b * b - m * a * a
-    # h^2 coefficient from the ODE Ai'' = x Ai:
-    #   (1/3)(phi''' psi - phi psi''') + (phi' psi'' - phi'' psi')
-    s3 = a * b + 2.0 * m * b * b - 2.0 * m * m * a * a
-    return s1 + h * h / 3.0 * s3
-
-
-def _bessel_pq(a, u):
-    """p(u) = J_a(u), q(u) = u J_a'(u); the kernel in the u = sqrt(x)
-    variable is built from this pair and is regular at the hard edge."""
-    ja, ja1 = bessel_j_pair(a, u)
-    # u * J_a'(u) = a J_a(u) - u J_{a+1}(u)
-    return ja, a * ja - u * ja1
-
-
-def _bessel_u_numer_exact(a, u, w):
-    """(p(u) q(w) - q(u) p(w)) / (u - w).
-
-    The a J_a(u) J_a(w) parts of the cross terms cancel algebraically, so the
-    numerator is formed directly as u J_{a+1}(u) J_a(w) - w J_{a+1}(w) J_a(u)
-    to avoid losing digits at small arguments and large orders.
-    """
-    ja_u, j1_u = bessel_j_pair(a, u)
-    ja_w, j1_w = bessel_j_pair(a, w)
-    return (u * j1_u * ja_w - w * j1_w * ja_u) / (u - w)
-
-
-def _bessel_u_numer_taylor(a, u, w):
-    """Even Taylor expansion of the same quotient about the midpoint.
-
-    Derivatives of p, q follow from the Bessel equation:
-    q' = -(u - a^2/u) p, p' = q/u.
-    """
-    m = 0.5 * (u + w)
-    h = 0.5 * (u - w)
-    ja, ja1 = bessel_j_pair(a, m)
+def _taylor(spec, s, t, vm):
+    """Even Taylor expansion about the midpoint m = (s + t)/2, from the
+    values vm at m."""
+    fam = spec.family
+    if fam is Family.SINE:
+        d2 = (s - t) ** 2
+        return (1.0 - d2 / 6.0 * (1.0 - d2 / 20.0)) / math.pi
+    m = 0.5 * (s + t)
+    h = 0.5 * (s - t)
+    if fam is Family.AIRY:
+        a, b = vm
+        s1 = b * b - m * a * a
+        # h^2 coefficient from the ODE Ai'' = x Ai:
+        #   (1/3)(phi''' psi - phi psi''') + (phi' psi'' - phi'' psi')
+        s3 = a * b + 2.0 * m * b * b - 2.0 * m * m * a * a
+        return s1 + h * h / 3.0 * s3
+    # Bessel: derivatives of p, q follow from the Bessel equation:
+    # q' = -(u - a^2/u) p, p' = q/u.
+    a = spec.a
+    ja, ja1 = vm
     p = ja
     q = a * ja - m * ja1
     a2 = a * a
@@ -196,21 +202,7 @@ def _bessel_u_numer_taylor(a, u, w):
     # through q - ap = -m J_{a+1} so the a^2 p^2 pieces never meet head-on
     s1 = m * p * p - ja1 * (2.0 * a * p - m * ja1)
     bracket = (p3 * q - p * q3) / 3.0 + (p1 * q2 - p2 * q1)
-    return s1 + 0.5 * h * h * bracket
-
-
-def _bessel_eval_u(a, u, w):
-    """K(u^2, w^2) with the near-diagonal switch taken in the u variable.
-
-    The switch is relative in u: the Taylor expansion parameter is
-    (u - w)/(u + w), and the exact branch only cancels badly when that
-    ratio is small, so both branches stay accurate at any scale.
-    """
-    if abs(u - w) <= 1e-4 * (u + w):
-        numer = _bessel_u_numer_taylor(a, u, w)
-    else:
-        numer = _bessel_u_numer_exact(a, u, w)
-    return numer / (2.0 * (u + w))
+    return (s1 + 0.5 * h * h * bracket) / (2.0 * (s + t))
 
 
 def kernel_eval(spec, lam, mu):
@@ -221,42 +213,72 @@ def kernel_eval(spec, lam, mu):
     _check_domain(spec, mu)
     if mu > lam:  # evaluate on the sorted pair for exact symmetry
         lam, mu = mu, lam
-    fam = spec.family
-    near = abs(lam - mu) <= delta_switch(lam, mu)
-    if fam is Family.SINE:
-        return _sine_taylor(lam, mu) if near else _sine_exact(lam, mu)
-    if fam is Family.AIRY:
-        return _airy_taylor(lam, mu) if near else _airy_exact(lam, mu)
-    if lam == 0.0 and mu == 0.0:
+    if spec.family is Family.BESSEL and lam == 0.0:
         return kernel_diag(spec, 0.0)
-    # Bessel: work in u = sqrt(x), where the kernel is regular at the
-    # hard edge and the Taylor switch scale stays meaningful for small x.
-    return _bessel_eval_u(spec.a, math.sqrt(lam), math.sqrt(mu))
+    s = _variable(spec, np.array([lam]))
+    t = _variable(spec, np.array([mu]))
+    if _near(spec, s, t)[0]:
+        k = _taylor(spec, s, t, _edge_values(spec, 0.5 * (s + t)))
+    else:
+        k = _exact(spec, s, _edge_values(spec, s), t, _edge_values(spec, t))
+    return float(k[0])
+
+
+def kernel_matrix(spec, x):
+    """Symmetric matrix of K(x_i, x_j) on a strictly increasing grid x.
+
+    One special-function call covers the grid and the midpoints of the
+    near-diagonal pairs; every entry equals kernel_eval(spec, x_i, x_j).
+    """
+    x = np.asarray(x, dtype=float)
+    _check_domain(spec, x)
+    n = len(x)
+    t = _variable(spec, x)
+    # Taylor pairs (i, j = i + d) of the upper triangle, where s = t[j] >= t[i].
+    # On an increasing grid the gap grows faster than the switch radius
+    # along each row, so they fill a band: stop at the first off-diagonal
+    # without one (the diagonal itself always is one).
+    ii, jj = [], []
+    for d in range(n):
+        i = np.flatnonzero(_near(spec, t[d:], t[: n - d]))
+        if not i.size:
+            break
+        ii.append(i)
+        jj.append(i + d)
+    ii = np.concatenate(ii)
+    jj = np.concatenate(jj)
+    values = _edge_values(spec, np.concatenate([t, 0.5 * (t[jj] + t[ii])]))
+    vt = [v[:n] for v in values]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = _exact(
+            spec, t[None, :], [v[None, :] for v in vt], t[:, None], [v[:, None] for v in vt]
+        )
+    k[ii, jj] = _taylor(spec, t[jj], t[ii], [v[n:] for v in values])
+    return np.where(np.arange(n)[:, None] <= np.arange(n), k, k.T)
 
 
 def kernel_diag(spec, lam):
-    """Closed-form diagonal K(lam, lam)."""
-    lam = float(lam)
-    _check_domain(spec, lam)
+    """Closed-form diagonal K(lam, lam), elementwise for an array lam."""
+    x = np.asarray(lam, dtype=float)
+    _check_domain(spec, x)
     fam = spec.family
     if fam is Family.SINE:
-        return 1.0 / math.pi
-    if fam is Family.AIRY:
-        a = specfun.airy_ai(lam)
-        b = specfun.airy_ai_prime(lam)
-        return b * b - lam * a * a
-    a = spec.a
-    if lam == 0.0:
-        # series limit of (J_a^2 - J_{a+1} J_{a-1})/4 at the origin
-        if a == 0.0:
-            return 0.25
-        if a > 0.0:
-            return 0.0
-        raise DomainError("Bessel kernel diagonal diverges at 0 for a < 0")
-    u = math.sqrt(lam)
-    ja, ja1 = bessel_j_pair(a, u)
-    jam1 = (2.0 * a / u) * ja - ja1
-    return (ja * ja - ja1 * jam1) / 4.0
+        out = np.full(x.shape, 1.0 / math.pi)
+    elif fam is Family.AIRY:
+        a, b = specfun.airy_pair(x)
+        out = b * b - x * a * a
+    else:
+        a = spec.a
+        zero = x == 0.0
+        if a < 0.0 and zero.any():
+            raise DomainError("Bessel kernel diagonal diverges at 0 for a < 0")
+        # (J_a^2 - J_{a+1} J_{a-1})/4 off the origin; at the origin its
+        # series limit: 1/4 for a = 0, 0 for a > 0
+        u = np.sqrt(np.where(zero, 1.0, x))
+        ja, ja1 = bessel_j_pair(a, u)
+        jam1 = (2.0 * a / u) * ja - ja1
+        out = np.where(zero, 0.25 if a == 0.0 else 0.0, (ja * ja - ja1 * jam1) / 4.0)
+    return out if out.ndim else float(out)
 
 
 def airy_convolution(lam, mu, upper=None, n=60):
@@ -274,10 +296,8 @@ def airy_convolution(lam, mu, upper=None, n=60):
 
     quad = gauss_legendre(int(n))
     half = 0.5 * upper
-    total = 0.0
-    # symmetrized accumulation keeps (lam, mu) -> (mu, lam) bit-identical
+    tt = half * (quad.nodes + 1.0)
+    # sorted arguments keep (lam, mu) -> (mu, lam) bit-identical
     lo_arg, hi_arg = (lam, mu) if lam <= mu else (mu, lam)
-    for x, w in zip(quad.nodes, quad.weights):
-        tt = half * (x + 1.0)
-        total += w * specfun.airy_ai(lo_arg + tt) * specfun.airy_ai(tt + hi_arg)
-    return half * total
+    ai = specfun.airy_pair(np.concatenate([lo_arg + tt, tt + hi_arg]))[0]
+    return half * float(np.sum(quad.weights * ai[: len(tt)] * ai[len(tt) :]))

@@ -20,7 +20,7 @@ from .errors import (
     NumericalError,
     PoleError,
 )
-from .kernels import Family, IntervalSpec, KernelSpec, delta_switch
+from .kernels import Family, IntervalSpec, KernelSpec
 
 __all__ = [
     "Quadrature",
@@ -174,69 +174,15 @@ def _is_even_integer(a):
     return a >= 0.0 and a == 2.0 * round(a / 2.0)
 
 
-def _phi_psi_arrays(spec, nodes):
-    fam = spec.family
-    n = len(nodes)
-    phi = np.empty(n)
-    psi = np.empty(n)
-    if fam is Family.AIRY:
-        for i, x in enumerate(nodes):
-            phi[i] = kernels.specfun.airy_ai(x)
-            psi[i] = kernels.specfun.airy_ai_prime(x)
-    else:
-        a = spec.a
-        for i, x in enumerate(nodes):
-            phi[i], psi[i] = kernels._bessel_pq(a, math.sqrt(x))
-    return phi, psi
-
-
 def build_discretization(spec, interval, n):
     """Square-root-weighted Nystrom matrix on the (truncated) interval."""
     n = int(n)
     if n < 1:
         raise ArgumentError(f"build_discretization requires n >= 1, got {n}")
     nodes, weights, hi = discretization_grid(spec, interval, n)
-    fam = spec.family
-    if fam is Family.BESSEL:
-        # assemble in the u = sqrt(x) variable, where the kernel is regular;
-        # the numerator is the cancellation-free u J_{a+1}(u) J_a(w) form
-        u = np.sqrt(nodes)
-        du = u[:, None] - u[None, :]
-        ja = np.empty(n)
-        uj1 = np.empty(n)
-        for i, ui in enumerate(u):
-            ja_i, j1_i = kernels.bessel_j_pair(spec.a, ui)
-            ja[i] = ja_i
-            uj1[i] = ui * j1_i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kmat = (uj1[:, None] * ja[None, :] - ja[:, None] * uj1[None, :]) / (
-                2.0 * du * (u[:, None] + u[None, :])
-            )
-        dist = np.abs(du)
-        delta = 1e-4 * (u[:, None] + u[None, :])
-    else:
-        dx = nodes[:, None] - nodes[None, :]
-        if fam is Family.SINE:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kmat = np.sin(dx) / (math.pi * dx)
-        else:
-            phi, psi = _phi_psi_arrays(spec, nodes)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kmat = (phi[:, None] * psi[None, :] - psi[:, None] * phi[None, :]) / dx
-        dist = np.abs(dx)
-        delta = 1e-4 * np.maximum(
-            1.0, np.abs(nodes)[:, None] + np.abs(nodes)[None, :]
-        )
-    # repair the near-diagonal band with the Taylor branch (bit-symmetric)
-    for i, j in zip(*np.nonzero(dist <= delta)):
-        if i <= j:
-            kmat[i, j] = kernels.kernel_eval(spec, nodes[i], nodes[j])
-    # mirror the upper triangle for exact symmetry
-    iu = np.triu_indices(n, 1)
-    kmat[(iu[1], iu[0])] = kmat[iu]
+    # K and the weight products are both symmetric, so the matrix is too
     sw = np.sqrt(weights)
-    mat = sw[:, None] * kmat * sw[None, :]
-    mat[(iu[1], iu[0])] = mat[iu]
+    mat = kernels.kernel_matrix(spec, nodes) * np.outer(sw, sw)
     return Discretization(spec, interval, n, hi, nodes, weights, mat)
 
 
@@ -358,7 +304,7 @@ def trace_norm(spec, interval, n=60):
     if n < 20:
         raise ArgumentError(f"trace_norm requires n >= 20, got {n}")
     nodes, weights, _ = discretization_grid(spec, interval, n)
-    return float(sum(w * kernels.kernel_diag(spec, x) for x, w in zip(nodes, weights)))
+    return float(np.sum(weights * kernels.kernel_diag(spec, nodes)))
 
 
 def d_ds_log_det(spec, s, gamma, h=1e-3, n=80):

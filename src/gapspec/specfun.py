@@ -1,10 +1,13 @@
 """Special-function surface: Airy Ai/Ai', Bessel J_a/J_a', Gamma family,
 complex log-Barnes-G, and the zeta derivative constant.
 
-Scalar Airy/Bessel evaluation is delegated to the active backend (compiled
-extension or pure Python, see _backend).  This module adds domain validation,
-the complex Gamma/Barnes ladder, and the certified-branch metadata used by
-the overlap cross-checks.
+Airy and Bessel values come from one array implementation, `airy_pair` and
+`bessel_j_pair`, which evaluate a whole grid per call. Each element takes
+its branch by mask (power series, the frozen Chebyshev tables of _coeffs.py,
+backward recurrence, optimally truncated asymptotics) and stops its series
+at its own term, so no value depends on the rest of the batch. The scalar
+functions `airy_ai`, `airy_ai_prime`, `bessel_j` and `bessel_j_prime` are
+one-element calls of the same code.
 """
 
 import cmath
@@ -12,14 +15,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _backend
+import numpy as np
+
+from . import _coeffs
 from .errors import DomainError
 
 __all__ = [
     "EvalRange",
     "BRANCH_RANGES",
+    "airy_pair",
     "airy_ai",
     "airy_ai_prime",
+    "bessel_j_pair",
     "bessel_j",
     "bessel_j_prime",
     "log_gamma",
@@ -30,7 +37,11 @@ __all__ = [
     "backend_name",
 ]
 
-backend_name = _backend.backend_name
+
+def backend_name():
+    """Name of the special-function implementation: always 'python' (numpy)."""
+    return "python"
+
 
 _AIRY_LO, _AIRY_HI = -40.0, 200.0
 _BESSEL_XMAX = 1e4
@@ -50,7 +61,7 @@ class EvalRange:
 
 # Certified branch tilings (each adjacent pair overlaps by well over 10%).
 # Airy branches in x; Bessel branches in x for moderate orders (the Miller
-# and asymptotic seams shift with the order a, see _specfun_py).
+# and asymptotic seams shift with the order a, see bessel_j_pair).
 BRANCH_RANGES = {
     "airy_ai": (
         EvalRange(-40.0, -11.0),  # oscillatory asymptotics
@@ -74,42 +85,341 @@ BRANCH_RANGES = {
 }
 
 
+def _check_range(name, x, lo, hi):
+    bad = ~((x >= lo) & (x <= hi))
+    if bad.any():
+        raise DomainError(f"{name}: x={x[bad].flat[0]} outside [{lo}, {hi}]")
+
+
+# ---------------------------------------------------------------------------
+# Airy Ai, Ai'
+
+_SQRT_PI = math.sqrt(math.pi)
+_TWO_THIRDS = 2.0 / 3.0
+
+# Maclaurin values Ai(0) = 3^{-2/3}/Gamma(2/3), -Ai'(0) = 3^{-1/3}/Gamma(1/3)
+_AI_C1 = 0.3550280538878172
+_AI_C2 = 0.2588194037928068
+
+# seams: Maclaurin on (-YLO, XLO), Chebyshev zones, asymptotics beyond
+_X_POS_CHEB = _coeffs.AIRY_POS_XLO  # 2.0
+_X_POS_ASYM = _coeffs.AIRY_POS_XHI  # 15.5
+_Y_NEG_CHEB = _coeffs.AIRY_NEG_YLO  # 3.0
+_Y_NEG_ASYM = _coeffs.AIRY_NEG_YHI  # 13.0
+
+_POS_TABLES = np.array([_coeffs.AIRY_FA, _coeffs.AIRY_FAP])
+_NEG_TABLES = np.array(
+    [_coeffs.AIRY_NEG_P, _coeffs.AIRY_NEG_Q, _coeffs.AIRY_NEG_R, _coeffs.AIRY_NEG_S]
+)
+
+
+def _clenshaw(cs, u):
+    """Chebyshev sums of every row of the table cs at the points u."""
+    u2 = 2.0 * u
+    b1 = np.zeros((len(cs), len(u)))
+    b2 = b1
+    for k in range(cs.shape[1] - 1, 0, -1):
+        b1, b2 = u2 * b1 - b2 + cs[:, k, None], b1
+    return u * b1 - b2 + cs[:, 0, None]
+
+
+def _airy_maclaurin(x):
+    """(Ai, Ai') on the central zone via the two entire solutions f, g."""
+    x3 = x * x * x
+    # f = sum a_k x^{3k}, g = sum b_k x^{3k+1}; ta, tb are the latest terms
+    f = np.ones_like(x)
+    fp = np.zeros_like(x)
+    g = x.copy()
+    gp = np.ones_like(x)
+    ta = np.ones_like(x)
+    tb = x.copy()
+    # at x = 0 every term after the first is 0, so dividing by 1 instead
+    # leaves fp = 0 and gp = 1 there
+    xs = np.where(x != 0.0, x, 1.0)
+    live = np.ones(x.shape, dtype=bool)
+    for k in range(1, 81):
+        ta = ta * (x3 / ((3 * k) * (3 * k - 1)))
+        tb = tb * (x3 / ((3 * k) * (3 * k + 1)))
+        np.add(f, ta, out=f, where=live)
+        np.add(g, tb, out=g, where=live)
+        np.add(fp, 3 * k * ta / xs, out=fp, where=live)
+        np.add(gp, (3 * k + 1) * tb / xs, out=gp, where=live)
+        live &= ~(
+            (np.abs(ta) < 1e-18 * np.abs(f))
+            & (np.abs(tb) < 1e-18 * np.maximum(np.abs(g), 1e-30))
+        )
+        if not live.any():
+            break
+    return _AI_C1 * f - _AI_C2 * g, _AI_C1 * fp - _AI_C2 * gp
+
+
+def _airy_u_next(u, k):
+    """u_k of the Airy asymptotic series from u_{k-1}."""
+    return u * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k))
+
+
+def _airy_uk_sums(zeta):
+    """Optimally truncated sums S_u = sum (-1)^k u_k zeta^{-k} and likewise S_v."""
+    su = np.ones_like(zeta)
+    sv = np.ones_like(zeta)
+    prev = np.ones_like(zeta)
+    live = np.ones(zeta.shape, dtype=bool)
+    u = 1.0
+    sign = 1.0
+    for k in range(1, 61):
+        u = _airy_u_next(u, k)
+        term = u / zeta**k
+        live &= ~(term > prev)  # divergence onset: stop at the smallest term
+        prev = term
+        sign = -sign
+        np.add(su, sign * term, out=su, where=live)
+        np.add(sv, sign * term * (6 * k + 1) / (1 - 6 * k), out=sv, where=live)
+        live &= ~(term < 1e-18)
+        if not live.any():
+            break
+    return su, sv
+
+
+def _airy_pos_asym(x):
+    zeta = _TWO_THIRDS * x * np.sqrt(x)
+    su, sv = _airy_uk_sums(zeta)
+    pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
+    x4 = x**0.25
+    ai = pre / x4 * su
+    aip = -pre * x4 * sv
+    far = zeta > 700.0
+    if far.any():
+        # e^{-zeta} underflows; split the exponent through the prefactor
+        xf = x[far]
+        lg = -zeta[far] - math.log(2.0 * _SQRT_PI) - 0.25 * np.log(xf)
+        under = lg < -745.0
+        pre = np.exp(lg)
+        ai[far] = np.where(under, 0.0, pre * su[far])
+        aip[far] = np.where(under, 0.0, -pre * xf**0.5 * sv[far])
+    return ai, aip
+
+
+def _airy_neg_trig(y):
+    """zeta = (2/3) y^{3/2} with cos and sin of zeta + pi/4."""
+    zeta = _TWO_THIRDS * y * np.sqrt(y)
+    zp = zeta + 0.25 * math.pi
+    return zeta, np.cos(zp), np.sin(zp)
+
+
+def _airy_neg_asym(y):
+    zeta, c, s = _airy_neg_trig(y)
+    # even/odd splits of the u_k and v_k series
+    sp = np.ones_like(y)
+    sq = np.zeros_like(y)
+    sr = np.ones_like(y)
+    ssum = np.zeros_like(y)
+    prev = np.ones_like(y)
+    zk = np.ones_like(y)
+    live = np.ones(y.shape, dtype=bool)
+    u = 1.0
+    for k in range(1, 60):
+        u = _airy_u_next(u, k)
+        v = u * (6 * k + 1) / (1 - 6 * k)
+        zk = zk / zeta
+        term = u * zk
+        live &= ~(term > prev)
+        prev = term
+        sgn = -1.0 if (k // 2) % 2 else 1.0
+        if k % 2 == 1:
+            np.add(sq, sgn * term, out=sq, where=live)
+            np.subtract(ssum, sgn * v * zk, out=ssum, where=live)
+        else:
+            np.add(sp, sgn * term, out=sp, where=live)
+            np.add(sr, sgn * v * zk, out=sr, where=live)
+        live &= ~(term < 1e-18)
+        if not live.any():
+            break
+    y4 = y**0.25
+    ai = (s * sp - c * sq) / (_SQRT_PI * y4)
+    aip = -(c * sr - s * ssum) * y4 / _SQRT_PI
+    return ai, aip
+
+
+def _airy_pos_cheb(x):
+    zeta = _TWO_THIRDS * x * np.sqrt(x)
+    r = 1.0 / zeta
+    u = (2.0 * r - (_coeffs.AIRY_POS_RLO + _coeffs.AIRY_POS_RHI)) / (
+        _coeffs.AIRY_POS_RHI - _coeffs.AIRY_POS_RLO
+    )
+    fa, fap = _clenshaw(_POS_TABLES, u)
+    pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
+    x4 = x**0.25
+    return pre / x4 * fa, -pre * x4 * fap
+
+
+def _airy_neg_cheb(y):
+    zeta, c, s = _airy_neg_trig(y)
+    r = 1.0 / zeta
+    u = (2.0 * r - (_coeffs.AIRY_NEG_RLO + _coeffs.AIRY_NEG_RHI)) / (
+        _coeffs.AIRY_NEG_RHI - _coeffs.AIRY_NEG_RLO
+    )
+    p, q, rr, ss = _clenshaw(_NEG_TABLES, u)
+    y4 = y**0.25
+    ai = (s * p - c * q) / (_SQRT_PI * y4)
+    aip = -(c * rr - s * ss) * y4 / _SQRT_PI
+    return ai, aip
+
+
+def airy_pair(x):
+    """(Ai(x), Ai'(x)) elementwise, for x (scalar or array) in [-40, 200]."""
+    x = np.asarray(x, dtype=float)
+    _check_range("airy_pair", x, _AIRY_LO, _AIRY_HI)
+    ai = np.empty(x.shape)
+    aip = np.empty(x.shape)
+    y = -x
+    for mask, branch, arg in (
+        ((x >= _X_POS_CHEB) & (x <= _X_POS_ASYM), _airy_pos_cheb, x),
+        (x > _X_POS_ASYM, _airy_pos_asym, x),
+        ((x > -_Y_NEG_CHEB) & (x < _X_POS_CHEB), _airy_maclaurin, x),
+        ((y >= _Y_NEG_CHEB) & (y <= _Y_NEG_ASYM), _airy_neg_cheb, y),
+        (y > _Y_NEG_ASYM, _airy_neg_asym, y),
+    ):
+        if mask.any():
+            ai[mask], aip[mask] = branch(arg[mask])
+    return ai, aip
+
+
 def airy_ai(x):
     """Airy function Ai(x), certified for x in [-40, 200]."""
-    x = float(x)
-    if not _AIRY_LO <= x <= _AIRY_HI:
-        raise DomainError(f"airy_ai: x={x} outside [{_AIRY_LO}, {_AIRY_HI}]")
-    return _backend.airy_ai(x)
+    return float(airy_pair(x)[0])
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x), certified for x in [-40, 200]."""
-    x = float(x)
-    if not _AIRY_LO <= x <= _AIRY_HI:
-        raise DomainError(f"airy_ai_prime: x={x} outside [{_AIRY_LO}, {_AIRY_HI}]")
-    return _backend.airy_ai_prime(x)
+    return float(airy_pair(x)[1])
+
+
+# ---------------------------------------------------------------------------
+# Bessel J_a for real order a > -1. Series and Hankel evaluate the orders
+# a and a + 1 together, as the two rows of one (2, len(x)) array.
+
+
+def _bessel_series(a, x):
+    """Ascending power series; accurate for x <= 9."""
+    a1 = a + 1.0
+    order = np.array([[a], [a1]])
+    lgam = np.array([[math.lgamma(a + 1.0)], [math.lgamma(a1 + 1.0)]])
+    zero = x == 0.0
+    xh = 0.5 * np.where(zero, 1.0, x)
+    lpre = order * np.log(xh) - lgam
+    q = -xh * xh
+    term = np.ones((2, len(x)))
+    s = np.ones((2, len(x)))
+    live = np.ones(s.shape, dtype=bool)
+    for k in range(1, 201):
+        term = term * (q / (k * (k + order)))
+        np.add(s, term, out=s, where=live)
+        live &= ~(np.abs(term) < 1e-18 * np.maximum(np.abs(s), 1e-3))
+        if not live.any():
+            break
+    out = np.exp(lpre) * s
+    tiny = lpre < -700.0
+    if tiny.any():
+        st = s[tiny]
+        out[tiny] = np.where(
+            st != 0.0, np.exp(lpre[tiny] + np.log(np.abs(st))) * np.copysign(1.0, st), 0.0
+        )
+    out[:, zero] = np.where(order == 0.0, 1.0, 0.0)
+    return out
+
+
+def _bessel_hankel(a, x):
+    """Large-x expansion with the P and Q sums optimally truncated."""
+    order = np.array([[a], [a + 1.0]])
+    mu = 4.0 * order * order
+    p = np.ones((2, len(x)))
+    q = np.zeros((2, len(x)))
+    ak = np.ones((2, len(x)))
+    prev = np.full((2, len(x)), math.inf)
+    live = np.ones(p.shape, dtype=bool)
+    for k in range(1, 60):
+        ak = ak * ((mu - (2 * k - 1) ** 2) / (8.0 * k * x))
+        t = np.abs(ak)
+        live &= ~(t > prev)
+        prev = t
+        sgn = -1.0 if (k // 2) % 2 else 1.0
+        acc = q if k % 2 == 1 else p
+        np.add(acc, sgn * ak, out=acc, where=live)
+        live &= ~(t < 1e-18)
+        if not live.any():
+            break
+    om = x - (0.5 * order + 0.25) * math.pi
+    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(om) * p - np.sin(om) * q)
+
+
+def _bessel_miller(a, x):
+    """(J_a, J_{a+1}) by backward recurrence with Gegenbauer normalization."""
+    start = (x + 12.0 * np.sqrt(x) + 22.0).astype(int)
+    top = int(start.max())
+    # f[n] holds f_{a+n}. Each column starts at its own n_start with
+    # f[n_start + 1] = 0, f[n_start] = 1e-300 and is zero above; the update
+    # adds 0 to a row until its column has started, which keeps the seed.
+    f = np.zeros((top + 2, len(x)))
+    f[start, np.arange(len(x))] = 1e-300
+    ratio = (2.0 * (a + np.arange(top + 1)))[:, None] / x
+    for n in range(top, 0, -1):
+        f[n - 1] += ratio[n] * f[n] - f[n + 1]
+        big = np.abs(f[n - 1]) > 1e250
+        if big.any():
+            f[n - 1 :, big] *= 1e-250
+    # normalization S = sum_k c_k f_{a+2k} -> (x/2)^a / Gamma(a+1), with
+    # c_0 = 1, c_k = (a+2k) Gamma(a+k) / (Gamma(a+1) k!); rows past a
+    # column's start are zero, so each column sums its own terms in order
+    lg_a1 = math.lgamma(a + 1.0)
+    c = [1.0] + [
+        (a + 2.0 * k) * math.exp(math.lgamma(a + k) - lg_a1 - math.lgamma(k + 1.0))
+        for k in range(1, top // 2 + 1)
+    ]
+    s = np.cumsum(np.array(c)[:, None] * f[0 : 2 * len(c) : 2], axis=0)[-1]
+    scale = np.exp(a * np.log(0.5 * x) - lg_a1) / s
+    return f[0] * scale, f[1] * scale
+
+
+def bessel_j_pair(a, x):
+    """(J_a(x), J_{a+1}(x)) elementwise, for real order a > -1 and x
+    (scalar or array) in [0, 1e4]."""
+    a = float(a)
+    if a <= -1.0:
+        raise DomainError(f"bessel_j_pair: order a={a} must exceed -1")
+    x = np.asarray(x, dtype=float)
+    _check_range("bessel_j_pair", x, 0.0, _BESSEL_XMAX)
+    ja = np.empty(x.shape)
+    ja1 = np.empty(x.shape)
+    series = x <= 9.0
+    hankel = x >= 30.0 + a * a
+    for mask, branch in (
+        (series, _bessel_series),
+        (hankel, _bessel_hankel),
+        (~(series | hankel), _bessel_miller),
+    ):
+        if mask.any():
+            ja[mask], ja1[mask] = branch(a, x[mask])
+    return ja, ja1
 
 
 def bessel_j(a, x):
     """Bessel J_a(x) for real order a > -1, x in [0, 1e4]."""
-    a = float(a)
-    x = float(x)
-    if a <= -1.0:
-        raise DomainError(f"bessel_j: order a={a} must exceed -1")
-    if not 0.0 <= x <= _BESSEL_XMAX:
-        raise DomainError(f"bessel_j: x={x} outside [0, {_BESSEL_XMAX}]")
-    return _backend.bessel_j(a, x)
+    return float(bessel_j_pair(a, x)[0])
 
 
 def bessel_j_prime(a, x):
-    """Derivative J_a'(x) for real order a > -1, x in (0, 1e4]."""
+    """Derivative J_a'(x) = (a/x) J_a(x) - J_{a+1}(x), for real order a > -1
+    and x in [0, 1e4]."""
+    ja, ja1 = bessel_j_pair(a, x)
     a = float(a)
     x = float(x)
-    if a <= -1.0:
-        raise DomainError(f"bessel_j_prime: order a={a} must exceed -1")
-    if not 0.0 <= x <= _BESSEL_XMAX:
-        raise DomainError(f"bessel_j_prime: x={x} outside [0, {_BESSEL_XMAX}]")
-    return _backend.bessel_j_prime(a, x)
+    if x == 0.0:
+        if a == 1.0:
+            return 0.5
+        if a == 0.0 or a > 1.0:
+            return 0.0
+        return math.inf if a > 0.0 else -math.inf
+    return float((a / x) * ja - ja1)
 
 
 def log_gamma(x):

@@ -91,6 +91,11 @@ def _map_points(worker, points, jobs):
         return list(pool.map(worker, points))
 
 
+def _rows_and_notes(results):
+    """Split (row, note) results into rows and the notes, both in grid order."""
+    return [r for r, _ in results], [note for _, note in results if note is not None]
+
+
 def eig_ratio_scan(family, i, t_grid, n=120, a=0.0, jobs=None):
     """Numeric 1 - lambda_i against the closed-form eigenvalue law."""
     fam = _coerce_family(family)
@@ -152,24 +157,24 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120, jobs=None):
     p = asym.p_of_chi(chi, fam)
     t_grid = [float(t) for t in t_grid]
     t0 = time.perf_counter()
-    notes = []
 
     def point(t):
         s = _s_of_t(fam, t)
         v = asym.stokes_v(fam, t, chi, a)
+        note = None
         if v > 700.0:
             # e^{-v} is below machine epsilon: gamma is exactly 1 in floats
             gamma = 1.0
-            notes.append(f"t={t}: v={v:.1f} > 700, computed with gamma=1")
+            note = f"t={t}: v={v:.1f} > 700, computed with gamma=1"
         else:
             gamma = -math.expm1(-v)
         spec = _family_spec(fam, a)
         sp = compute_spectrum(build_discretization(spec, IntervalSpec(fam, s), n))
         num = log_fredholm_det(sp, gamma)
         pred = _predicted_transition(fam, s, v, a, p, chi).log_value
-        return (t, num, pred, abs(num - pred) / abs(pred))
+        return (t, num, pred, abs(num - pred) / abs(pred)), note
 
-    rows = _map_points(point, t_grid, jobs)
+    rows, notes = _rows_and_notes(_map_points(point, t_grid, jobs))
     # fitted decay exponent of the log-space gap |num - pred| ~ C t^{-e}
     gaps = np.array([abs(r[1] - r[2]) for r in rows])
     ts = np.array([r[0] for r in rows])
@@ -228,7 +233,6 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120, jobs=None):
     n = int(n)
     t_grid = [float(t) for t in t_grid]
     t0 = time.perf_counter()
-    notes = []
 
     def point(t):
         s = _s_of_t(fam, t)
@@ -240,12 +244,12 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120, jobs=None):
         pred = asym.stokes_v(fam, t, q - 0.5, a)
         if mu <= thr:
             # factor never reaches the threshold for any v > 0
-            notes.append(f"t={t}: factor {q} never crosses the threshold")
-            return (t, math.nan, pred, math.nan)
+            note = f"t={t}: factor {q} never crosses the threshold"
+            return (t, math.nan, pred, math.nan), note
         detected = math.log(mu / thr)
-        return (t, detected, pred, abs(detected - pred) / abs(pred))
+        return (t, detected, pred, abs(detected - pred) / abs(pred)), None
 
-    rows = _map_points(point, t_grid, jobs)
+    rows, notes = _rows_and_notes(_map_points(point, t_grid, jobs))
     meta = {
         "n": n,
         "family": fam.value,

@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapspec.errors import ArgumentError, DegeneracyError, PoleError
-from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, bessel_spec, kernel_diag
+from gapspec.kernels import (
+    AIRY,
+    SINE,
+    Family,
+    IntervalSpec,
+    bessel_spec,
+    delta_switch,
+    kernel_diag,
+    kernel_eval,
+)
 from gapspec.operator import (
     Spectrum,
     airy_truncation,
@@ -90,6 +99,33 @@ class TestGrid:
         nodes, _, _ = discretization_grid(bessel_spec(2.0), IntervalSpec(Family.BESSEL, 4.0), 30)
         base = gauss_legendre(30)
         assert np.allclose(nodes, 2.0 + 2.0 * base.nodes)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize(
+        "spec, s",
+        [(SINE, 6.0), (AIRY, -5.0), (bessel_spec(0.5), 100.0), (bessel_spec(0.0), 16.0)],
+    )
+    def test_entries_are_weighted_kernel_values(self, spec, s):
+        # every entry is K(x_i, x_j) * (sqrt(w_i) sqrt(w_j)), bit for bit:
+        # on the Taylor band (diagonal included) and off it
+        n = 300
+        d = build_discretization(spec, IntervalSpec(spec.family, s), n)
+        x = np.asarray(d.nodes)
+        sw = np.sqrt(np.asarray(d.weights))
+        if spec.family is Family.BESSEL:
+            u = np.sqrt(x)
+            band = [(i, j) for i in range(n) for j in range(i, min(n, i + 4))
+                    if u[j] - u[i] <= 1e-4 * (u[i] + u[j])]
+        else:
+            band = [(i, j) for i in range(n) for j in range(i, min(n, i + 4))
+                    if x[j] - x[i] <= delta_switch(x[i], x[j])]
+        assert any(i != j for i, j in band)
+        rng = np.random.default_rng(3)
+        off = [tuple(p) for p in rng.integers(0, n, size=(150, 2))]
+        for i, j in band + off:
+            ref = kernel_eval(spec, x[i], x[j]) * (sw[i] * sw[j])
+            assert d.matrix[i, j] == ref and d.matrix[j, i] == ref, (i, j)
 
 
 class TestSpectrum:

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapspec import specfun
-from gapspec._backend import backend_name
-from gapspec import _specfun_py as puref
+from gapspec import backend_name, specfun
 from gapspec.errors import DomainError
 
 mp.mp.dps = 35
@@ -144,22 +142,98 @@ class TestBranchRanges:
             assert abs(vals[0] - 2 * vals[1] + vals[2]) < 1e-9 * max(abs(vals[1]), 1e-10)
 
 
-class TestBackends:
-    def test_backend_reported(self):
-        assert backend_name() in ("compiled", "python")
+def _around(points):
+    """Each point with its two floating-point neighbours and points 1e-9 away."""
+    out = []
+    for p in points:
+        out += [p - 1e-9, np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf), p + 1e-9]
+    return np.array(out)
+
+
+# every Airy seam (Chebyshev and asymptotic zones, the e^{-zeta} split at
+# zeta = 700, the underflow to 0 near x = 107.4) and the ends of the domain,
+# shuffled so that each call mixes all branches
+_AIRY_GRID = np.random.default_rng(5).permutation(
+    np.concatenate(
+        [
+            np.linspace(-40.0, 200.0, 241),
+            _around([-13.0, -3.0, 0.0, 2.0, 15.5, 1050.0 ** (2.0 / 3.0)]),
+            np.linspace(107.0, 108.0, 21),
+        ]
+    )
+)
+
+
+def _bessel_grid(a):
+    """Series, Miller and Hankel zones with their seams at 9 and 30 + a^2."""
+    return np.random.default_rng(6).permutation(
+        np.concatenate([np.linspace(0.0, 120.0, 241), _around([9.0, 30.0 + a * a]), [1e-300]])
+    )
+
+
+class TestArrayCore:
+    def test_implementation_name_is_python(self):
+        assert backend_name() == "python"
 
     @pytest.mark.parametrize("x", np.linspace(-30.0, 100.0, 50))
-    def test_pure_python_matches_active_backend_airy(self, x):
-        assert rel(specfun.airy_ai(x), puref.airy_ai(x)) < 5e-14 or (
-            specfun.airy_ai(x) == puref.airy_ai(x)
-        )
+    def test_airy_scalar_is_one_element_of_the_array(self, x):
+        grid = np.append(_AIRY_GRID, x)
+        ai, aip = specfun.airy_pair(grid)
+        assert specfun.airy_ai(x) == ai[-1]
+        assert specfun.airy_ai_prime(x) == aip[-1]
 
-    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.3])
-    def test_pure_python_matches_active_backend_bessel(self, a):
-        for x in np.linspace(0.1, 70.0, 30):
-            p = specfun.bessel_j(a, x)
-            q = puref.bessel_j(a, x)
-            assert abs(p - q) < 5e-14
+    @pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 1.3, 3.7])
+    def test_bessel_array_matches_elementwise(self, a):
+        grid = _bessel_grid(a)
+        ja, ja1 = specfun.bessel_j_pair(a, grid)
+        for x, p, q in zip(grid, ja, ja1):
+            ep, eq = specfun.bessel_j_pair(a, np.array([x]))
+            assert (ep[0], eq[0]) == (p, q), x
+            assert specfun.bessel_j(a, x) == p
+        half = specfun.bessel_j_pair(a, grid[::2])
+        assert np.array_equal(half[0], ja[::2]) and np.array_equal(half[1], ja1[::2])
+
+    def test_airy_array_matches_elementwise(self):
+        ai, aip = specfun.airy_pair(_AIRY_GRID)
+        for x, p, q in zip(_AIRY_GRID, ai, aip):
+            ep, eq = specfun.airy_pair(np.array([x]))
+            assert (ep[0], eq[0]) == (p, q), x
+            zp, zq = specfun.airy_pair(x)  # zero-dimensional
+            assert zp.shape == () and (zp, zq) == (p, q), x
+        block = specfun.airy_pair(_AIRY_GRID[:200].reshape(10, 20))
+        assert np.array_equal(block[0].ravel(), ai[:200])
+        assert np.array_equal(block[1].ravel(), aip[:200])
+
+    def test_airy_grid_against_mpmath(self):
+        x = np.linspace(-39.5, 199.5, 240)
+        ai, aip = specfun.airy_pair(x)
+        for xi, p, q in zip(x, ai, aip):
+            assert rel(p, float(mp.airyai(mp.mpf(xi)))) < 5e-12, xi
+            assert rel(q, float(mp.airyai(mp.mpf(xi), 1))) < 5e-12, xi
+
+    @pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 0.5, 1.0, 2.3, 5.0])
+    def test_bessel_grid_against_mpmath(self, a):
+        x = np.linspace(0.05, 120.0, 80)
+        ja, ja1 = specfun.bessel_j_pair(a, x)
+        for xi, p, q in zip(x, ja, ja1):
+            for got, order in ((p, a), (q, a + 1.0)):
+                ref = float(mp.besselj(order, mp.mpf(xi)))
+                assert abs(got - ref) < 2e-11 * max(1.0, abs(ref) * 1e2), (order, xi)
+
+    def test_one_bad_element_raises(self):
+        x = np.linspace(-5.0, 5.0, 11)
+        for bad in (-40.5, 200.5, math.nan):
+            y = x.copy()
+            y[4] = bad
+            with pytest.raises(DomainError):
+                specfun.airy_pair(y)
+        for bad in (-1e-3, 1.0001e4, math.nan):
+            y = np.abs(x)
+            y[7] = bad
+            with pytest.raises(DomainError):
+                specfun.bessel_j_pair(0.5, y)
+        with pytest.raises(DomainError):
+            specfun.bessel_j_pair(-1.0, np.abs(x))
 
 
 class TestDomainErrors:

@@ -128,6 +128,18 @@ class TestStokesCrossing:
         assert math.isnan(r.numeric[0])
         assert r.metadata["notes"]
 
+    def test_notes_in_grid_order_under_jobs(self):
+        grid = [4.5, 4.0, 5.0, 4.2]
+        seq = stokes_crossing_scan(Family.BESSEL, 12, grid, n=80, jobs=1)
+        par = stokes_crossing_scan(Family.BESSEL, 12, grid, n=80, jobs=2)
+        assert len(seq.metadata["notes"]) >= 2
+        assert seq.metadata["notes"] == par.metadata["notes"]
+        assert seq.metadata["notes"] == [
+            f"t={t}: factor 12 never crosses the threshold"
+            for t, num in zip(seq.grid, seq.numeric)
+            if math.isnan(num)
+        ]
+
 
 class TestCommutingResidual:
     def test_sine_ground_state(self):
