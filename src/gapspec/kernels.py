@@ -152,7 +152,11 @@ def _exact(spec, s, vs, t, vt):
     fam = spec.family
     if fam is Family.SINE:
         d = s - t
-        return np.sin(d) / (math.pi * d)
+        # in place: one n x n temporary fewer, same rounding as sin(d)/(pi*d)
+        k = np.sin(d)
+        d *= math.pi
+        k /= d
+        return k
     if fam is Family.AIRY:
         (a1, p1), (a2, p2) = vs, vt
         return (a1 * p2 - p1 * a2) / (s - t)

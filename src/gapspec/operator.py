@@ -180,9 +180,11 @@ def build_discretization(spec, interval, n):
     if n < 1:
         raise ArgumentError(f"build_discretization requires n >= 1, got {n}")
     nodes, weights, hi = discretization_grid(spec, interval, n)
-    # K and the weight products are both symmetric, so the matrix is too
+    # K and the weight products are both symmetric, so the matrix is too;
+    # weighting in place keeps one n x n temporary fewer alive
     sw = np.sqrt(weights)
-    mat = kernels.kernel_matrix(spec, nodes) * np.outer(sw, sw)
+    mat = kernels.kernel_matrix(spec, nodes)
+    mat *= np.outer(sw, sw)
     return Discretization(spec, interval, n, hi, nodes, weights, mat)
 
 
@@ -258,20 +260,20 @@ def _mu_values(sp, gamma=1.0):
     return lam / (1.0 - lam)
 
 
-def _esp_all(mu):
-    """All elementary symmetric polynomials e_0..e_len(mu) of mu.
+def _esp_all(mu, kmax):
+    """Elementary symmetric polynomials e_0..e_kmax of mu, kmax <= len(mu).
 
-    Descending-index updates make every e_k a sum of positive terms, so the
-    recurrence is stable even when the mu span many orders of magnitude.
+    Row k holds e_k of the first k, k+1, ..., len(mu) values, a running sum
+    (sequential cumsum) of mu_j times row k-1. Every e_k is then a running
+    sum of positive terms, stable even when the mu span many orders of
+    magnitude, and costs one array pass instead of a loop over mu.
     """
-    e = np.zeros(len(mu) + 1)
-    e[0] = 1.0
-    top = 0
-    for m in mu:
-        top += 1
-        for k in range(top, 0, -1):
-            e[k] += m * e[k - 1]
-    return e
+    row = np.ones(len(mu) + 1)
+    e = [1.0]
+    for k in range(1, kmax + 1):
+        row = np.cumsum(mu[k - 1 :] * row[:-1])
+        e.append(row[-1])
+    return np.array(e)
 
 
 def counting_prob(sp, n, gamma=1.0):
@@ -283,8 +285,7 @@ def counting_prob(sp, n, gamma=1.0):
     if n > len(sp.eigenvalues):
         return 0.0
     mu = _mu_values(sp, gamma)
-    e = _esp_all(mu)
-    return fredholm_det(sp, gamma) * float(e[n])
+    return fredholm_det(sp, gamma) * float(_esp_all(mu, n)[n])
 
 
 def counting_ratio(sp, n):
@@ -295,7 +296,7 @@ def counting_ratio(sp, n):
     if n > len(sp.eigenvalues):
         return 0.0
     mu = _mu_values(sp, 1.0)
-    return float(_esp_all(mu)[n])
+    return float(_esp_all(mu, n)[n])
 
 
 def trace_norm(spec, interval, n=60):

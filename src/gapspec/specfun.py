@@ -11,9 +11,9 @@ one-element calls of the same code.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -476,8 +476,14 @@ def log_gamma_complex(z):
 
 _BORWEIN_N = 40
 
+# The exact tables below are built on first use: most runs never need zeta
+# or Barnes G, and fractions pulls in decimal.
 
+
+@functools.cache
 def _borwein_d():
+    from fractions import Fraction
+
     n = _BORWEIN_N
     d = [Fraction(0)] * (n + 1)
     acc = Fraction(0)
@@ -490,32 +496,39 @@ def _borwein_d():
     return d
 
 
-_BW_FRAC = _borwein_d()
-
-
 def zeta_real(s):
     """Riemann zeta(s) for real s >= 2, ~1e-16 relative accuracy."""
     if s < 2:
         raise DomainError("zeta_real requires s >= 2")
     n = _BORWEIN_N
-    dn = _BW_FRAC[n]
+    bw = _borwein_d()
+    dn = bw[n]
     total = 0.0
     for k in range(n):
-        c = float((_BW_FRAC[k] - dn) / dn)
+        c = float((bw[k] - dn) / dn)
         total += (-1.0) ** k * c / float(k + 1) ** s
     return -total / (1.0 - 2.0 ** (1.0 - s))
 
 
-_ZETA_INT = {k: zeta_real(k) for k in range(2, 80)}
+@functools.cache
+def _zeta_int():
+    """zeta(k) for the integers k = 2..79."""
+    return {k: zeta_real(k) for k in range(2, 80)}
 
-# exact Bernoulli numbers B_0..B_32 via the defining recurrence
-_BERN = [Fraction(1)]
-for _m in range(1, 33):
-    _s = Fraction(0)
-    for _k in range(_m):
-        _s += Fraction(math.comb(_m + 1, _k)) * _BERN[_k]
-    _BERN.append(-_s / (_m + 1))
-_BERN_F = [float(b) for b in _BERN]
+
+@functools.cache
+def _bernoulli():
+    """B_0..B_32 as floats, from the exact defining recurrence."""
+    from fractions import Fraction
+
+    bern = [Fraction(1)]
+    for m in range(1, 33):
+        s = Fraction(0)
+        for k in range(m):
+            s += Fraction(math.comb(m + 1, k)) * bern[k]
+        bern.append(-s / (m + 1))
+    return [float(b) for b in bern]
+
 
 _EULER_GAMMA = 0.5772156649015328606
 
@@ -537,25 +550,21 @@ def _zeta_prime_2():
     for m in range(0, 12):
         derivs[m] = (a, b)
         a, b = b - (m + 2) * a, -(m + 2) * b
+    bern = _bernoulli()
     for k in range(1, 6):
         am, bm = derivs[2 * k - 1]
         fd = (am + bm * ln_n) / big_n ** (2 * k + 1)
-        tail -= _BERN_F[2 * k] / math.factorial(2 * k) * fd
+        tail -= bern[2 * k] / math.factorial(2 * k) * fd
     return -(s + tail)
 
 
-_ZETA_PRIME_MINUS_ONE = None
-
-
+@functools.cache
 def zeta_prime_minus_one():
     """zeta'(-1) via the Glaisher-Kinkelin relation zeta'(-1) = 1/12 - ln A."""
-    global _ZETA_PRIME_MINUS_ONE
-    if _ZETA_PRIME_MINUS_ONE is None:
-        ln_a = (_EULER_GAMMA + math.log(2.0 * math.pi)) / 12.0 - _zeta_prime_2() / (
-            2.0 * math.pi**2
-        )
-        _ZETA_PRIME_MINUS_ONE = 1.0 / 12.0 - ln_a
-    return _ZETA_PRIME_MINUS_ONE
+    ln_a = (_EULER_GAMMA + math.log(2.0 * math.pi)) / 12.0 - _zeta_prime_2() / (
+        2.0 * math.pi**2
+    )
+    return 1.0 / 12.0 - ln_a
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +581,10 @@ def _log_barnes_taylor(w):
     s -= 0.5 * _EULER_GAMMA * w * w
     wp = w * w  # holds w^{n-1} entering the n-th term
     sign = 1.0
+    zeta = _zeta_int()
     for n in range(3, 200):
         wp *= w
-        term = sign * _ZETA_INT[n - 1] * wp / n
+        term = sign * zeta[n - 1] * wp / n
         s += term
         if abs(term) < 1e-18:
             break
@@ -594,8 +604,9 @@ def _log_barnes_asym(w):
     )
     w2 = w * w
     wp = w2
+    bern = _bernoulli()
     for k in range(1, 14):
-        term = _BERN_F[2 * k + 2] / (2 * k * (2 * k + 2) * wp)
+        term = bern[2 * k + 2] / (2 * k * (2 * k + 2) * wp)
         s += term
         if abs(term) < 1e-18 * max(1.0, abs(s)):
             break

@@ -10,7 +10,6 @@ merge deterministically in grid order.
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +86,10 @@ def _predicted_eig(fam, i, s, a):
 def _map_points(worker, points, jobs):
     if jobs is None or jobs <= 1 or len(points) <= 1:
         return [worker(p) for p in points]
+    # imported here: concurrent.futures pulls in logging, queue and
+    # traceback, which serial runs never need
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, points))
 

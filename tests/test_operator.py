@@ -23,6 +23,7 @@ from gapspec.kernels import (
 )
 from gapspec.operator import (
     Spectrum,
+    _esp_all,
     airy_truncation,
     build_discretization,
     compute_spectrum,
@@ -273,6 +274,57 @@ class TestCounting:
         sp = _fake_spectrum([1.0 - 1e-16])
         with pytest.raises(DegeneracyError):
             counting_prob(sp, 0, gamma=1.0 + 1e-5)
+
+    @staticmethod
+    def _esp_loop(mu):
+        # the former implementation, kept verbatim as the reference
+        e = np.zeros(len(mu) + 1)
+        e[0] = 1.0
+        top = 0
+        for m in mu:
+            top += 1
+            for k in range(top, 0, -1):
+                e[k] += m * e[k - 1]
+        return e
+
+    def _assert_esp_bitwise(self, mu):
+        ref = self._esp_loop(mu)
+        for k in range(len(mu) + 1):
+            got = _esp_all(mu, k)
+            assert len(got) == k + 1
+            assert got[k].tobytes() == ref[k].tobytes(), k
+
+    def test_esp_matches_descending_loop_bitwise(self):
+        rng = np.random.default_rng(20)
+        for size in (1, 2, 7, 40, 90):
+            self._assert_esp_bitwise(10.0 ** rng.uniform(-30.0, 16.0, size))
+        # sorted both ways: the running sums meet the large terms first or last
+        mu = 10.0 ** rng.uniform(-30.0, 16.0, 60)
+        self._assert_esp_bitwise(np.sort(mu))
+        self._assert_esp_bitwise(np.sort(mu)[::-1])
+
+    def test_esp_matches_descending_loop_on_sine_spectrum(self):
+        sp = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, 5.0), 300))
+        for gamma in (1.0, 1.0 - 1e-9):
+            lam = gamma * np.asarray(sp.eigenvalues)
+            self._assert_esp_bitwise(lam / (1.0 - lam))
+
+    def test_counting_prob_near_unit_gamma_against_numpy_poly(self):
+        gamma = 1.0 - 1e-9
+        sp = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, 5.0), 300))
+        lam = gamma * np.asarray(sp.eigenvalues)
+        coeffs = np.poly(-(lam / (1.0 - lam)))
+        det = float(np.prod(1.0 - lam))
+        for n in range(len(lam) + 1):
+            ref = det * coeffs[n]
+            assert counting_prob(sp, n, gamma) == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+    def test_esp_degree_bounds(self):
+        mu = np.array([1.0, 2.0, 3.0])
+        assert _esp_all(mu, 0).tolist() == [1.0]
+        assert _esp_all(np.array([]), 0).tolist() == [1.0]
+        assert _esp_all(mu, 3).tolist() == [1.0, 6.0, 11.0, 6.0]
+        assert _esp_all(mu[:1], 1).tolist() == [1.0, 1.0]
 
 
 class TestLogDetDerivative:

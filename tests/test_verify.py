@@ -2,6 +2,9 @@
 residuals, and the shared acceptance helpers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,3 +187,27 @@ class TestTrendHelper:
 
     def test_two_violations_fail(self):
         assert not _trend_ok([2.0, 2.5, 0.1], cap=1.0)
+
+
+class TestImportFootprint:
+    def test_import_leaves_thread_pool_and_fractions_unloaded(self):
+        # the pool behind jobs > 1 and the exact zeta/Bernoulli tables are
+        # set up on first use, so a plain import loads neither
+        # concurrent.futures (with logging, queue) nor fractions (with decimal)
+        import gapspec
+
+        src = os.path.dirname(os.path.dirname(gapspec.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, gapspec; "
+                "print(sorted({'concurrent.futures', 'fractions'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
