@@ -87,9 +87,10 @@ def _gauss_legendre_cached(n):
         p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
     dp = n * (x * p1 - p0) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    x = x[order]
-    w = w[order]
+    # the guesses descend and Newton keeps each on its own root, so the
+    # reversed nodes are already in ascending order
+    x = x[::-1]
+    w = w[::-1]
     # enforce exact symmetry of the rule
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
