@@ -83,9 +83,9 @@ class IntervalSpec:
 
     family: Family
     s: float
-    lo: float = field(init=False)
-    hi: float = field(init=False)
-    t: float = field(init=False)
+    lo: float = field(init=False, compare=False)
+    hi: float = field(init=False, compare=False)
+    t: float = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", _coerce_family(self.family))

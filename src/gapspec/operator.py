@@ -9,6 +9,7 @@ exponentially in n for these analytic kernels.
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     DegeneracyError,
     NumericalError,
     PoleError,
+    PrecisionWarning,
 )
 from .kernels import Family, IntervalSpec, KernelSpec
 
@@ -239,8 +241,17 @@ def _validate_spectrum(vals, d):
 
 
 def fredholm_det(sp, gamma):
-    """D(J; gamma) = prod(1 - gamma lambda_i)."""
-    return float(np.prod(1.0 - float(gamma) * np.asarray(sp.eigenvalues)))
+    """D(J; gamma) = prod(1 - gamma lambda_i); warns when it underflows."""
+    factors = 1.0 - float(gamma) * np.asarray(sp.eigenvalues)
+    det = float(np.prod(factors))
+    if det == 0.0 and np.all(factors != 0.0):
+        warnings.warn(
+            "fredholm_det underflowed to 0.0 although no factor "
+            "1 - gamma*lambda is zero; use log_fredholm_det",
+            PrecisionWarning,
+            stacklevel=2,
+        )
+    return det
 
 
 def log_fredholm_det(sp, gamma):

@@ -481,7 +481,8 @@ _BORWEIN_N = 40
 
 
 @functools.cache
-def _borwein_d():
+def _borwein_c():
+    """The float weights (d_k - d_n)/d_n, k < n, of Borwein's series."""
     from fractions import Fraction
 
     n = _BORWEIN_N
@@ -493,19 +494,15 @@ def _borwein_d():
             math.factorial(n - i) * math.factorial(2 * i),
         )
         d[i] = n * acc
-    return d
+    return tuple(float((d[k] - d[n]) / d[n]) for k in range(n))
 
 
 def zeta_real(s):
     """Riemann zeta(s) for real s >= 2, ~1e-16 relative accuracy."""
     if s < 2:
         raise DomainError("zeta_real requires s >= 2")
-    n = _BORWEIN_N
-    bw = _borwein_d()
-    dn = bw[n]
     total = 0.0
-    for k in range(n):
-        c = float((bw[k] - dn) / dn)
+    for k, c in enumerate(_borwein_c()):
         total += (-1.0) ** k * c / float(k + 1) ** s
     return -total / (1.0 - 2.0 ** (1.0 - s))
 

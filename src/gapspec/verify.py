@@ -7,6 +7,7 @@ formulas under test. Scans are embarrassingly parallel over grid points and
 merge deterministically in grid order.
 """
 
+import functools
 import math
 import time
 import warnings
@@ -67,6 +68,15 @@ def _family_spec(fam, a):
     return SINE if fam is Family.SINE else AIRY
 
 
+@functools.lru_cache(maxsize=32)
+def _spectrum(spec, interval, n):
+    # The eigenvalue-law and transition checks read the same (kernel, s, n)
+    # spectra, so each is diagonalized once per process. Only the read-only
+    # Spectrum is kept, never the n x n matrix; 32 entries cover the longest
+    # gap between a build and its reuse in run_acceptance (20 spectra).
+    return compute_spectrum(build_discretization(spec, interval, n))
+
+
 def _s_of_t(fam, t):
     if fam is Family.AIRY:
         return -(t ** (2.0 / 3.0))
@@ -116,7 +126,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0, jobs=None):
 
     def point(t):
         s = _s_of_t(fam, t)
-        sp = compute_spectrum(build_discretization(spec, IntervalSpec(fam, s), n))
+        sp = _spectrum(spec, IntervalSpec(fam, s), n)
         num = 1.0 - float(sp.eigenvalues[i])
         if num < 1e-13:
             warnings.warn(
@@ -172,7 +182,7 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120, jobs=None):
         else:
             gamma = -math.expm1(-v)
         spec = _family_spec(fam, a)
-        sp = compute_spectrum(build_discretization(spec, IntervalSpec(fam, s), n))
+        sp = _spectrum(spec, IntervalSpec(fam, s), n)
         num = log_fredholm_det(sp, gamma)
         pred = _predicted_transition(fam, s, v, a, p, chi).log_value
         return (t, num, pred, abs(num - pred) / abs(pred)), note
@@ -241,7 +251,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120, jobs=None):
         s = _s_of_t(fam, t)
         thr = t ** -0.5 if fam is Family.AIRY else 1.0 / t
         spec = _family_spec(fam, a)
-        sp = compute_spectrum(build_discretization(spec, IntervalSpec(fam, s), n))
+        sp = _spectrum(spec, IntervalSpec(fam, s), n)
         lam = float(sp.eigenvalues[q - 1])
         mu = lam / (1.0 - lam)
         pred = asym.stokes_v(fam, t, q - 0.5, a)
@@ -411,7 +421,7 @@ def _acc_quadrature():
     for spec, s in ((SINE, 2.0), (AIRY, -2.0), (bessel_spec(0.0), 4.0)):
         vals = []
         for n in (40, 80):
-            sp = compute_spectrum(build_discretization(spec, IntervalSpec(spec.family, s), n))
+            sp = _spectrum(spec, IntervalSpec(spec.family, s), n)
             vals.append(log_fredholm_det(sp, 1.0))
         worst = max(worst, abs(vals[0] - vals[1]))
     dt = time.perf_counter() - t0
@@ -462,7 +472,7 @@ def _acc_gap_constants():
     c0 = math.exp(asym._log_c0())
     errs = []
     for s in (-4.0, -5.0, -6.0):
-        sp = compute_spectrum(build_discretization(AIRY, IntervalSpec(Family.AIRY, s), 200))
+        sp = _spectrum(AIRY, IntervalSpec(Family.AIRY, s), 200)
         est = log_fredholm_det(sp, 1.0) - s**3 / 12.0 + 0.125 * math.log(-s)
         errs.append(abs(math.exp(est) / c0 - 1.0))
     ok = ok and errs[-1] <= 0.02 and errs[-1] <= errs[0]
@@ -470,7 +480,7 @@ def _acc_gap_constants():
     for a in (0.0, 1.0):
         s = 144.0
         tau = math.exp(asym._log_tau(a))
-        sp = compute_spectrum(build_discretization(bessel_spec(a), IntervalSpec(Family.BESSEL, s), 300))
+        sp = _spectrum(bessel_spec(a), IntervalSpec(Family.BESSEL, s), 300)
         est = (
             log_fredholm_det(sp, 1.0)
             + 0.25 * s
@@ -490,7 +500,7 @@ def _acc_lidskii():
     for j in range(20):
         spec, s = cases[j % 3]
         n = int(rng.integers(50, 120))
-        sp = compute_spectrum(build_discretization(spec, IntervalSpec(spec.family, s), n))
+        sp = _spectrum(spec, IntervalSpec(spec.family, s), n)
         v = float(rng.uniform(0.1, 8.0))
         p = int(rng.integers(0, 6))
         factors, residual = lidskii_split(sp, v, p)
@@ -532,7 +542,7 @@ def _acc_reciprocity():
 
 
 def _acc_counting():
-    sp = compute_spectrum(build_discretization(AIRY, IntervalSpec(Family.AIRY, -2.0), 120))
+    sp = _spectrum(AIRY, IntervalSpec(Family.AIRY, -2.0), 120)
     total = sum(counting_prob(sp, k) for k in range(sp.n + 1))
     e0 = counting_prob(sp, 0)
     worst_ratio = 0.0

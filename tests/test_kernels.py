@@ -79,6 +79,30 @@ class TestSpecs:
         with pytest.raises(AttributeError):
             SINE.a = 1.0  # type: ignore[misc]
 
+    # the derived t is nan for sine and for Airy with s >= 0; it must not
+    # enter equality or the hash, or equal intervals never match
+    @pytest.mark.parametrize(
+        "family, s",
+        [
+            (Family.SINE, 5.0),
+            (Family.AIRY, -4.0),
+            (Family.AIRY, 0.0),
+            (Family.AIRY, 2.0),
+            (Family.BESSEL, 9.0),
+        ],
+    )
+    def test_interval_spec_equal_and_hash(self, family, s):
+        a, b = IntervalSpec(family, s), IntervalSpec(family, s)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_interval_spec_unequal(self):
+        assert IntervalSpec(Family.SINE, 5.0) != IntervalSpec(Family.SINE, 5.5)
+        assert IntervalSpec(Family.AIRY, 2.0) != IntervalSpec(Family.AIRY, 3.0)
+        assert IntervalSpec(Family.SINE, 4.0) != IntervalSpec(Family.BESSEL, 4.0)
+        assert IntervalSpec(Family.AIRY, 4.0) != IntervalSpec(Family.BESSEL, 4.0)
+
 
 class TestSineKernel:
     @given(

@@ -3,6 +3,7 @@ generator, spectra against trace identities, counting statistics against a
 direct polynomial expansion."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapspec.errors import ArgumentError, DegeneracyError, PoleError
+from gapspec.errors import ArgumentError, DegeneracyError, PoleError, PrecisionWarning
 from gapspec.kernels import (
     AIRY,
     SINE,
@@ -229,6 +230,28 @@ class TestDeterminants:
         sp = _fake_spectrum([0.3, 0.2])
         assert fredholm_det(sp, 0.0) == 1.0
         assert log_fredholm_det(sp, 0.0) == 0.0
+
+    def test_underflow_warns(self):
+        # 0.1^800 is below the smallest double: the product reads 0.0
+        # although every factor is positive and the log-det is finite
+        sp = _fake_spectrum([0.9] * 800)
+        with pytest.warns(PrecisionWarning, match="log_fredholm_det"):
+            assert fredholm_det(sp, 1.0) == 0.0
+        with pytest.warns(PrecisionWarning, match="log_fredholm_det"):
+            assert counting_prob(sp, 0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_fredholm_det(sp, 1.0) == pytest.approx(800 * math.log(0.1), rel=1e-12)
+
+    def test_no_warning_without_underflow(self):
+        sine = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, 3.0), 80))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fredholm_det(sine, 1.0) > 0.0
+            assert counting_prob(sine, 2) > 0.0
+            assert fredholm_det(_fake_spectrum([0.9, 0.5, 0.1]), 0.7) > 0.0
+            # a factor that is exactly zero makes D = 0 exactly: no underflow
+            assert fredholm_det(_fake_spectrum([0.5, 0.25]), 2.0) == 0.0
 
 
 class TestCounting:

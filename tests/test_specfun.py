@@ -95,6 +95,36 @@ class TestGammaZeta:
         assert rel(specfun.zeta_real(2.0), math.pi**2 / 6.0) < 1e-14
         assert rel(specfun.zeta_real(3.0), float(mp.zeta(3))) < 1e-14
 
+    @staticmethod
+    def _zeta_per_call_reference(s):
+        # the loop zeta_real ran before its weights were cached: the exact
+        # Borwein table and every weight rebuilt on each call
+        from fractions import Fraction
+
+        n = 40
+        bw = [Fraction(0)] * (n + 1)
+        acc = Fraction(0)
+        for i in range(n + 1):
+            acc += Fraction(
+                math.factorial(n + i - 1) * 4**i,
+                math.factorial(n - i) * math.factorial(2 * i),
+            )
+            bw[i] = n * acc
+        dn = bw[n]
+        total = 0.0
+        for k in range(n):
+            c = float((bw[k] - dn) / dn)
+            total += (-1.0) ** k * c / float(k + 1) ** s
+        return -total / (1.0 - 2.0 ** (1.0 - s))
+
+    def test_zeta_matches_per_call_weights_bitwise(self):
+        rng = np.random.default_rng(20261018)
+        args = [float(k) for k in range(2, 80)] + list(rng.uniform(2.0, 120.0, 60))
+        for s in args:
+            assert specfun.zeta_real(s) == self._zeta_per_call_reference(s), s
+        for k, z in specfun._zeta_int().items():
+            assert z == self._zeta_per_call_reference(float(k)), k
+
     def test_zeta_prime_minus_one(self):
         # zeta'(-1) = 1/12 - ln A with A the Glaisher-Kinkelin constant
         ref = float(mp.mpf(1) / 12 - mp.log(mp.glaisher))

@@ -1,6 +1,7 @@
 """Cross-verification harness: scans, Lidskii splits, commuting-operator
 residuals, and the shared acceptance helpers."""
 
+import collections
 import math
 import os
 import subprocess
@@ -12,8 +13,12 @@ import pytest
 from gapspec.errors import ArgumentError, PrecisionWarning
 from gapspec.kernels import SINE, Family, IntervalSpec
 from gapspec.operator import Spectrum, build_discretization, compute_spectrum
+from gapspec import verify
 from gapspec.verify import (
     ScanResult,
+    _acc_eig_law,
+    _acc_transition,
+    _spectrum,
     _trend_ok,
     commuting_residual,
     convolution_check,
@@ -175,6 +180,64 @@ class TestPointChecks:
     def test_logderiv_sine_rejected(self):
         with pytest.raises(ArgumentError):
             logderiv_check(Family.SINE, 3.0, 0.0)
+
+
+class TestSpectrumMemo:
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        _spectrum.cache_clear()
+        yield
+        _spectrum.cache_clear()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = collections.Counter()
+        build = verify.build_discretization
+
+        def counted(spec, interval, n):
+            counts[(spec, interval, n)] += 1
+            return build(spec, interval, n)
+
+        monkeypatch.setattr(verify, "build_discretization", counted)
+        return counts
+
+    def test_eig_law_and_transition_build_each_point_once(self, builds):
+        # the two eigenvalue indices share one t-grid, and the transition
+        # scans revisit it: four Airy spectra in all
+        _acc_eig_law(Family.AIRY, [(0.0, 0), (0.0, 1)], (8, 10, 12, 14), 0.25)
+        _acc_transition(Family.AIRY, (0.0, 0.5), (0.0,), (8, 10, 12))
+        assert len(builds) == 4
+        assert set(builds.values()) == {1}
+        assert {n for _, _, n in builds} == {160}
+
+    @staticmethod
+    def _scans(jobs):
+        eig = eig_ratio_scan(Family.SINE, 1, [2.5, 3.5, 4.5], n=80, jobs=jobs)
+        det = det_ratio_scan(Family.BESSEL, 0.5, [6.0, 8.0], a=1.0, n=80, jobs=jobs)
+        return [(r.grid, r.numeric, r.predicted, r.rel_error) for r in (eig, det)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scans_bit_identical_across_cache_clear(self, jobs):
+        cold = self._scans(jobs)
+        # the second pass is served by the memo
+        assert self._scans(jobs) == cold
+        assert _spectrum.cache_info().hits == 5
+        _spectrum.cache_clear()
+        assert self._scans(3 - jobs) == cold
+
+    def test_precision_warning_fires_on_cache_hit(self, builds, monkeypatch):
+        # no spectrum inside the desk-scale windows reaches the 1e-13 skip
+        # threshold, so the eigensolve is replaced by one that does
+        def unresolvable(d):
+            return Spectrum(np.array([1.0 - 1e-15, 0.5]), 2, {})
+
+        monkeypatch.setattr(verify, "compute_spectrum", unresolvable)
+        for _ in range(2):
+            with pytest.warns(PrecisionWarning, match="below resolvable precision"):
+                r = eig_ratio_scan(Family.SINE, 0, [3.0], n=80)
+            assert r.grid == ()
+        assert list(builds.values()) == [1]
+        assert _spectrum.cache_info().hits == 1
 
 
 class TestTrendHelper:
