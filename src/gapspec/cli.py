@@ -83,15 +83,17 @@ class RunConfig:
         if self.v is not None:
             return -math.expm1(-self.v)
         if self.chi is not None:
-            fam = self.family
-            if fam is Family.AIRY:
-                t = (-self.s) ** 1.5
-            elif fam is Family.BESSEL:
-                t = math.sqrt(self.s)
-            else:
-                t = self.s
-            return -math.expm1(-asym.stokes_v(fam, t, self.chi, self.a or 0.0))
+            t = _stokes_t(self.family, self.s)
+            return -math.expm1(-asym.stokes_v(self.family, t, self.chi, self.a or 0.0))
         return 1.0
+
+
+def _stokes_t(fam, s):
+    """Scaling variable t of the Stokes curves at s, for --chi."""
+    t = IntervalSpec(fam, s).t
+    if math.isnan(t):
+        raise ArgumentError(f"--chi needs s < 0 for the {fam.value} kernel, got s = {s}")
+    return t
 
 
 def _emit(cfg, header, rows, summary, out=None):
@@ -186,8 +188,7 @@ def cmd_asymp(cfg, args):
         if v is None:
             if chi is None:
                 raise ArgumentError("transition formulas need --v or --chi")
-            t = (-s) ** 1.5 if fam is Family.AIRY else (math.sqrt(s) if fam is Family.BESSEL else s)
-            v = asym.stokes_v(fam, t, chi, a)
+            v = asym.stokes_v(fam, _stokes_t(fam, s), chi, a)
         p = args.p if args.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
         if fam is Family.AIRY:
             te = asym.airy_transition(s, v, p, chi=chi)
@@ -275,6 +276,10 @@ def _build_parser():
         "of the sine, Airy and Bessel kernels.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    try:
+        jobs = int(os.environ.get("GAPSPEC_JOBS", "1"))
+    except ValueError:
+        raise ArgumentError("GAPSPEC_JOBS must be an integer") from None
 
     def common(p, need_family=True):
         if need_family:
@@ -313,7 +318,7 @@ def _build_parser():
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("GAPSPEC_JOBS", "1")),
+        default=jobs,
         help="parallel workers over grid points",
     )
     p.set_defaults(fn=cmd_scan, need=("kernel",))
@@ -361,7 +366,11 @@ def _load_config(args):
 
 
 def main(argv=None):
-    ap = _build_parser()
+    try:
+        ap = _build_parser()
+    except ArgumentError as exc:
+        print(f"gapspec: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -8,7 +8,7 @@ all derivatives reduced through the defining ODEs.
 
 The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
 whole Nystrom grid from one special-function call, and `kernel_eval` runs the
-same forms on a single pair.
+same forms on any batch of pairs, also from one call.
 """
 
 import enum
@@ -77,8 +77,8 @@ class IntervalSpec:
     """Family-consistent endpoint s and the derived interval J.
 
     Sine: J = (-s, s), s > 0.  Airy: J = (s, inf).  Bessel: J = (0, s), s > 0.
-    Carries the double-scaling variable t = (-s)^{3/2} (Airy, s < 0) or
-    t = sqrt(s) (Bessel) when defined.
+    Carries the scaling variable t of the Stokes curves: t = s (sine),
+    t = (-s)^{3/2} (Airy, s < 0; nan for s >= 0) or t = sqrt(s) (Bessel).
     """
 
     family: Family
@@ -94,7 +94,7 @@ class IntervalSpec:
         if fam is Family.SINE:
             if s <= 0:
                 raise DomainError(f"sine interval requires s > 0, got {s}")
-            lo, hi, t = -s, s, float("nan")
+            lo, hi, t = -s, s, s
         elif fam is Family.AIRY:
             lo, hi = s, math.inf
             t = (-s) ** 1.5 if s < 0 else float("nan")
@@ -210,22 +210,32 @@ def _taylor(spec, s, t, vm):
 
 
 def kernel_eval(spec, lam, mu):
-    """Kernel value K(lam, mu); bit-symmetric in (lam, mu)."""
-    lam = float(lam)
-    mu = float(mu)
+    """Kernel value K(lam, mu); bit-symmetric in (lam, mu).
+
+    lam and mu may be arrays of pairs (broadcast together): the values come
+    from one special-function call, each equal to its one-pair call.
+    """
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     _check_domain(spec, lam)
     _check_domain(spec, mu)
-    if mu > lam:  # evaluate on the sorted pair for exact symmetry
-        lam, mu = mu, lam
-    if spec.family is Family.BESSEL and lam == 0.0:
-        return kernel_diag(spec, 0.0)
-    s = _variable(spec, np.array([lam]))
-    t = _variable(spec, np.array([mu]))
-    if _near(spec, s, t)[0]:
-        k = _taylor(spec, s, t, _edge_values(spec, 0.5 * (s + t)))
-    else:
-        k = _exact(spec, s, _edge_values(spec, s), t, _edge_values(spec, t))
-    return float(k[0])
+    shape = lam.shape
+    # evaluate on the sorted pair for exact symmetry
+    hi = np.maximum(lam, mu).ravel()
+    lo = np.minimum(lam, mu).ravel()
+    s = _variable(spec, hi)
+    t = _variable(spec, lo)
+    origin = (hi == 0.0) & (spec.family is Family.BESSEL)
+    near = _near(spec, s, t) & ~origin
+    far = ~(near | origin)
+    sf, tf, sn, tn = s[far], t[far], s[near], t[near]
+    values = _edge_values(spec, np.concatenate([sf, tf, 0.5 * (sn + tn)]))
+    nf = len(sf)
+    k = np.empty(hi.shape)
+    k[far] = _exact(spec, sf, [v[:nf] for v in values], tf, [v[nf : 2 * nf] for v in values])
+    k[near] = _taylor(spec, sn, tn, [v[2 * nf :] for v in values])
+    if origin.any():
+        k[origin] = kernel_diag(spec, 0.0)
+    return k.reshape(shape) if shape else float(k[0])
 
 
 def kernel_matrix(spec, x):
@@ -287,21 +297,28 @@ def kernel_diag(spec, lam):
 
 def airy_convolution(lam, mu, upper=None, n=60):
     """Airy kernel via its convolution form: integral of Ai(lam+t)Ai(t+mu)
-    over t in [0, upper], by Gauss-Legendre quadrature."""
-    lam = float(lam)
-    mu = float(mu)
+    over t in [0, upper], by Gauss-Legendre quadrature.
+
+    lam, mu and upper may be arrays (broadcast together); one
+    special-function call serves every pair.
+    """
     if n < 40:
         raise ArgumentError(f"airy_convolution requires n >= 40, got {n}")
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    # sorted arguments keep (lam, mu) -> (mu, lam) bit-identical
+    lo_arg = np.minimum(lam, mu)
+    hi_arg = np.maximum(lam, mu)
     if upper is None:
         # place both shifted arguments where Ai^2 < 1e-18: Ai(11) ~ 1e-11
-        upper = max(11.0 - min(lam, mu), 11.0)
-    upper = float(upper)
+        upper = np.maximum(11.0 - lo_arg, 11.0)
+    lo_arg, hi_arg, upper = np.broadcast_arrays(lo_arg, hi_arg, np.asarray(upper, dtype=float))
+    half = 0.5 * upper
     from .operator import gauss_legendre
 
     quad = gauss_legendre(int(n))
-    half = 0.5 * upper
-    tt = half * (quad.nodes + 1.0)
-    # sorted arguments keep (lam, mu) -> (mu, lam) bit-identical
-    lo_arg, hi_arg = (lam, mu) if lam <= mu else (mu, lam)
-    ai = specfun.airy_pair(np.concatenate([lo_arg + tt, tt + hi_arg]))[0]
-    return half * float(np.sum(quad.weights * ai[: len(tt)] * ai[len(tt) :]))
+    # one row of nodes per pair, so each row sum is the one-pair sum
+    tt = np.multiply.outer(half, quad.nodes + 1.0)
+    args = np.concatenate([(lo_arg[..., None] + tt).ravel(), (tt + hi_arg[..., None]).ravel()])
+    ai = specfun.airy_pair(args)[0].reshape((2,) + tt.shape)
+    out = half * np.sum(quad.weights * ai[0] * ai[1], axis=-1)
+    return out if out.ndim else float(out)

@@ -64,17 +64,36 @@ def _frozen(arr):
     return arr
 
 
+# Rows of (2m - 1) x formed at once in the Legendre recurrence. One buffer
+# of them is reused: at n = 2000 it holds 64 x 2000 doubles, under 1 MB.
+_RECURRENCE_BLOCK = 64
+
+
+def _legendre_top(x, n):
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence.
+
+    (2m - 1) x is formed for a block of m at a time; every other operation
+    is the step-by-step one, in the same order, so the values are the same
+    bits as a loop that forms it per step.
+    """
+    p0 = np.ones_like(x)
+    p1 = x.copy()
+    block = np.empty((min(_RECURRENCE_BLOCK, n - 1), len(x)))
+    for start in range(2, n + 1, _RECURRENCE_BLOCK):
+        ms = np.arange(start, min(start + _RECURRENCE_BLOCK, n + 1), dtype=float)
+        rows = np.multiply.outer(2.0 * ms - 1.0, x, out=block[: len(ms)])
+        for m, cx in zip(ms.tolist(), rows):
+            p0, p1 = p1, (cx * p1 - (m - 1.0) * p0) / m
+    return p0, p1
+
+
 @functools.lru_cache(maxsize=64)
 def _gauss_legendre_cached(n):
-    # Newton iteration on P_n from Chebyshev initial guesses; exploits the
-    # symmetry of the roots by solving only the positive half.
+    # Newton iteration on P_n from Chebyshev initial guesses
     k = np.arange(1, n + 1)
     x = np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
     for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        p0, p1 = _legendre_top(x, n)
         dp = n * (x * p1 - p0) / (x * x - 1.0)
         dx = p1 / dp
         x = x - dx
@@ -83,10 +102,7 @@ def _gauss_legendre_cached(n):
     else:
         raise NumericalError("gauss_legendre Newton iteration did not converge")
     # one more derivative evaluation at the converged nodes
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+    p0, p1 = _legendre_top(x, n)
     dp = n * (x * p1 - p0) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # the guesses descend and Newton keeps each on its own root, so the
@@ -288,27 +304,50 @@ def _esp_all(mu, kmax):
     return np.array(e)
 
 
+def _counting(sp, n, least, gamma, times_det, name):
+    """e_k(mu), mu = g l/(1 - g l), at the degrees n (an int or a 1-D array),
+    times D(J; gamma) if times_det.
+
+    One ESP pass up to the largest degree serves them all; row k of
+    _esp_all does not depend on kmax, so each value is the one a call for
+    degree k alone gives. A degree above N gives 0.
+    """
+    deg = np.asarray(n, dtype=int)
+    if deg.ndim == 0:
+        low = top = int(deg)
+    elif deg.ndim == 1:
+        ks = deg.tolist()
+        low, top = min(ks, default=least), max(ks, default=-1)
+    else:
+        raise ArgumentError(f"{name} takes an int or a 1-D array of degrees")
+    if low < least:
+        raise ArgumentError(f"{name} requires n >= {least}")
+    size = len(sp.eigenvalues)
+    if low > size or top < 0:
+        return np.zeros(deg.shape) if deg.ndim else 0.0
+    mu = _mu_values(sp, gamma)
+    if top > size:
+        # index N + 1 holds e = 0 for every degree above N
+        e = np.append(_esp_all(mu, size), 0.0)[np.minimum(deg, size + 1)]
+    else:
+        e = _esp_all(mu, top)[deg]
+    if times_det:
+        e = fredholm_det(sp, gamma) * e
+    return e if deg.ndim else float(e)
+
+
 def counting_prob(sp, n, gamma=1.0):
     """E(n; J) — probability of exactly n points of the (gamma-thinned)
-    process in J: prod(1 - gamma lambda) * e_n(mu), mu = g l/(1 - g l)."""
-    n = int(n)
-    if n < 0:
-        raise ArgumentError("counting_prob requires n >= 0")
-    if n > len(sp.eigenvalues):
-        return 0.0
-    mu = _mu_values(sp, gamma)
-    return fredholm_det(sp, gamma) * float(_esp_all(mu, n)[n])
+    process in J: prod(1 - gamma lambda) * e_n(mu), mu = g l/(1 - g l).
+
+    n is an int (a float is returned) or a 1-D array of degrees (an array
+    is returned, from one ESP pass up to the largest degree)."""
+    return _counting(sp, n, 0, gamma, True, "counting_prob")
 
 
 def counting_ratio(sp, n):
-    """r(n; J) = E(n)/E(0) = e_n of the mu values."""
-    n = int(n)
-    if n < 1:
-        raise ArgumentError("counting_ratio requires n >= 1")
-    if n > len(sp.eigenvalues):
-        return 0.0
-    mu = _mu_values(sp, 1.0)
-    return float(_esp_all(mu, n)[n])
+    """r(n; J) = E(n)/E(0) = e_n of the mu values; n as for counting_prob."""
+    return _counting(sp, n, 1, 1.0, False, "counting_ratio")
 
 
 def trace_norm(spec, interval, n=60):

@@ -303,13 +303,16 @@ def _sturm_liouville(fam, a, s, hi):
 
 def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     """Squared sine of the angle between L u_i and u_i, where u_i is the
-    i-th Nystrom eigenvector interpolated to a uniform grid and L is the
-    commuting second-order differential operator of the family."""
+    i-th Nystrom eigenvector interpolated to a uniform grid of m interior
+    points and L is the commuting second-order differential operator of the
+    family. m may be a sequence of grid sizes: one eigendecomposition then
+    gives the tuple of their residuals."""
     fam = _coerce_family(family)
     i = int(i)
-    m = int(m)
-    if m < 400:
-        raise ArgumentError(f"commuting_residual requires m >= 400, got {m}")
+    sizes = [int(v) for v in m] if np.ndim(m) else [int(m)]
+    for size in sizes:
+        if size < 400:
+            raise ArgumentError(f"commuting_residual requires m >= 400, got {size}")
     spec = _family_spec(fam, a)
     d = build_discretization(spec, IntervalSpec(fam, float(s)), int(n))
     sp, vecs = compute_spectrum_with_vectors(d)
@@ -329,33 +332,34 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
         lo, hi = 0.0, d.interval.s
     else:
         lo, hi = -d.interval.s, d.interval.s
-    # interpolate to m uniform interior points
-    h = (hi - lo) / (m + 1)
-    grid = lo + h * np.arange(1, m + 1)
     from .operator import _is_even_integer, gauss_legendre
 
     q = gauss_legendre(d.n)
     bw = _barycentric_weights(np.asarray(q.nodes), np.asarray(q.weights))
-    if fam is Family.BESSEL and not _is_even_integer(a):
-        # the quadrature grid is affine in sqrt(x), so interpolate there
-        interp_nodes = np.sqrt(np.asarray(d.nodes))
-        eval_points = np.sqrt(grid)
-    else:
-        interp_nodes = np.asarray(d.nodes)
-        eval_points = grid
-    u = _barycentric_eval(interp_nodes, bw, u_nodes, eval_points)
+    # the Bessel quadrature grid is affine in sqrt(x), so interpolate there
+    in_sqrt = fam is Family.BESSEL and not _is_even_integer(a)
+    interp_nodes = np.sqrt(np.asarray(d.nodes)) if in_sqrt else np.asarray(d.nodes)
     P, Q = _sturm_liouville(fam, a, float(s), hi)
-    # conservative second-order finite differences on the uniform grid
-    xp = grid[:-1] + 0.5 * h
-    ph = P(xp)
-    flux = ph * (u[1:] - u[:-1]) / h
-    lu = (flux[1:] - flux[:-1]) / h + Q(grid[1:-1]) * u[1:-1]
-    uu = u[1:-1]
-    num = float(np.dot(lu, uu))
-    den = float(np.dot(lu, lu) * np.dot(uu, uu))
-    if den == 0.0:
-        return 1.0
-    return max(0.0, 1.0 - num * num / den)
+
+    def residual(size):
+        # interpolate to size uniform interior points
+        h = (hi - lo) / (size + 1)
+        grid = lo + h * np.arange(1, size + 1)
+        u = _barycentric_eval(interp_nodes, bw, u_nodes, np.sqrt(grid) if in_sqrt else grid)
+        # conservative second-order finite differences on the uniform grid
+        xp = grid[:-1] + 0.5 * h
+        ph = P(xp)
+        flux = ph * (u[1:] - u[:-1]) / h
+        lu = (flux[1:] - flux[:-1]) / h + Q(grid[1:-1]) * u[1:-1]
+        uu = u[1:-1]
+        num = float(np.dot(lu, uu))
+        den = float(np.dot(lu, lu) * np.dot(uu, uu))
+        if den == 0.0:
+            return 1.0
+        return max(0.0, 1.0 - num * num / den)
+
+    residuals = tuple(residual(size) for size in sizes)
+    return residuals if np.ndim(m) else residuals[0]
 
 
 def convolution_check(s, sample_count=25, n=60, seed=20260826):
@@ -363,18 +367,14 @@ def convolution_check(s, sample_count=25, n=60, seed=20260826):
     form over random samples from [s, s+5]^2, diagonal pairs included."""
     s = float(s)
     rng = np.random.default_rng(seed)
-    count = int(sample_count)
-    worst = 0.0
-    for j in range(count):
-        lam = s + 5.0 * rng.random()
-        if j % 5 == 0:
-            mu = lam  # exercise the diagonal path as well
-        else:
-            mu = s + 5.0 * rng.random()
-        direct = kernels.kernel_eval(AIRY, lam, mu)
-        conv = kernels.airy_convolution(lam, mu, n=n)
-        worst = max(worst, abs(direct - conv))
-    return worst
+    lam, mu = [], []
+    for j in range(int(sample_count)):
+        lam.append(s + 5.0 * rng.random())
+        # every fifth pair is diagonal, to exercise that path as well
+        mu.append(lam[-1] if j % 5 == 0 else s + 5.0 * rng.random())
+    direct = kernels.kernel_eval(AIRY, lam, mu)
+    conv = kernels.airy_convolution(lam, mu, n=n)
+    return float(np.max(np.abs(direct - conv), initial=0.0))
 
 
 def logderiv_check(family, s, chi, a=0.0, n=120, h=1e-3):
@@ -543,12 +543,12 @@ def _acc_reciprocity():
 
 def _acc_counting():
     sp = _spectrum(AIRY, IntervalSpec(Family.AIRY, -2.0), 120)
-    total = sum(counting_prob(sp, k) for k in range(sp.n + 1))
-    e0 = counting_prob(sp, 0)
+    probs = counting_prob(sp, np.arange(sp.n + 1)).tolist()
+    total = sum(probs)
     worst_ratio = 0.0
-    for k in range(1, 8):
-        direct = counting_prob(sp, k) / e0
-        worst_ratio = max(worst_ratio, abs(direct / counting_ratio(sp, k) - 1.0))
+    for k, ratio in enumerate(counting_ratio(sp, np.arange(1, 8)).tolist(), start=1):
+        direct = probs[k] / probs[0]
+        worst_ratio = max(worst_ratio, abs(direct / ratio - 1.0))
     ok = abs(total - 1.0) <= 1e-10 and worst_ratio <= 1e-12
     return ok, f"sum E(n) - 1 = {total - 1.0:.3e}; worst r(n) mismatch = {worst_ratio:.3e}"
 
@@ -559,8 +559,7 @@ def _acc_convolution():
 
 
 def _acc_commuting():
-    r400 = commuting_residual(Family.SINE, 0, 3.0, n=100, m=400)
-    r800 = commuting_residual(Family.SINE, 0, 3.0, n=100, m=800)
+    r400, r800 = commuting_residual(Family.SINE, 0, 3.0, n=100, m=(400, 800))
     ok = r800 <= 1e-3 and r800 < r400
     return ok, f"residual m=400: {r400:.3e}, m=800: {r800:.3e}"
 

@@ -189,6 +189,42 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, hint",
+        [
+            # t = (-s)^{3/2} is undefined for s >= 0
+            (["det", "--kernel", "airy", "--s", "1", "--chi", "0"], "s < 0"),
+            (["asymp", "--formula", "airy-transition", "--s", "1", "--chi", "0"], "s < 0"),
+            (["asymp", "--formula", "airy-transition", "--s", "0", "--chi", "0"], "s < 0"),
+            # t = sqrt(s) is undefined for s <= 0
+            (["det", "--kernel", "bessel", "--a", "0", "--s", "-1", "--chi", "0"], "s > 0"),
+            (["asymp", "--formula", "bessel-transition", "--s", "-1", "--chi", "0"], "s > 0"),
+        ],
+    )
+    def test_chi_outside_domain(self, capsys, argv, hint):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("gapspec: ") and hint in err
+
+    def test_chi_on_sine_uses_t_equal_s(self, capsys):
+        code, out, _ = run_cli(
+            ["det", "--kernel", "sine", "--s", "3", "--chi", "0.2", "--format", "json"], capsys
+        )
+        assert code == 0
+        v = 2.0 * 3.0 - 0.2 * math.log(3.0)
+        assert float(json.loads(out)["summary"]["gamma"]) == -math.expm1(-v)
+
+    @pytest.mark.parametrize("value", ["x", "1.5", ""])
+    def test_non_integer_jobs_environment(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GAPSPEC_JOBS", value)
+        code, out, err = run_cli(["det", "--kernel", "sine", "--s", "2.0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "gapspec: GAPSPEC_JOBS must be an integer\n"
+
+    def test_jobs_environment_sets_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAPSPEC_JOBS", "2")
+        assert cli._build_parser().parse_args(["scan", "--kind", "eig", "--grid", "3"]).jobs == 2
+
 
 class TestEntryPoint:
     def test_installed_script(self):

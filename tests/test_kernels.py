@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapspec import kernels, specfun
 from gapspec.errors import ArgumentError, DomainError
 from gapspec.kernels import (
     AIRY,
@@ -79,8 +80,8 @@ class TestSpecs:
         with pytest.raises(AttributeError):
             SINE.a = 1.0  # type: ignore[misc]
 
-    # the derived t is nan for sine and for Airy with s >= 0; it must not
-    # enter equality or the hash, or equal intervals never match
+    # the derived t is nan for Airy with s >= 0; it must not enter
+    # equality or the hash, or equal intervals never match
     @pytest.mark.parametrize(
         "family, s",
         [
@@ -212,3 +213,136 @@ class TestAiryConvolution:
     def test_minimum_panel_size(self):
         with pytest.raises(ArgumentError):
             airy_convolution(0.0, 0.0, n=10)
+
+
+def _kernel_eval_one_pair(spec, lam, mu):
+    # the former one-pair implementation, kept verbatim as the reference
+    lam = float(lam)
+    mu = float(mu)
+    kernels._check_domain(spec, lam)
+    kernels._check_domain(spec, mu)
+    if mu > lam:  # evaluate on the sorted pair for exact symmetry
+        lam, mu = mu, lam
+    if spec.family is Family.BESSEL and lam == 0.0:
+        return kernel_diag(spec, 0.0)
+    s = kernels._variable(spec, np.array([lam]))
+    t = kernels._variable(spec, np.array([mu]))
+    if kernels._near(spec, s, t)[0]:
+        k = kernels._taylor(spec, s, t, kernels._edge_values(spec, 0.5 * (s + t)))
+    else:
+        k = kernels._exact(
+            spec, s, kernels._edge_values(spec, s), t, kernels._edge_values(spec, t)
+        )
+    return float(k[0])
+
+
+def _airy_convolution_one_pair(lam, mu, upper=None, n=60):
+    # the former one-pair implementation, kept verbatim as the reference
+    lam = float(lam)
+    mu = float(mu)
+    if n < 40:
+        raise ArgumentError(f"airy_convolution requires n >= 40, got {n}")
+    if upper is None:
+        upper = max(11.0 - min(lam, mu), 11.0)
+    upper = float(upper)
+    from gapspec.operator import gauss_legendre
+
+    quad = gauss_legendre(int(n))
+    half = 0.5 * upper
+    tt = half * (quad.nodes + 1.0)
+    lo_arg, hi_arg = (lam, mu) if lam <= mu else (mu, lam)
+    ai = specfun.airy_pair(np.concatenate([lo_arg + tt, tt + hi_arg]))[0]
+    return half * float(np.sum(quad.weights * ai[: len(tt)] * ai[len(tt) :]))
+
+
+def _pairs(points, rng):
+    """Every ordered pair of points (so both orders of each), near-diagonal
+    pairs at relative gaps from 0 to past the Taylor switch, shuffled."""
+    lam, mu = np.meshgrid(points, points)
+    lam, mu = list(lam.ravel()), list(mu.ravel())
+    for x in points:
+        for d in (1e-13, 1e-9, 1e-6, 4e-5, 2e-4):
+            y = x + d * max(1.0, abs(x))
+            lam += [x, y]
+            mu += [y, x]
+    order = rng.permutation(len(lam))
+    return np.array(lam)[order], np.array(mu)[order]
+
+
+class TestArrayPairs:
+    """Array calls of kernel_eval and airy_convolution against the former
+    one-pair code, bit for bit."""
+
+    @staticmethod
+    def _assert_bitwise(got, ref):
+        got = np.asarray(got, dtype=float)
+        assert got.shape == np.shape(ref)
+        assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, points",
+        [
+            (SINE, [-7.5, -1.0, 0.0, 1e-7, 0.3, 2.0, 6.25]),
+            # the Taylor switch radius grows with |lam| + |mu|: pairs on both
+            # sides of it, in all of the Airy zones
+            (AIRY, [-9.0, -4.2, -1.0, 0.0, 0.5, 2.0, 5.5]),
+            (bessel_spec(0.0), [0.0, 1e-8, 0.03, 0.5, 9.0, 40.0]),
+            (bessel_spec(0.5), [0.0, 1e-8, 0.03, 0.5, 9.0, 40.0]),
+            (bessel_spec(2.0), [1e-8, 0.03, 2.0, 100.0]),
+        ],
+    )
+    def test_kernel_eval_array_matches_one_pair_code(self, spec, points):
+        lam, mu = _pairs(points, np.random.default_rng(11))
+        ref = [_kernel_eval_one_pair(spec, x, y) for x, y in zip(lam, mu)]
+        self._assert_bitwise(kernel_eval(spec, lam, mu), ref)
+        # swapped pairs, a 2-D batch, and one-pair calls
+        self._assert_bitwise(kernel_eval(spec, mu, lam), ref)
+        got = kernel_eval(spec, lam[:6].reshape(2, 3), mu[:6].reshape(2, 3))
+        self._assert_bitwise(got, np.reshape(ref[:6], (2, 3)))
+        for x, y, r in zip(lam[:20], mu[:20], ref):
+            got = kernel_eval(spec, x, y)
+            assert type(got) is float and got.hex() == r.hex()
+
+    def test_kernel_eval_branches_covered(self):
+        # the Airy pairs above take both the exact and the Taylor form
+        lam, mu = _pairs([-9.0, -4.2, -1.0, 0.0, 0.5, 2.0, 5.5], np.random.default_rng(11))
+        near = kernels._near(AIRY, np.maximum(lam, mu), np.minimum(lam, mu))
+        assert near.any() and not near.all()
+
+    def test_bessel_origin(self):
+        # at lam = mu = 0 the kernel is its diagonal limit, which diverges
+        # for a < 0; pairs with one zero take the exact form
+        lam = np.array([0.0, 2.0, 0.0, 1e-12, 0.0])
+        mu = np.array([0.0, 0.0, 2.0, 0.0, 1e-12])
+        for a in (0.0, 0.5):
+            spec = bessel_spec(a)
+            ref = [_kernel_eval_one_pair(spec, x, y) for x, y in zip(lam, mu)]
+            self._assert_bitwise(kernel_eval(spec, lam, mu), ref)
+        spec = bessel_spec(-0.5)
+        ref = [_kernel_eval_one_pair(spec, x, y) for x, y in zip(lam[1:], mu[1:])]
+        self._assert_bitwise(kernel_eval(spec, lam[1:], mu[1:]), ref)
+        with pytest.raises(DomainError):
+            kernel_eval(spec, lam, mu)
+        with pytest.raises(DomainError):
+            kernel_eval(bessel_spec(0.5), [1.0, -1.0], [1.0, 1.0])
+
+    def test_empty(self):
+        assert kernel_eval(AIRY, [], []).shape == (0,)
+        assert airy_convolution([], []).shape == (0,)
+
+    @pytest.mark.parametrize("n", [40, 60, 97])
+    def test_airy_convolution_array_matches_one_pair_code(self, n):
+        lam, mu = _pairs([-6.0, -3.0, -1.5, 0.0, 2.0], np.random.default_rng(5))
+        ref = [_airy_convolution_one_pair(x, y, n=n) for x, y in zip(lam, mu)]
+        self._assert_bitwise(airy_convolution(lam, mu, n=n), ref)
+        self._assert_bitwise(airy_convolution(mu, lam, n=n), ref)
+        upper = 13.0 + np.arange(len(lam)) / 7.0
+        ref = [_airy_convolution_one_pair(x, y, u, n=n) for x, y, u in zip(lam, mu, upper)]
+        self._assert_bitwise(airy_convolution(lam, mu, upper, n=n), ref)
+        # one pair against several upper limits
+        ref = [_airy_convolution_one_pair(lam[0], mu[0], u, n=n) for u in upper]
+        self._assert_bitwise(airy_convolution(lam[0], mu[0], upper, n=n), ref)
+        for x, y in zip(lam[:5], mu[:5]):
+            got = airy_convolution(x, y, n=n)
+            assert type(got) is float
+            assert got.hex() == _airy_convolution_one_pair(x, y, n=n).hex()

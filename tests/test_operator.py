@@ -25,6 +25,7 @@ from gapspec.kernels import (
 from gapspec.operator import (
     Spectrum,
     _esp_all,
+    _mu_values,
     airy_truncation,
     build_discretization,
     compute_spectrum,
@@ -79,6 +80,52 @@ class TestGaussLegendre:
         q = gauss_legendre(12)
         with pytest.raises(ValueError):
             q.nodes[0] = 0.0
+
+    @staticmethod
+    def _rule_step_by_step(n):
+        # the former implementation, kept verbatim as the reference: the
+        # recurrence forms (2m - 1) x anew at every step
+        if n == 1:
+            return np.array([0.0]), np.array([2.0])
+        k = np.arange(1, n + 1)
+        x = np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
+        for _ in range(100):
+            p0 = np.ones_like(x)
+            p1 = x.copy()
+            for m in range(2, n + 1):
+                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x = x - dx
+            if np.max(np.abs(dx)) < 1e-15:
+                break
+        p0 = np.ones_like(x)
+        p1 = x.copy()
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        x = x[::-1]
+        w = w[::-1]
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+        if n % 2 == 1:
+            x[n // 2] = 0.0
+        return x, w
+
+    # 1..130 crosses the first two recurrence blocks; the rest reach the
+    # largest rules and the last, partial block at n = 2000
+    @pytest.mark.parametrize(
+        "ns",
+        [range(1, 131), (199, 200, 300), (997, 1000), (1999,), (2000,)],
+        ids=["1-130", "199-300", "997-1000", "1999", "2000"],
+    )
+    def test_rules_match_step_by_step_recurrence_bitwise(self, ns):
+        for n in ns:
+            q = gauss_legendre(n)
+            x, w = self._rule_step_by_step(n)
+            assert q.nodes.tobytes() == x.tobytes(), n
+            assert q.weights.tobytes() == w.tobytes(), n
 
 
 class TestGrid:
@@ -341,6 +388,62 @@ class TestCounting:
         for n in range(len(lam) + 1):
             ref = det * coeffs[n]
             assert counting_prob(sp, n, gamma) == pytest.approx(ref, rel=1e-9, abs=1e-300)
+
+    @staticmethod
+    def _counting_prob_one_degree(sp, n, gamma=1.0):
+        # the former one-degree implementation, kept verbatim as the reference
+        n = int(n)
+        if n < 0:
+            raise ArgumentError("counting_prob requires n >= 0")
+        if n > len(sp.eigenvalues):
+            return 0.0
+        mu = _mu_values(sp, gamma)
+        return fredholm_det(sp, gamma) * float(_esp_all(mu, n)[n])
+
+    @staticmethod
+    def _counting_ratio_one_degree(sp, n):
+        # the former one-degree implementation, kept verbatim as the reference
+        n = int(n)
+        if n < 1:
+            raise ArgumentError("counting_ratio requires n >= 1")
+        if n > len(sp.eigenvalues):
+            return 0.0
+        mu = _mu_values(sp, 1.0)
+        return float(_esp_all(mu, n)[n])
+
+    @pytest.mark.parametrize("s, n", [(1.0, 40), (5.0, 120)])
+    def test_array_of_degrees_matches_one_degree_code_bitwise(self, s, n):
+        sp = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, s), n))
+        degrees = np.arange(n + 3)  # 0..N+2
+        shuffled = np.random.default_rng(3).permutation(degrees)
+        for gamma in (1.0, 0.37, 1.0 - 1e-9):
+            ref = [self._counting_prob_one_degree(sp, k, gamma) for k in degrees]
+            for k in degrees:
+                got = counting_prob(sp, int(k), gamma)
+                assert type(got) is float and got.hex() == ref[k].hex(), (gamma, k)
+            assert counting_prob(sp, degrees, gamma).tobytes() == np.array(ref).tobytes()
+            got = counting_prob(sp, shuffled, gamma)
+            assert got.tobytes() == np.array(ref)[shuffled].tobytes()
+        ref = [self._counting_ratio_one_degree(sp, k) for k in degrees[1:]]
+        for k in degrees[1:]:
+            got = counting_ratio(sp, int(k))
+            assert type(got) is float and got.hex() == ref[k - 1].hex(), k
+        assert counting_ratio(sp, degrees[1:]).tobytes() == np.array(ref).tobytes()
+        # a list of degrees, and degrees all above N
+        assert counting_ratio(sp, [3, 1]).tolist() == [ref[2], ref[0]]
+        assert counting_prob(sp, [n + 1, n + 2]).tolist() == [0.0, 0.0]
+
+    def test_array_of_degrees_edges(self):
+        sp = _fake_spectrum([0.7, 0.2, 0.01])
+        for fn in (counting_prob, counting_ratio):
+            empty = fn(sp, np.array([], dtype=int))
+            assert empty.shape == (0,) and empty.dtype == float
+        with pytest.raises(ArgumentError):
+            counting_prob(sp, np.array([2, -1, 0]))
+        with pytest.raises(ArgumentError):
+            counting_ratio(sp, np.array([1, 0]))
+        with pytest.raises(ArgumentError):
+            counting_prob(sp, np.zeros((2, 2), dtype=int))
 
     def test_esp_degree_bounds(self):
         mu = np.array([1.0, 2.0, 3.0])

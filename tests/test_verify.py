@@ -10,12 +10,21 @@ import sys
 import numpy as np
 import pytest
 
+from gapspec import kernels, verify
 from gapspec.errors import ArgumentError, PrecisionWarning
-from gapspec.kernels import SINE, Family, IntervalSpec
-from gapspec.operator import Spectrum, build_discretization, compute_spectrum
-from gapspec import verify
+from gapspec.kernels import AIRY, SINE, Family, IntervalSpec
+from gapspec.operator import (
+    Spectrum,
+    build_discretization,
+    compute_spectrum,
+    compute_spectrum_with_vectors,
+    counting_prob,
+    counting_ratio,
+)
 from gapspec.verify import (
     ScanResult,
+    _acc_commuting,
+    _acc_counting,
     _acc_eig_law,
     _acc_transition,
     _spectrum,
@@ -166,6 +175,89 @@ class TestCommutingResidual:
         with pytest.warns(PrecisionWarning):
             commuting_residual(Family.SINE, 40, 2.0, n=80, m=400)
 
+    @staticmethod
+    def _residual_one_grid(family, i, s, n=100, m=800, a=0.0):
+        # the former one-grid implementation, kept verbatim as the reference
+        fam = verify._coerce_family(family)
+        i = int(i)
+        m = int(m)
+        if m < 400:
+            raise ArgumentError(f"commuting_residual requires m >= 400, got {m}")
+        spec = verify._family_spec(fam, a)
+        d = build_discretization(spec, IntervalSpec(fam, float(s)), int(n))
+        sp, vecs = compute_spectrum_with_vectors(d)
+        w = np.asarray(d.weights)
+        y = vecs[:, i]
+        u_nodes = y / np.sqrt(w)
+        u_nodes = u_nodes / math.sqrt(float(np.sum(w * u_nodes * u_nodes)))
+        if fam is Family.AIRY:
+            lo, hi = d.interval.s, d.truncation
+        elif fam is Family.BESSEL:
+            lo, hi = 0.0, d.interval.s
+        else:
+            lo, hi = -d.interval.s, d.interval.s
+        h = (hi - lo) / (m + 1)
+        grid = lo + h * np.arange(1, m + 1)
+        from gapspec.operator import _is_even_integer, gauss_legendre
+
+        q = gauss_legendre(d.n)
+        bw = verify._barycentric_weights(np.asarray(q.nodes), np.asarray(q.weights))
+        if fam is Family.BESSEL and not _is_even_integer(a):
+            interp_nodes = np.sqrt(np.asarray(d.nodes))
+            eval_points = np.sqrt(grid)
+        else:
+            interp_nodes = np.asarray(d.nodes)
+            eval_points = grid
+        u = verify._barycentric_eval(interp_nodes, bw, u_nodes, eval_points)
+        P, Q = verify._sturm_liouville(fam, a, float(s), hi)
+        xp = grid[:-1] + 0.5 * h
+        ph = P(xp)
+        flux = ph * (u[1:] - u[:-1]) / h
+        lu = (flux[1:] - flux[:-1]) / h + Q(grid[1:-1]) * u[1:-1]
+        uu = u[1:-1]
+        num = float(np.dot(lu, uu))
+        den = float(np.dot(lu, lu) * np.dot(uu, uu))
+        if den == 0.0:
+            return 1.0
+        return max(0.0, 1.0 - num * num / den)
+
+    @pytest.mark.parametrize(
+        "family, i, s, n, a",
+        [
+            (Family.SINE, 0, 3.0, 100, 0.0),
+            (Family.AIRY, 1, -3.0, 80, 0.0),
+            (Family.BESSEL, 0, 9.0, 80, 0.5),
+            (Family.BESSEL, 0, 9.0, 80, 2.0),
+        ],
+    )
+    def test_grid_sizes_match_one_grid_code_bitwise(self, family, i, s, n, a):
+        sizes = (400, 800, 513)
+        ref = tuple(self._residual_one_grid(family, i, s, n, m, a) for m in sizes)
+        got = commuting_residual(family, i, s, n=n, m=sizes, a=a)
+        assert type(got) is tuple and [r.hex() for r in got] == [r.hex() for r in ref]
+        one = commuting_residual(family, i, s, n=n, m=sizes[0], a=a)
+        assert type(one) is float and one.hex() == ref[0].hex()
+        assert commuting_residual(family, i, s, n=n, m=[sizes[1]], a=a) == ref[1:2]
+
+    def test_one_build_serves_every_grid_size(self, monkeypatch):
+        builds = []
+        real = verify.build_discretization
+
+        def counting_build(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "build_discretization", counting_build)
+        ok, detail = _acc_commuting()
+        assert ok and len(builds) == 1
+        r400 = self._residual_one_grid(Family.SINE, 0, 3.0, n=100, m=400)
+        r800 = self._residual_one_grid(Family.SINE, 0, 3.0, n=100, m=800)
+        assert detail == f"residual m=400: {r400:.3e}, m=800: {r800:.3e}"
+
+    def test_m_floor_in_a_sequence(self):
+        with pytest.raises(ArgumentError):
+            commuting_residual(Family.SINE, 0, 3.0, m=(800, 100))
+
 
 class TestPointChecks:
     def test_convolution(self):
@@ -173,6 +265,52 @@ class TestPointChecks:
 
     def test_convolution_deterministic(self):
         assert convolution_check(-3.0) == convolution_check(-3.0)
+
+    @staticmethod
+    def _convolution_check_loop(s, sample_count=25, n=60, seed=20260826):
+        # the former per-sample loop, kept verbatim as the reference
+        s = float(s)
+        rng = np.random.default_rng(seed)
+        count = int(sample_count)
+        worst = 0.0
+        for j in range(count):
+            lam = s + 5.0 * rng.random()
+            if j % 5 == 0:
+                mu = lam
+            else:
+                mu = s + 5.0 * rng.random()
+            direct = kernels.kernel_eval(AIRY, lam, mu)
+            conv = kernels.airy_convolution(lam, mu, n=n)
+            worst = max(worst, abs(direct - conv))
+        return worst
+
+    @pytest.mark.parametrize(
+        "s, count, n, seed",
+        [(-3.0, 25, 60, 20260826), (-8.0, 40, 45, 7), (1.5, 13, 80, 99), (-3.0, 0, 60, 1)],
+    )
+    def test_convolution_matches_sample_loop_bitwise(self, s, count, n, seed):
+        got = convolution_check(s, sample_count=count, n=n, seed=seed)
+        ref = self._convolution_check_loop(s, sample_count=count, n=n, seed=seed)
+        assert type(got) is float and got.hex() == ref.hex()
+
+    @staticmethod
+    def _acc_counting_loop():
+        # the former per-degree loop, kept verbatim as the reference
+        sp = verify._spectrum(AIRY, IntervalSpec(Family.AIRY, -2.0), 120)
+        total = sum(counting_prob(sp, k) for k in range(sp.n + 1))
+        e0 = counting_prob(sp, 0)
+        worst_ratio = 0.0
+        for k in range(1, 8):
+            direct = counting_prob(sp, k) / e0
+            worst_ratio = max(worst_ratio, abs(direct / counting_ratio(sp, k) - 1.0))
+        ok = abs(total - 1.0) <= 1e-10 and worst_ratio <= 1e-12
+        return ok, f"sum E(n) - 1 = {total - 1.0:.3e}; worst r(n) mismatch = {worst_ratio:.3e}"
+
+    def test_counting_criterion_matches_degree_loop(self):
+        # sum E(n) is within a few ulps of 1, so a one-ulp change in the sum
+        # moves the printed sum E(n) - 1
+        assert _acc_counting() == self._acc_counting_loop()
+        assert _acc_counting()[0]
 
     def test_logderiv_airy(self):
         assert logderiv_check(Family.AIRY, -6.0, 0.0, n=100) < 0.02
