@@ -5,6 +5,13 @@ The operator on L^2(J) is discretized with Gauss-Legendre quadrature mapped
 onto J and symmetrized as A[i,j] = sqrt(w_i) K(x_i, x_j) sqrt(w_j), so a
 symmetric eigensolver applies and the Nystrom eigenvalues converge
 exponentially in n for these analytic kernels.
+
+The sine operator on (-s, s) commutes with the reflection x -> -x, and its
+matrix is exactly symmetric under the index reversal that maps x_i to -x_i.
+A sine spectrum therefore comes from two half-size blocks, even and odd
+under x -> -x, each solved on its own; the eigenvectors alternate in parity
+like the prolate spheroidal functions. Airy and Bessel intervals have no
+such symmetry and take one full solve.
 """
 
 import functools
@@ -43,6 +50,7 @@ __all__ = [
 _EPS_NEG = 1e-10
 _EPS_FLOOR = 1e-300
 _CLAMP_TOP = 1.0 - 1e-16
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -219,17 +227,67 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
 
 
+def _sine_parity_eig(mat, vectors):
+    """Ascending eigenvalues of a sine Nystrom matrix from its two parity
+    blocks, and with vectors the full eigenvectors, columns in that order.
+
+    The sine matrix is persymmetric to the bit (mat = J mat J, J reversing
+    the index order): the nodes are antisymmetric and the kernel is even in
+    x - y. With h = n // 2 and the lower half A22 = mat[n-h:, n-h:],
+    A21 = mat[n-h:, :h], the vectors (J u, u) / sqrt2 and (-J u, u) / sqrt2
+    span the even and odd subspaces, on which mat acts as A22 + A21 J and
+    A22 - A21 J. For odd n the centre node is even: it leads the even block,
+    coupled to the lower half by sqrt2. Two half-size eigensolves replace
+    one of size n.
+    """
+    n = len(mat)
+    h = n // 2
+    k = n - h  # the even block's size and the first row of the lower half
+    c = k - h  # 1 when a centre node exists
+    a21j = mat[k:, :h][:, ::-1]
+    even = mat[h:, h:].copy()
+    even[c:, c:] += a21j
+    if c:
+        even[0, 1:] *= _SQRT2
+        even[1:, 0] *= _SQRT2
+    odd = mat[k:, k:] - a21j
+    vals = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
+    order = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[order], None
+    ue = np.linalg.eigh(even)[1]
+    uo = np.linalg.eigh(odd)[1]
+    full = np.zeros((n, n))
+    full[k:, :k] = ue[c:] / _SQRT2
+    full[:h, :k] = full[k:, :k][::-1]
+    if c:
+        full[h, :k] = ue[0]
+    full[k:, k:] = uo / _SQRT2
+    full[:h, k:] = -full[k:, k:][::-1]
+    return vals[order], full[:, order]
+
+
+def _eig(d, vectors=False):
+    """Ascending eigenvalues of d.matrix, with eigenvector columns in the
+    same order if vectors (else None). The values always come from eigvalsh,
+    so both spectrum functions return the same bits."""
+    mat = np.asarray(d.matrix)
+    if d.spec.family is Family.SINE:
+        return _sine_parity_eig(mat, vectors)
+    vals = np.linalg.eigvalsh(mat)
+    return vals, np.linalg.eigh(mat)[1] if vectors else None
+
+
 def compute_spectrum(d):
     """Eigenvalues of the symmetric Nystrom matrix, sorted descending."""
-    vals = np.linalg.eigvalsh(np.asarray(d.matrix))
+    vals, _ = _eig(d)
     return _validate_spectrum(vals[::-1], d)
 
 
 def compute_spectrum_with_vectors(d):
     """(Spectrum, eigenvector matrix) with columns ordered like eigenvalues."""
-    vals, vecs = np.linalg.eigh(np.asarray(d.matrix))
-    sp = _validate_spectrum(vals[::-1], d)
-    return sp, vecs[:, ::-1]
+    vals, vecs = _eig(d, vectors=True)
+    return _validate_spectrum(vals[::-1], d), vecs[:, ::-1]
 
 
 def _validate_spectrum(vals, d):
@@ -240,18 +298,20 @@ def _validate_spectrum(vals, d):
             f"eigenvalues outside (-{_EPS_NEG}, 1+{_EPS_NEG}): "
             f"min={low}, max={high}"
         )
-    clamped_zero = int(np.sum(np.abs(vals) < _EPS_FLOOR))
-    vals[np.abs(vals) < _EPS_FLOOR] = 0.0
-    # Nystrom noise can push values epsilon outside [0, 1); clamp small spills
-    vals[vals < 0.0] = 0.0
-    vals[vals > _CLAMP_TOP] = _CLAMP_TOP
+    # Nystrom noise can push values epsilon outside [0, 1); clamp small
+    # spills, negative values included, and count them at either end
+    bottom = vals < _EPS_FLOOR
+    top = vals > _CLAMP_TOP
+    vals[bottom] = 0.0
+    vals[top] = _CLAMP_TOP
     meta = {
         "family": d.spec.family.value,
         "a": d.spec.a,
         "s": d.interval.s,
         "n": d.n,
         "truncation": d.truncation,
-        "clamped_zero": clamped_zero,
+        "clamped_zero": int(np.count_nonzero(bottom)),
+        "clamped_top": int(np.count_nonzero(top)),
     }
     return Spectrum(vals, d.n, meta)
 

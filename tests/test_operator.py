@@ -23,9 +23,11 @@ from gapspec.kernels import (
     kernel_eval,
 )
 from gapspec.operator import (
+    _CLAMP_TOP,
     Spectrum,
     _esp_all,
     _mu_values,
+    _validate_spectrum,
     airy_truncation,
     build_discretization,
     compute_spectrum,
@@ -243,12 +245,18 @@ class TestSpectrum:
         assert np.all(np.diff(ev) <= 0.0)
 
     def test_eigenvectors_consistent(self):
-        d = build_discretization(AIRY, IntervalSpec(Family.AIRY, -3.0), 60)
-        sp, vecs = compute_spectrum_with_vectors(d)
-        m = np.asarray(d.matrix)
-        for i in range(5):
-            v = vecs[:, i]
-            assert np.linalg.norm(m @ v - sp.eigenvalues[i] * v) < 1e-12
+        for spec, s, n in [(AIRY, -3.0, 60), (SINE, 3.0, 60), (SINE, 3.0, 61), (SINE, 7.0, 81)]:
+            d = build_discretization(spec, IntervalSpec(spec.family, s), n)
+            sp, vecs = compute_spectrum_with_vectors(d)
+            m = np.asarray(d.matrix)
+            for i in range(6):
+                v = vecs[:, i]
+                assert np.linalg.norm(m @ v - sp.eigenvalues[i] * v) < 1e-12, (s, n, i)
+                if spec.family is Family.SINE:
+                    # the prolate alternation: the i-th eigenfunction has
+                    # parity (-1)^i under x -> -x, which reverses the nodes
+                    assert np.array_equal(v[::-1], (-1) ** i * v), (s, n, i)
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) < 1e-13, (s, n)
 
     def test_meta_fields(self):
         d = build_discretization(bessel_spec(1.0), IntervalSpec(Family.BESSEL, 9.0), 50)
@@ -257,6 +265,91 @@ class TestSpectrum:
         assert sp.meta["a"] == 1.0
         assert sp.meta["n"] == 50
         assert "clamped_zero" in sp.meta
+        assert "clamped_top" in sp.meta
+
+    @pytest.mark.parametrize(
+        "spec, s",
+        [(SINE, 2.0), (AIRY, -5.0), (bessel_spec(0.5), 16.0)],
+    )
+    def test_clamped_zero_counts_negative_values(self, spec, s):
+        # at n = 300 about half of these spectra is Nystrom noise, much of
+        # it negative; every value set to 0 is counted
+        sp = compute_spectrum(build_discretization(spec, IntervalSpec(spec.family, s), 300))
+        ev = np.asarray(sp.eigenvalues)
+        assert sp.meta["clamped_zero"] == np.count_nonzero(ev == 0.0) > 100
+        assert sp.meta["clamped_top"] == 0
+
+    def test_clamped_top_counted(self):
+        # deep Airy gap: the top eigenvalues round to 1 and are clamped
+        sp = compute_spectrum(build_discretization(AIRY, IntervalSpec(Family.AIRY, -30.0), 200))
+        ev = np.asarray(sp.eigenvalues)
+        assert sp.meta["clamped_top"] == np.count_nonzero(ev == _CLAMP_TOP) > 0
+
+    def test_clamp_counts_and_values(self):
+        d = build_discretization(SINE, IntervalSpec(Family.SINE, 1.0), 8)
+        raw = np.array([-1e-12, -0.0, 0.0, 1e-301, 1e-200, 0.5, 1.0 - 1e-17, 1.0 + 1e-12])
+        sp = _validate_spectrum(raw, d)
+        # the former clamp, kept verbatim as the reference for the values
+        ref = raw.copy()
+        ref[np.abs(ref) < 1e-300] = 0.0
+        ref[ref < 0.0] = 0.0
+        ref[ref > _CLAMP_TOP] = _CLAMP_TOP
+        assert [v.hex() for v in sp.eigenvalues.tolist()] == [v.hex() for v in ref.tolist()]
+        assert sp.meta["clamped_zero"] == 4
+        assert sp.meta["clamped_top"] == 2
+
+
+class TestSineParity:
+    """The sine spectrum comes from the even and odd blocks of its matrix
+    under the index reversal x_i -> -x_i; the blocks read only half the
+    entries, so the split is right only while the matrix is persymmetric."""
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 61, 80, 300])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 6.0, 10.0])
+    def test_matrix_persymmetric_bitwise(self, n, s):
+        m = np.asarray(build_discretization(SINE, IntervalSpec(Family.SINE, s), n).matrix)
+        assert np.array_equal(m, m[::-1, ::-1])
+
+    @pytest.mark.parametrize("s, n", [(4.0, 61), (6.0, 80)])
+    def test_against_mpmath_eigsy(self, s, n):
+        d = build_discretization(SINE, IntervalSpec(Family.SINE, s), n)
+        ref = mp.eigsy(mp.matrix(np.asarray(d.matrix).tolist()), eigvals_only=True)
+        ref = np.clip(sorted((float(v) for v in ref), reverse=True), 0.0, _CLAMP_TOP)
+        got = np.asarray(compute_spectrum(d).eigenvalues)
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "s, n", [(0.5, 1), (1.0, 2), (1.0, 3), (2.0, 79), (6.0, 80), (10.0, 80), (2.0, 300), (9.0, 300)]
+    )
+    def test_matches_full_eigensolve(self, s, n):
+        d = build_discretization(SINE, IntervalSpec(Family.SINE, s), n)
+        full = np.clip(np.linalg.eigvalsh(np.asarray(d.matrix))[::-1], 0.0, _CLAMP_TOP)
+        got = np.asarray(compute_spectrum(d).eigenvalues)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - full)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "spec, s, n",
+        [
+            (SINE, 0.5, 1),
+            (SINE, 0.5, 2),
+            (SINE, 0.5, 3),
+            (SINE, 3.0, 60),
+            (SINE, 3.0, 61),
+            (SINE, 8.0, 300),
+            (AIRY, -4.0, 60),
+            (AIRY, -4.0, 61),
+            (bessel_spec(0.5), 16.0, 60),
+            (bessel_spec(2.0), 9.0, 61),
+        ],
+    )
+    def test_both_spectrum_functions_bit_identical(self, spec, s, n):
+        d = build_discretization(spec, IntervalSpec(spec.family, s), n)
+        sp = compute_spectrum(d)
+        sp2, vecs = compute_spectrum_with_vectors(d)
+        assert np.array_equal(sp.eigenvalues, sp2.eigenvalues)
+        assert sp.meta == sp2.meta
+        assert vecs.shape == (n, n)
 
 
 def _fake_spectrum(eigs):
