@@ -11,9 +11,8 @@ error.
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import asymptotics as asym
 from . import verify as verify_mod
@@ -24,8 +23,7 @@ from .errors import (
     NumericalError,
     PoleError,
 )
-from .kernels import Family, IntervalSpec, _coerce_family, bessel_spec
-from .kernels import AIRY, SINE
+from .kernels import Family, IntervalSpec, _coerce_family, family_spec
 from .operator import build_discretization, compute_spectrum, log_fredholm_det
 
 SCHEMA_VERSION = 1
@@ -56,8 +54,6 @@ class RunConfig:
     n: int = 80
     fmt: str = "csv"
     output: str = None
-    deterministic: bool = True
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not 20 <= self.n <= 1000:
@@ -67,11 +63,9 @@ class RunConfig:
 
     @property
     def spec(self):
-        if self.family is Family.BESSEL:
-            if self.a is None:
-                raise ArgumentError("--a is required for the bessel kernel")
-            return bessel_spec(self.a)
-        return SINE if self.family is Family.SINE else AIRY
+        if self.family is Family.BESSEL and self.a is None:
+            raise ArgumentError("--a is required for the bessel kernel")
+        return family_spec(self.family, self.a)
 
     def gamma_value(self):
         """Resolve exactly one of gamma / v / chi into gamma."""
@@ -134,7 +128,6 @@ def _config_echo(cfg):
         "format": cfg.fmt,
         "deterministic": True,
     }
-    echo.update(cfg.extra)
     return {k: (_fmt(v) if isinstance(v, float) else v) for k, v in echo.items()}
 
 
@@ -228,22 +221,15 @@ def cmd_asymp(cfg, args):
 
 def cmd_scan(cfg, args):
     grid = [float(x) for x in args.grid.split(",")]
-    jobs = args.jobs
     kind = args.kind
     if kind == "eig":
-        res = verify_mod.eig_ratio_scan(
-            cfg.family, args.index, grid, n=cfg.n, a=cfg.a or 0.0, jobs=jobs
-        )
+        res = verify_mod.eig_ratio_scan(cfg.family, args.index, grid, n=cfg.n, a=cfg.a or 0.0)
     elif kind == "det":
         if cfg.chi is None:
             raise ArgumentError("det scans need --chi")
-        res = verify_mod.det_ratio_scan(
-            cfg.family, cfg.chi, grid, a=cfg.a or 0.0, n=cfg.n, jobs=jobs
-        )
+        res = verify_mod.det_ratio_scan(cfg.family, cfg.chi, grid, a=cfg.a or 0.0, n=cfg.n)
     elif kind == "stokes":
-        res = verify_mod.stokes_crossing_scan(
-            cfg.family, args.q, grid, a=cfg.a or 0.0, n=cfg.n, jobs=jobs
-        )
+        res = verify_mod.stokes_crossing_scan(cfg.family, args.q, grid, a=cfg.a or 0.0, n=cfg.n)
     else:
         raise ArgumentError(f"unknown scan kind {kind!r}")
     rows = list(zip(res.grid, res.numeric, res.predicted, res.rel_error))
@@ -276,10 +262,6 @@ def _build_parser():
         "of the sine, Airy and Bessel kernels.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    try:
-        jobs = int(os.environ.get("GAPSPEC_JOBS", "1"))
-    except ValueError:
-        raise ArgumentError("GAPSPEC_JOBS must be an integer") from None
 
     def common(p, need_family=True):
         if need_family:
@@ -315,12 +297,6 @@ def _build_parser():
     p.add_argument("--grid", required=True, help="comma-separated t values")
     p.add_argument("--index", type=int, default=0, help="eigenvalue index (eig scans)")
     p.add_argument("--q", type=int, default=1, help="factor index (stokes scans)")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=jobs,
-        help="parallel workers over grid points",
-    )
     p.set_defaults(fn=cmd_scan, need=("kernel",))
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
@@ -367,12 +343,7 @@ def _load_config(args):
 
 def main(argv=None):
     try:
-        ap = _build_parser()
-    except ArgumentError as exc:
-        print(f"gapspec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -72,6 +72,14 @@ def bessel_spec(a):
     return KernelSpec(Family.BESSEL, a)
 
 
+def family_spec(family, a=0.0):
+    """The KernelSpec of a family; the order a is read for Bessel only."""
+    fam = _coerce_family(family)
+    if fam is Family.BESSEL:
+        return bessel_spec(a)
+    return SINE if fam is Family.SINE else AIRY
+
+
 @dataclass(frozen=True)
 class IntervalSpec:
     """Family-consistent endpoint s and the derived interval J.

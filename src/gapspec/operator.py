@@ -330,14 +330,17 @@ def fredholm_det(sp, gamma):
     return det
 
 
+def _check_factors(sp, gamma, caller):
+    """PoleError unless every factor 1 - gamma lambda_i is positive."""
+    if np.any(1.0 - float(gamma) * np.asarray(sp.eigenvalues) <= 0.0):
+        raise PoleError(
+            f"{caller}: a factor 1 - gamma*lambda is nonpositive (gamma={gamma})"
+        )
+
+
 def log_fredholm_det(sp, gamma):
     """log D(J; gamma) via sum of log(1 - gamma lambda_i)."""
-    factors = 1.0 - float(gamma) * np.asarray(sp.eigenvalues)
-    if np.any(factors <= 0.0):
-        raise PoleError(
-            "log_fredholm_det: a factor 1 - gamma*lambda is nonpositive "
-            f"(gamma={gamma})"
-        )
+    _check_factors(sp, gamma, "log_fredholm_det")
     return float(np.sum(np.log1p(-float(gamma) * np.asarray(sp.eigenvalues))))
 
 
@@ -419,13 +422,24 @@ def trace_norm(spec, interval, n=60):
     return float(np.sum(weights * kernels.kernel_diag(spec, nodes)))
 
 
-def d_ds_log_det(spec, s, gamma, h=1e-3, n=80):
-    """Central finite difference of log D with respect to the endpoint s."""
-    h = float(h)
-    if not 1e-5 <= h <= 1e-2:
-        raise ArgumentError(f"step h={h} outside [1e-5, 1e-2]")
-    vals = []
-    for ss in (float(s) + h, float(s) - h):
-        d = build_discretization(spec, IntervalSpec(spec.family, ss), n)
-        vals.append(log_fredholm_det(compute_spectrum(d), gamma))
-    return (vals[0] - vals[1]) / (2.0 * h)
+def d_ds_log_det(spec, s, gamma, n=80):
+    """d/ds log D(J(s); gamma) from the resolvent kernel on the diagonal at
+    the moving endpoint (Tracy & Widom 1994):
+
+        R(s, s) = gamma K(s, s) + gamma^2 k_s^T (I - gamma A)^{-1} k_s,
+
+    with A the Nystrom matrix of J(s) and k_s[i] = sqrt(w_i) K(x_i, s).
+    The sign follows how J moves with s: +R for Airy, J = (s, inf);
+    -R for Bessel, J = (0, s); -2R for sine, J = (-s, s), whose two
+    endpoints give equal R. One discretization and one linear solve; the
+    spectrum is computed only for its checks (DegeneracyError, PoleError).
+    """
+    s = float(s)
+    gamma = float(gamma)
+    d = build_discretization(spec, IntervalSpec(spec.family, s), n)
+    _check_factors(compute_spectrum(d), gamma, "d_ds_log_det")
+    k_s = np.sqrt(d.weights) * kernels.kernel_eval(spec, d.nodes, s)
+    x = np.linalg.solve(np.eye(d.n) - gamma * d.matrix, k_s)
+    r = gamma * kernels.kernel_diag(spec, s) + gamma * gamma * float(k_s @ x)
+    sign = {Family.AIRY: 1.0, Family.BESSEL: -1.0, Family.SINE: -2.0}[spec.family]
+    return sign * r

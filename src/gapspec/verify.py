@@ -3,8 +3,8 @@ extraction, Stokes-crossing detection, convolution and commuting-operator
 checks, and the acceptance suite shared with the CLI.
 
 Numeric spectra act as the oracle; the closed-form expansions are the
-formulas under test. Scans are embarrassingly parallel over grid points and
-merge deterministically in grid order.
+formulas under test. Scans visit their grid points in order and return
+them in that order.
 """
 
 import functools
@@ -18,8 +18,9 @@ import numpy as np
 from . import asymptotics as asym
 from . import kernels
 from .errors import ArgumentError, DegeneracyError, PrecisionWarning
-from .kernels import AIRY, SINE, Family, IntervalSpec, _coerce_family, bessel_spec
+from .kernels import AIRY, SINE, Family, IntervalSpec, _coerce_family, bessel_spec, family_spec
 from .operator import (
+    _is_even_integer,
     build_discretization,
     compute_spectrum,
     compute_spectrum_with_vectors,
@@ -27,6 +28,7 @@ from .operator import (
     counting_ratio,
     d_ds_log_det,
     fredholm_det,
+    gauss_legendre,
     log_fredholm_det,
 )
 
@@ -62,12 +64,6 @@ class ScanResult:
             raise ArgumentError("ScanResult sequences must have equal length")
 
 
-def _family_spec(fam, a):
-    if fam is Family.BESSEL:
-        return bessel_spec(a)
-    return SINE if fam is Family.SINE else AIRY
-
-
 @functools.lru_cache(maxsize=32)
 def _spectrum(spec, interval, n):
     # The eigenvalue-law and transition checks read the same (kernel, s, n)
@@ -93,23 +89,12 @@ def _predicted_eig(fam, i, s, a):
     return asym.sine_eig(i, s)
 
 
-def _map_points(worker, points, jobs):
-    if jobs is None or jobs <= 1 or len(points) <= 1:
-        return [worker(p) for p in points]
-    # imported here: concurrent.futures pulls in logging, queue and
-    # traceback, which serial runs never need
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, points))
-
-
 def _rows_and_notes(results):
     """Split (row, note) results into rows and the notes, both in grid order."""
     return [r for r, _ in results], [note for _, note in results if note is not None]
 
 
-def eig_ratio_scan(family, i, t_grid, n=120, a=0.0, jobs=None):
+def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     """Numeric 1 - lambda_i against the closed-form eigenvalue law."""
     fam = _coerce_family(family)
     i = int(i)
@@ -121,7 +106,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0, jobs=None):
     for t in t_grid:
         if not lo <= t <= hi:
             raise ArgumentError(f"t = {t} outside the desk-scale window [{lo}, {hi}]")
-    spec = _family_spec(fam, a)
+    spec = family_spec(fam, a)
     t0 = time.perf_counter()
 
     def point(t):
@@ -138,7 +123,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0, jobs=None):
         pred = _predicted_eig(fam, i, s, a)
         return (t, num, pred, abs(num - pred) / abs(pred))
 
-    rows = [r for r in _map_points(point, t_grid, jobs) if r is not None]
+    rows = [r for r in map(point, t_grid) if r is not None]
     meta = {"n": n, "family": fam.value, "i": i, "a": a, "seconds": time.perf_counter() - t0}
     return _scan_from_rows(rows, meta)
 
@@ -161,7 +146,7 @@ def _predicted_transition(fam, s, v, a, p, chi):
     return asym.sine_transition(s, v, p, chi=chi)
 
 
-def det_ratio_scan(family, chi, t_grid, a=0.0, n=120, jobs=None):
+def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
     """Numeric log-determinant along a Stokes curve vs the transition
     expansion; the fitted power-law decay of the log-gap is recorded."""
     fam = _coerce_family(family)
@@ -181,13 +166,13 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120, jobs=None):
             note = f"t={t}: v={v:.1f} > 700, computed with gamma=1"
         else:
             gamma = -math.expm1(-v)
-        spec = _family_spec(fam, a)
+        spec = family_spec(fam, a)
         sp = _spectrum(spec, IntervalSpec(fam, s), n)
         num = log_fredholm_det(sp, gamma)
         pred = _predicted_transition(fam, s, v, a, p, chi).log_value
         return (t, num, pred, abs(num - pred) / abs(pred)), note
 
-    rows, notes = _rows_and_notes(_map_points(point, t_grid, jobs))
+    rows, notes = _rows_and_notes([point(t) for t in t_grid])
     # fitted decay exponent of the log-space gap |num - pred| ~ C t^{-e}
     gaps = np.array([abs(r[1] - r[2]) for r in rows])
     ts = np.array([r[0] for r in rows])
@@ -228,7 +213,7 @@ def lidskii_split(sp, v, p):
     return factors, residual
 
 
-def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120, jobs=None):
+def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     """Locate, per t, the v where the q-th Lidskii factor equals the
     marginal-contribution threshold, and compare with the Stokes curve
     chi = q - 1/2.
@@ -250,7 +235,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120, jobs=None):
     def point(t):
         s = _s_of_t(fam, t)
         thr = t ** -0.5 if fam is Family.AIRY else 1.0 / t
-        spec = _family_spec(fam, a)
+        spec = family_spec(fam, a)
         sp = _spectrum(spec, IntervalSpec(fam, s), n)
         lam = float(sp.eigenvalues[q - 1])
         mu = lam / (1.0 - lam)
@@ -262,7 +247,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120, jobs=None):
         detected = math.log(mu / thr)
         return (t, detected, pred, abs(detected - pred) / abs(pred)), None
 
-    rows, notes = _rows_and_notes(_map_points(point, t_grid, jobs))
+    rows, notes = _rows_and_notes([point(t) for t in t_grid])
     meta = {
         "n": n,
         "family": fam.value,
@@ -313,7 +298,7 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     for size in sizes:
         if size < 400:
             raise ArgumentError(f"commuting_residual requires m >= 400, got {size}")
-    spec = _family_spec(fam, a)
+    spec = family_spec(fam, a)
     d = build_discretization(spec, IntervalSpec(fam, float(s)), int(n))
     sp, vecs = compute_spectrum_with_vectors(d)
     if sp.eigenvalues[i] < 1e-10:
@@ -332,8 +317,6 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
         lo, hi = 0.0, d.interval.s
     else:
         lo, hi = -d.interval.s, d.interval.s
-    from .operator import _is_even_integer, gauss_legendre
-
     q = gauss_legendre(d.n)
     bw = _barycentric_weights(np.asarray(q.nodes), np.asarray(q.weights))
     # the Bessel quadrature grid is affine in sqrt(x), so interpolate there
@@ -377,24 +360,19 @@ def convolution_check(s, sample_count=25, n=60, seed=20260826):
     return float(np.max(np.abs(direct - conv), initial=0.0))
 
 
-def logderiv_check(family, s, chi, a=0.0, n=120, h=1e-3):
-    """Relative deviation between the finite-difference log-derivative of
-    the determinant and the asymptotic formula, at gamma on the curve
-    (gamma = 1 exactly when chi corresponds to v = infinity)."""
+def logderiv_check(family, s, chi, a=0.0, n=120):
+    """Relative deviation between d/ds log D at gamma = 1, taken from the
+    resolvent (d_ds_log_det), and the asymptotic formula at v = infinity."""
     fam = _coerce_family(family)
     s = float(s)
     chi = float(chi)
     if fam is Family.AIRY:
-        spec = AIRY
-        t = (-s) ** 1.5
         pred = asym.airy_logderiv_asymp(s, math.inf, chi)
     elif fam is Family.BESSEL:
-        spec = bessel_spec(a)
-        t = math.sqrt(s)
         pred = asym.bessel_logderiv_asymp(s, math.inf, chi, a)
     else:
         raise ArgumentError("logderiv_check is defined for Airy and Bessel")
-    num = d_ds_log_det(spec, s, 1.0, h=h, n=n)
+    num = d_ds_log_det(family_spec(fam, a), s, 1.0, n=n)
     return abs(num - pred) / abs(pred)
 
 

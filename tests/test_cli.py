@@ -140,15 +140,6 @@ class TestScan:
         assert code == 2
         assert "--chi" in err
 
-    def test_jobs_flag_deterministic(self, capsys):
-        argv = [
-            "scan", "--kind", "eig", "--kernel", "sine", "--grid", "2.5,3.0,3.5",
-            "--n", "80",
-        ]
-        _, out1, _ = run_cli(argv + ["--jobs", "1"], capsys)
-        _, out2, _ = run_cli(argv + ["--jobs", "3"], capsys)
-        assert out1 == out2
-
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
@@ -213,17 +204,6 @@ class TestUsageErrors:
         assert code == 0
         v = 2.0 * 3.0 - 0.2 * math.log(3.0)
         assert float(json.loads(out)["summary"]["gamma"]) == -math.expm1(-v)
-
-    @pytest.mark.parametrize("value", ["x", "1.5", ""])
-    def test_non_integer_jobs_environment(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("GAPSPEC_JOBS", value)
-        code, out, err = run_cli(["det", "--kernel", "sine", "--s", "2.0"], capsys)
-        assert code == 2 and out == ""
-        assert err == "gapspec: GAPSPEC_JOBS must be an integer\n"
-
-    def test_jobs_environment_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAPSPEC_JOBS", "2")
-        assert cli._build_parser().parse_args(["scan", "--kind", "eig", "--grid", "3"]).jobs == 2
 
 
 class TestEntryPoint:

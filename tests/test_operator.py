@@ -547,18 +547,37 @@ class TestCounting:
 
 
 class TestLogDetDerivative:
-    def test_matches_direct_difference(self):
-        s, gamma, h = 3.0, 0.8, 1e-3
-        got = d_ds_log_det(SINE, s, gamma, h=h, n=80)
+    @pytest.mark.parametrize(
+        "spec, s, gamma, n",
+        [
+            (SINE, 3.0, 0.8, 80),
+            (SINE, 3.0, 1.0, 80),
+            (AIRY, -2.0, 0.5, 80),
+            (AIRY, -6.0, 1.0, 160),
+            (bessel_spec(0.0), 100.0, 1.0, 160),
+            (bessel_spec(0.5), 9.0, 0.7, 80),
+        ],
+        ids=["sine-0.8", "sine-1", "airy-2-0.5", "airy-6-1", "bessel0-100", "bessel0.5-9"],
+    )
+    def test_matches_direct_difference(self, spec, s, gamma, n):
+        # the resolvent against a central difference of log D, whose O(h^2)
+        # error (1.2e-7 relative for Airy s = -2) sets the tolerance
+        h = 1e-3
         vals = []
         for ss in (s + h, s - h):
-            sp = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, ss), 80))
+            sp = compute_spectrum(build_discretization(spec, IntervalSpec(spec.family, ss), n))
             vals.append(log_fredholm_det(sp, gamma))
-        assert got == pytest.approx((vals[0] - vals[1]) / (2 * h), rel=1e-12)
+        got = d_ds_log_det(spec, s, gamma, n=n)
+        assert got == pytest.approx((vals[0] - vals[1]) / (2 * h), rel=1e-6)
 
-    def test_step_validation(self):
-        with pytest.raises(ArgumentError):
-            d_ds_log_det(SINE, 2.0, 1.0, h=1.0)
+    def test_pole_raises(self):
+        with pytest.raises(PoleError):
+            d_ds_log_det(SINE, 3.0, 1.5, n=80)
+
+    def test_degenerate_spectrum_raises(self):
+        # at Airy s = -30 the n = 80 matrix has eigenvalues above 1
+        with pytest.raises(DegeneracyError):
+            d_ds_log_det(AIRY, -30.0, 1.0, n=80)
 
     def test_sine_derivative_value(self):
         # d/ds log D must be negative (the gap shrinks the determinant) and

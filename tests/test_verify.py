@@ -12,7 +12,7 @@ import pytest
 
 from gapspec import kernels, verify
 from gapspec.errors import ArgumentError, PrecisionWarning
-from gapspec.kernels import AIRY, SINE, Family, IntervalSpec
+from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, family_spec
 from gapspec.operator import (
     Spectrum,
     build_discretization,
@@ -74,12 +74,6 @@ class TestEigRatioScan:
         r = eig_ratio_scan(Family.SINE, 0, [2.0, 6.0, 10.0], n=100)
         assert len(r.grid) == 3
         assert min(r.numeric) > 1e-13
-
-    def test_jobs_equivalence(self):
-        seq = eig_ratio_scan(Family.SINE, 0, [2.5, 3.5], n=80, jobs=1)
-        par = eig_ratio_scan(Family.SINE, 0, [2.5, 3.5], n=80, jobs=2)
-        assert seq.numeric == par.numeric
-        assert seq.predicted == par.predicted
 
 
 class TestDetRatioScan:
@@ -145,15 +139,14 @@ class TestStokesCrossing:
         assert math.isnan(r.numeric[0])
         assert r.metadata["notes"]
 
-    def test_notes_in_grid_order_under_jobs(self):
+    def test_notes_in_grid_order(self):
         grid = [4.5, 4.0, 5.0, 4.2]
-        seq = stokes_crossing_scan(Family.BESSEL, 12, grid, n=80, jobs=1)
-        par = stokes_crossing_scan(Family.BESSEL, 12, grid, n=80, jobs=2)
-        assert len(seq.metadata["notes"]) >= 2
-        assert seq.metadata["notes"] == par.metadata["notes"]
-        assert seq.metadata["notes"] == [
+        r = stokes_crossing_scan(Family.BESSEL, 12, grid, n=80)
+        assert r.grid == tuple(grid)
+        assert len(r.metadata["notes"]) >= 2
+        assert r.metadata["notes"] == [
             f"t={t}: factor 12 never crosses the threshold"
-            for t, num in zip(seq.grid, seq.numeric)
+            for t, num in zip(r.grid, r.numeric)
             if math.isnan(num)
         ]
 
@@ -183,7 +176,7 @@ class TestCommutingResidual:
         m = int(m)
         if m < 400:
             raise ArgumentError(f"commuting_residual requires m >= 400, got {m}")
-        spec = verify._family_spec(fam, a)
+        spec = family_spec(fam, a)
         d = build_discretization(spec, IntervalSpec(fam, float(s)), int(n))
         sp, vecs = compute_spectrum_with_vectors(d)
         w = np.asarray(d.weights)
@@ -349,19 +342,18 @@ class TestSpectrumMemo:
         assert {n for _, _, n in builds} == {160}
 
     @staticmethod
-    def _scans(jobs):
-        eig = eig_ratio_scan(Family.SINE, 1, [2.5, 3.5, 4.5], n=80, jobs=jobs)
-        det = det_ratio_scan(Family.BESSEL, 0.5, [6.0, 8.0], a=1.0, n=80, jobs=jobs)
+    def _scans():
+        eig = eig_ratio_scan(Family.SINE, 1, [2.5, 3.5, 4.5], n=80)
+        det = det_ratio_scan(Family.BESSEL, 0.5, [6.0, 8.0], a=1.0, n=80)
         return [(r.grid, r.numeric, r.predicted, r.rel_error) for r in (eig, det)]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_scans_bit_identical_across_cache_clear(self, jobs):
-        cold = self._scans(jobs)
+    def test_scans_bit_identical_across_cache_clear(self):
+        cold = self._scans()
         # the second pass is served by the memo
-        assert self._scans(jobs) == cold
+        assert self._scans() == cold
         assert _spectrum.cache_info().hits == 5
         _spectrum.cache_clear()
-        assert self._scans(3 - jobs) == cold
+        assert self._scans() == cold
 
     def test_precision_warning_fires_on_cache_hit(self, builds, monkeypatch):
         # no spectrum inside the desk-scale windows reaches the 1e-13 skip
@@ -392,9 +384,9 @@ class TestTrendHelper:
 
 class TestImportFootprint:
     def test_import_leaves_thread_pool_and_fractions_unloaded(self):
-        # the pool behind jobs > 1 and the exact zeta/Bernoulli tables are
-        # set up on first use, so a plain import loads neither
-        # concurrent.futures (with logging, queue) nor fractions (with decimal)
+        # the exact zeta/Bernoulli tables are set up on first use, so a plain
+        # import loads neither concurrent.futures (with logging, queue) nor
+        # fractions (with decimal)
         import gapspec
 
         src = os.path.dirname(os.path.dirname(gapspec.__file__))
