@@ -362,10 +362,18 @@ def convolution_check(s, sample_count=25, n=60, seed=20260826):
 
 def logderiv_check(family, s, chi, a=0.0, n=120):
     """Relative deviation between d/ds log D at gamma = 1, taken from the
-    resolvent (d_ds_log_det), and the asymptotic formula at v = infinity."""
+    resolvent (d_ds_log_det), and the asymptotic formula at v = infinity.
+
+    gamma = 1 is the k = 0 curve of the expansion, so chi must lie in
+    [-1/2, 1/2); a larger chi would compare two different quantities."""
     fam = _coerce_family(family)
     s = float(s)
     chi = float(chi)
+    if not -0.5 <= chi < 0.5:
+        raise ArgumentError(
+            "logderiv_check requires -1/2 <= chi < 1/2 (gamma = 1 is the k = 0 "
+            f"curve), got chi={chi}"
+        )
     if fam is Family.AIRY:
         pred = asym.airy_logderiv_asymp(s, math.inf, chi)
     elif fam is Family.BESSEL:
@@ -402,12 +410,13 @@ def _acc_quadrature():
             sp = _spectrum(spec, IntervalSpec(spec.family, s), n)
             vals.append(log_fredholm_det(sp, 1.0))
         worst = max(worst, abs(vals[0] - vals[1]))
+    # the time bounds the pass condition but stays out of the detail, which
+    # must read the same on every run
     dt = time.perf_counter() - t0
-    return worst <= 1e-9 and dt < 5.0, f"max |logdet(40)-logdet(80)| = {worst:.3e}, {dt:.2f}s"
+    return worst <= 1e-9 and dt < 5.0, f"max |logdet(40)-logdet(80)| = {worst:.3e}"
 
 
 def _acc_eig_law(fam, cases, t_grid, cap):
-    t0 = time.perf_counter()
     details = []
     ok = True
     for a, i in cases:
@@ -417,8 +426,7 @@ def _acc_eig_law(fam, cases, t_grid, cap):
         details.append(
             f"a={a} i={i}: errs=" + "/".join(f"{e:.3f}" for e in scan.rel_error)
         )
-    dt = time.perf_counter() - t0
-    return ok, "; ".join(details) + f" ({dt:.1f}s)"
+    return ok, "; ".join(details)
 
 
 def _acc_transition(fam, chis, a_values, t_grid):

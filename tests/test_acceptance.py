@@ -7,7 +7,7 @@ report shows one line per criterion.
 
 import pytest
 
-from gapspec.verify import run_acceptance
+from gapspec.verify import _spectrum, run_acceptance
 
 CRITERIA = (
     "quadrature_convergence",
@@ -39,3 +39,10 @@ def test_all_criteria_reported(results):
 def test_criterion(results, criterion):
     ok, detail = results[criterion]
     assert ok, f"{criterion}: {detail}"
+
+
+def test_rows_identical_across_runs(results):
+    # the rows are the default `gapspec verify` output, which must not
+    # change between runs of one tree; the second run starts cold
+    _spectrum.cache_clear()
+    assert {name: (ok, detail) for name, ok, detail in run_acceptance()} == results

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapspec.operator as operator_module
 from gapspec.errors import ArgumentError, DegeneracyError, PoleError, PrecisionWarning
 from gapspec.kernels import (
     AIRY,
@@ -72,6 +73,19 @@ class TestGaussLegendre:
             assert np.array_equal(q.weights, q.weights[::-1])
         assert gauss_legendre(9).nodes[4] == 0.0
 
+    def test_two_recurrence_sweeps_from_n_40(self, monkeypatch):
+        # the asymptotic guesses leave one Newton step, then the sweep that
+        # certifies it and gives P_n' for the weights
+        calls = []
+        top = operator_module._legendre_top
+        monkeypatch.setattr(operator_module, "_legendre_top",
+                            lambda x, n: calls.append(n) or top(x, n))
+        for n in (*range(40, 301), 997, 1000, 1999, 2000):
+            operator_module._gauss_legendre_cached.cache_clear()
+            calls.clear()
+            gauss_legendre(n)
+            assert len(calls) <= 2, n
+
     def test_arguments(self):
         with pytest.raises(ArgumentError):
             gauss_legendre(0)
@@ -84,50 +98,62 @@ class TestGaussLegendre:
             q.nodes[0] = 0.0
 
     @staticmethod
-    def _rule_step_by_step(n):
-        # the former implementation, kept verbatim as the reference: the
-        # recurrence forms (2m - 1) x anew at every step
-        if n == 1:
-            return np.array([0.0]), np.array([2.0])
-        k = np.arange(1, n + 1)
-        x = np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
-        for _ in range(100):
-            p0 = np.ones_like(x)
-            p1 = x.copy()
-            for m in range(2, n + 1):
-                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            dx = p1 / dp
-            x = x - dx
-            if np.max(np.abs(dx)) < 1e-15:
-                break
-        p0 = np.ones_like(x)
-        p1 = x.copy()
+    def _mp_rule(x, n):
+        # The Gauss-Legendre nodes and weights nearest the double nodes x,
+        # to about 40 digits: one Newton step on P_n from each x. P_n and
+        # P_{n-1} come from the three-term recurrence in 160-bit fixed point
+        # (Python integers, all nodes at once); the step and the weight
+        # 2 / ((1 - r^2) P_n'(r)^2), with P_n'(r) to first order in the step
+        # through Legendre's equation, are taken in mpmath.
+        bits = 160
+        fx = np.array([(a << bits) // b for a, b in map(float.as_integer_ratio, x)],
+                      dtype=object)
+        p0 = np.full(len(fx), 1 << bits, dtype=object)
+        p1 = fx.copy()
         for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        x = x[::-1]
-        w = w[::-1]
-        x = 0.5 * (x - x[::-1])
-        w = 0.5 * (w + w[::-1])
-        if n % 2 == 1:
-            x[n // 2] = 0.0
-        return x, w
+            p0, p1 = p1, ((((2 * m - 1) * fx * p1) >> bits) - (m - 1) * p0) // m
+        nodes, weights = [], []
+        with mp.workdps(40):
+            unit = mp.mpf(2) ** -bits
+            for xk, q0, q1 in zip(x, p0, p1):
+                xk, q0, q1 = mp.mpf(xk), q0 * unit, q1 * unit
+                dp = n * (q0 - xk * q1) / (1 - xk * xk)
+                d2p = (2 * xk * dp - n * (n + 1) * q1) / (1 - xk * xk)
+                step = q1 / dp
+                r = xk - step
+                nodes.append(r)
+                weights.append(2 / ((1 - r * r) * (dp - step * d2p) ** 2))
+        return nodes, weights
 
-    # 1..130 crosses the first two recurrence blocks; the rest reach the
-    # largest rules and the last, partial block at n = 2000
+    # Bounds on node abs error and weight rel error: the worst errors, over
+    # the same n and nodes, of the former rule (Newton from Chebyshev guesses
+    # over all n nodes, then symmetrized), rounded up in the third digit.
+    # 1..130 includes the rules below n = 22 that take a third sweep; above
+    # n = 300 the nodes are sampled at both ends and the centre.
     @pytest.mark.parametrize(
-        "ns",
-        [range(1, 131), (199, 200, 300), (997, 1000), (1999,), (2000,)],
+        "ns, node_tol, weight_tol",
+        [
+            (range(1, 131), 1.12e-16, 4.85e-13),
+            ((199, 200, 300), 5.96e-17, 1.37e-12),
+            ((997, 1000), 5.51e-17, 2.22e-11),
+            ((1999,), 4.50e-17, 8.49e-11),
+            ((2000,), 4.58e-17, 4.06e-11),
+        ],
         ids=["1-130", "199-300", "997-1000", "1999", "2000"],
     )
-    def test_rules_match_step_by_step_recurrence_bitwise(self, ns):
+    def test_rules_match_mpmath_reference(self, ns, node_tol, weight_tol):
         for n in ns:
             q = gauss_legendre(n)
-            x, w = self._rule_step_by_step(n)
-            assert q.nodes.tobytes() == x.tobytes(), n
-            assert q.weights.tobytes() == w.tobytes(), n
+            upper = np.arange(n // 2, n)
+            if n > 300:
+                upper = upper[[0, 1, 2, -3, -2, -1]]
+            ref_x, ref_w = self._mp_rule(q.nodes[upper], n)
+            with mp.workdps(40):
+                for i, r, rw in zip(upper, ref_x, ref_w):
+                    # the roots of P_n come in pairs +-r
+                    for j, sign in ((i, 1), (n - 1 - i, -1)):
+                        assert abs(sign * mp.mpf(q.nodes[j]) - r) <= node_tol, (n, j)
+                        assert abs(mp.mpf(q.weights[j]) / rw - 1) <= weight_tol, (n, j)
 
 
 class TestGrid:
@@ -280,10 +306,15 @@ class TestSpectrum:
         assert sp.meta["clamped_top"] == 0
 
     def test_clamped_top_counted(self):
-        # deep Airy gap: the top eigenvalues round to 1 and are clamped
-        sp = compute_spectrum(build_discretization(AIRY, IntervalSpec(Family.AIRY, -30.0), 200))
+        # deep Airy gap: the top eigenvalues round to 1 and are clamped. The
+        # count is of raw values above the clamp: a raw value can also land
+        # on the clamp value itself, the largest double below 1, unclamped.
+        d = build_discretization(AIRY, IntervalSpec(Family.AIRY, -30.0), 200)
+        sp = compute_spectrum(d)
         ev = np.asarray(sp.eigenvalues)
-        assert sp.meta["clamped_top"] == np.count_nonzero(ev == _CLAMP_TOP) > 0
+        raw = np.linalg.eigvalsh(d.matrix)
+        assert sp.meta["clamped_top"] == np.count_nonzero(raw > _CLAMP_TOP) > 0
+        assert np.count_nonzero(ev == _CLAMP_TOP) == np.count_nonzero(raw >= _CLAMP_TOP)
 
     def test_clamp_counts_and_values(self):
         d = build_discretization(SINE, IntervalSpec(Family.SINE, 1.0), 8)
@@ -560,15 +591,20 @@ class TestLogDetDerivative:
         ids=["sine-0.8", "sine-1", "airy-2-0.5", "airy-6-1", "bessel0-100", "bessel0.5-9"],
     )
     def test_matches_direct_difference(self, spec, s, gamma, n):
-        # the resolvent against a central difference of log D, whose O(h^2)
-        # error (1.2e-7 relative for Airy s = -2) sets the tolerance
-        h = 1e-3
+        # The resolvent against a 5-point central difference of log D at
+        # h = 1e-2. Its error budget: truncation h^4 f^(5) / 30, 1.4e-9
+        # relative at Airy s = -2; and rounding 1.5 e / h, where log D itself
+        # carries e ~ eps / (1 - lambda_0). At Bessel a = 0, s = 100
+        # (1 - lambda_0 = 4.8e-7, e ~ 4.6e-10) that is up to 7e-8, or 2.8e-7
+        # relative, inside rel = 1e-6; a 2-point difference at h = 1e-3
+        # would carry e / h, 1.8e-6 relative, and no longer fit.
+        h = 1e-2
         vals = []
-        for ss in (s + h, s - h):
+        for ss in (s - 2 * h, s - h, s + h, s + 2 * h):
             sp = compute_spectrum(build_discretization(spec, IntervalSpec(spec.family, ss), n))
             vals.append(log_fredholm_det(sp, gamma))
-        got = d_ds_log_det(spec, s, gamma, n=n)
-        assert got == pytest.approx((vals[0] - vals[1]) / (2 * h), rel=1e-6)
+        ref = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+        assert d_ds_log_det(spec, s, gamma, n=n) == pytest.approx(ref, rel=1e-6)
 
     def test_pole_raises(self):
         with pytest.raises(PoleError):

@@ -312,6 +312,13 @@ class TestPointChecks:
         with pytest.raises(ArgumentError):
             logderiv_check(Family.SINE, 3.0, 0.0)
 
+    @pytest.mark.parametrize("chi", [0.5, 0.7, 1.2, -0.6, math.nan])
+    def test_logderiv_chi_outside_gamma_one_curve_rejected(self, chi):
+        # the numeric side is always gamma = 1; at chi = 0.7 the expansion
+        # belongs to k = 1 and the two sides differed by 3.6% at Airy s = -6
+        with pytest.raises(ArgumentError, match="chi < 1/2"):
+            logderiv_check(Family.AIRY, -6.0, chi, n=80)
+
 
 class TestSpectrumMemo:
     @pytest.fixture(autouse=True)
