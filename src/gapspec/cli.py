@@ -145,7 +145,13 @@ def cmd_spectrum(cfg, args):
         cfg,
         ("index", "lambda", "one_minus_lambda", "mu"),
         rows,
-        {"n": cfg.n, "truncation": _fmt(d.truncation)},
+        {
+            "n": cfg.n,
+            "truncation": _fmt(d.truncation),
+            "repaired_entries": sp.meta["repaired_entries"],
+            "clamped_zero": sp.meta["clamped_zero"],
+            "clamped_top": sp.meta["clamped_top"],
+        },
     )
     return EXIT_OK
 

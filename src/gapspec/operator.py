@@ -169,7 +169,11 @@ def airy_truncation(s):
 
 @dataclass(frozen=True)
 class Discretization:
-    """Symmetrized Nystrom matrix with its grid and provenance."""
+    """Symmetrized Nystrom matrix with its grid and provenance.
+
+    repaired_entries counts the matrix entries the near-diagonal Taylor
+    branch set, both triangles and the diagonal.
+    """
 
     spec: KernelSpec
     interval: IntervalSpec
@@ -178,6 +182,7 @@ class Discretization:
     nodes: np.ndarray
     weights: np.ndarray
     matrix: np.ndarray
+    repaired_entries: int
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _frozen(self.nodes))
@@ -231,9 +236,9 @@ def build_discretization(spec, interval, n):
     # K and the weight products are both symmetric, so the matrix is too;
     # weighting in place keeps one n x n temporary fewer alive
     sw = np.sqrt(weights)
-    mat = kernels.kernel_matrix(spec, nodes)
+    mat, repaired = kernels.kernel_matrix(spec, nodes)
     mat *= np.outer(sw, sw)
-    return Discretization(spec, interval, n, hi, nodes, weights, mat)
+    return Discretization(spec, interval, n, hi, nodes, weights, mat, repaired)
 
 
 @dataclass(frozen=True)
@@ -333,6 +338,7 @@ def _validate_spectrum(vals, d):
         "truncation": d.truncation,
         "clamped_zero": int(np.count_nonzero(bottom)),
         "clamped_top": int(np.count_nonzero(top)),
+        "repaired_entries": d.repaired_entries,
     }
     return Spectrum(vals, d.n, meta)
 

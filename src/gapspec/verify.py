@@ -101,6 +101,8 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     n = int(n)
     if n < 60:
         raise ArgumentError(f"eig_ratio_scan requires n >= 60, got {n}")
+    if not 0 <= i < n:
+        raise ArgumentError(f"eig_ratio_scan requires 0 <= i < n = {n}, got i = {i}")
     lo, hi = _T_WINDOWS[fam]
     t_grid = [float(t) for t in t_grid]
     for t in t_grid:
@@ -224,11 +226,11 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     """
     fam = _coerce_family(family)
     q = int(q)
-    if q < 1:
-        raise ArgumentError(f"stokes_crossing_scan requires q >= 1, got {q}")
+    n = int(n)
+    if not 1 <= q <= n:
+        raise ArgumentError(f"stokes_crossing_scan requires 1 <= q <= n = {n}, got q = {q}")
     if fam is Family.SINE:
         raise ArgumentError("stokes_crossing_scan is defined for Airy and Bessel")
-    n = int(n)
     t_grid = [float(t) for t in t_grid]
     t0 = time.perf_counter()
 
@@ -294,12 +296,15 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     gives the tuple of their residuals."""
     fam = _coerce_family(family)
     i = int(i)
+    n = int(n)
+    if not 0 <= i < n:
+        raise ArgumentError(f"commuting_residual requires 0 <= i < n = {n}, got i = {i}")
     sizes = [int(v) for v in m] if np.ndim(m) else [int(m)]
     for size in sizes:
         if size < 400:
             raise ArgumentError(f"commuting_residual requires m >= 400, got {size}")
     spec = family_spec(fam, a)
-    d = build_discretization(spec, IntervalSpec(fam, float(s)), int(n))
+    d = build_discretization(spec, IntervalSpec(fam, float(s)), n)
     sp, vecs = compute_spectrum_with_vectors(d)
     if sp.eigenvalues[i] < 1e-10:
         warnings.warn(

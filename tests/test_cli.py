@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from gapspec import cli
+from gapspec.kernels import AIRY, SINE, Family, IntervalSpec
+from gapspec.operator import build_discretization, compute_spectrum
 
 
 def run_cli(argv, capsys):
@@ -48,6 +50,30 @@ class TestSpectrum:
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1 == out2
+
+    def test_json_summary_reports_repairs_and_clamps(self, capsys):
+        argv = ["spectrum", "--kernel", "sine", "--s", "2.0", "--top", "3"]
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        sp = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, 2.0), 80))
+        summary = json.loads(out)["summary"]
+        for key in ("repaired_entries", "clamped_zero", "clamped_top"):
+            assert summary[key] == sp.meta[key]
+        assert summary["repaired_entries"] >= 80
+
+    def test_csv_holds_only_the_rows(self, capsys):
+        # the summary stays out of the default CSV: a header and one line
+        # per eigenvalue, formatted from the library's spectrum
+        code, out, _ = run_cli(
+            ["spectrum", "--kernel", "airy", "--s", "-3.0", "--top", "3"], capsys
+        )
+        assert code == 0
+        sp = compute_spectrum(build_discretization(AIRY, IntervalSpec(Family.AIRY, -3.0), 80))
+        lines = ["index,lambda,one_minus_lambda,mu"]
+        for i, lam in enumerate(sp.eigenvalues[:3].tolist()):
+            row = (i, lam, 1.0 - lam, lam / (1.0 - lam))
+            lines.append(",".join(cli._fmt(x) for x in row))
+        assert out == "\n".join(lines) + "\n"
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"
@@ -132,6 +158,20 @@ class TestScan:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["t", "numeric", "predicted", "rel_error"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "argv, hint",
+        [
+            (["--kind", "eig", "--kernel", "sine", "--index", "500", "--grid", "2.5,3"],
+             "0 <= i < n = 80, got i = 500"),
+            (["--kind", "stokes", "--kernel", "airy", "--q", "90", "--grid", "6,8"],
+             "1 <= q <= n = 80, got q = 90"),
+        ],
+    )
+    def test_index_outside_spectrum_exits_usage(self, capsys, argv, hint):
+        code, out, err = run_cli(["scan"] + argv + ["--n", "80"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("gapspec: ") and hint in err
 
     def test_det_scan_needs_chi(self, capsys):
         code, _, err = run_cli(

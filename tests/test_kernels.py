@@ -185,6 +185,16 @@ class TestBesselKernel:
         assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
 
 
+class TestBesselDomain:
+    def test_negative_argument_message(self):
+        with pytest.raises(DomainError, match="must be >= 0, got -1.0"):
+            kernel_eval(bessel_spec(0.5), -1.0, 2.0)
+
+    def test_origin_accepted(self):
+        assert kernel_eval(bessel_spec(0.0), 0.0, 0.0) == 0.25
+        assert math.isfinite(kernel_eval(bessel_spec(0.5), 0.0, 2.0))
+
+
 class TestDeltaSwitch:
     def test_scales_with_magnitude(self):
         assert delta_switch(0.0, 0.0) == 1e-4

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapspec.operator as operator_module
+from gapspec import kernels
 from gapspec.errors import ArgumentError, DegeneracyError, PoleError, PrecisionWarning
 from gapspec.kernels import (
     AIRY,
@@ -203,6 +204,84 @@ class TestAssembly:
         for i, j in band + off:
             ref = kernel_eval(spec, x[i], x[j]) * (sw[i] * sw[j])
             assert d.matrix[i, j] == ref and d.matrix[j, i] == ref, (i, j)
+
+
+def _full_grid_matrix(spec, interval, n):
+    """The former assembly, kept verbatim as the reference: the exact form
+    on all n^2 pairs, the upper triangle mirrored by np.where, the Taylor
+    band written over the upper triangle first; then the weights."""
+    x, w, _ = discretization_grid(spec, interval, n)
+    t = kernels._variable(spec, x)
+    ii, jj = [], []
+    for d in range(n):
+        i = np.flatnonzero(kernels._near(spec, t[d:], t[: n - d]))
+        if not i.size:
+            break
+        ii.append(i)
+        jj.append(i + d)
+    ii = np.concatenate(ii)
+    jj = np.concatenate(jj)
+    values = kernels._edge_values(spec, np.concatenate([t, 0.5 * (t[jj] + t[ii])]))
+    vt = [v[:n] for v in values]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = kernels._exact(
+            spec, t[None, :], [v[None, :] for v in vt], t[:, None], [v[:, None] for v in vt]
+        )
+    k[ii, jj] = kernels._taylor(spec, t[jj], t[ii], [v[n:] for v in values])
+    k = np.where(np.arange(n)[:, None] <= np.arange(n), k, k.T)
+    sw = np.sqrt(w)
+    k *= np.outer(sw, sw)
+    return k
+
+
+def _band_count(spec, x):
+    """Ordered pairs (i, j) of the grid that take the Taylor branch, counted
+    over the whole grid, a block of rows at a time."""
+    u = np.sqrt(x) if spec.family is Family.BESSEL else x
+    count = 0
+    for r in range(0, len(u), 100):
+        a, b = u[r : r + 100, None], u[None, :]
+        if spec.family is Family.BESSEL:
+            near = np.abs(a - b) <= 1e-4 * (a + b)
+        else:
+            near = np.abs(a - b) <= delta_switch(a, b)
+        count += int(np.count_nonzero(near))
+    return count
+
+
+_B = kernels._BLOCK
+_ASSEMBLY_CASES = [
+    (SINE, 2.0), (AIRY, -5.0), (bessel_spec(-0.5), 16.0),
+    (bessel_spec(0.0), 16.0), (bessel_spec(0.5), 100.0), (bessel_spec(2.0), 9.0),
+]
+
+
+class TestBlockedAssembly:
+    """build_discretization's matrix against the former full-grid assembly,
+    bit for bit, at sizes on both sides of every block edge."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _B - 1, _B, _B + 1, 2 * _B + 1, 300])
+    @pytest.mark.parametrize("spec, s", _ASSEMBLY_CASES)
+    def test_matches_full_grid_assembly_bitwise(self, spec, s, n):
+        iv = IntervalSpec(spec.family, s)
+        got = np.asarray(build_discretization(spec, iv, n).matrix)
+        assert got.tobytes() == _full_grid_matrix(spec, iv, n).tobytes()
+
+    def test_sine_band_across_centre_bitwise(self):
+        # at s = 0.01 the nodes near the centre are closer than the switch
+        # radius 1e-4, so the Taylor band holds off-diagonal pairs there
+        iv = IntervalSpec(Family.SINE, 0.01)
+        d = build_discretization(SINE, iv, 2000)
+        assert np.asarray(d.matrix).tobytes() == _full_grid_matrix(SINE, iv, 2000).tobytes()
+        count = _band_count(SINE, np.asarray(d.nodes))
+        assert d.repaired_entries == count > 3 * 2000
+        assert compute_spectrum(d).meta["repaired_entries"] == count
+
+    @pytest.mark.parametrize("spec, s", _ASSEMBLY_CASES)
+    def test_repaired_entries_counts_the_band(self, spec, s):
+        d = build_discretization(spec, IntervalSpec(spec.family, s), 300)
+        assert d.repaired_entries == _band_count(spec, np.asarray(d.nodes))
+        assert compute_spectrum(d).meta["repaired_entries"] == d.repaired_entries
 
 
 class TestSpectrum:

@@ -39,6 +39,10 @@ from gapspec.verify import (
 )
 
 
+def _no_build(*args):
+    raise AssertionError("a matrix was built for an invalid index")
+
+
 class TestScanResult:
     def test_length_mismatch(self):
         with pytest.raises(ArgumentError):
@@ -67,6 +71,13 @@ class TestEigRatioScan:
     def test_n_floor(self):
         with pytest.raises(ArgumentError):
             eig_ratio_scan(Family.SINE, 0, [3.0], n=40)
+
+    @pytest.mark.parametrize("i", [-1, 80, 500])
+    def test_index_outside_spectrum(self, i, monkeypatch):
+        # rejected before any matrix is built, naming the valid range
+        monkeypatch.setattr(verify, "build_discretization", _no_build)
+        with pytest.raises(ArgumentError, match="0 <= i < n = 80"):
+            eig_ratio_scan(Family.SINE, i, [2.5, 3.0], n=80)
 
     def test_resolvable_points_all_kept(self):
         # inside the desk-scale window 1 - lambda_0 stays well above the
@@ -133,6 +144,16 @@ class TestStokesCrossing:
         with pytest.raises(ArgumentError):
             stokes_crossing_scan(Family.SINE, 1, [3.0])
 
+    @pytest.mark.parametrize("q", [0, -2, 81, 90])
+    def test_factor_outside_spectrum(self, q, monkeypatch):
+        monkeypatch.setattr(verify, "build_discretization", _no_build)
+        with pytest.raises(ArgumentError, match="1 <= q <= n = 80"):
+            stokes_crossing_scan(Family.AIRY, q, [6.0, 8.0], n=80)
+
+    def test_last_factor_accepted(self):
+        r = stokes_crossing_scan(Family.AIRY, 80, [6.0], n=80)
+        assert r.metadata["q"] == 80 and math.isnan(r.numeric[0])
+
     def test_never_crossing_noted(self):
         # a deep factor at modest t sits below the threshold for all v > 0
         r = stokes_crossing_scan(Family.BESSEL, 12, [4.5], n=100)
@@ -163,6 +184,13 @@ class TestCommutingResidual:
     def test_m_floor(self):
         with pytest.raises(ArgumentError):
             commuting_residual(Family.SINE, 0, 3.0, m=100)
+
+    @pytest.mark.parametrize("i", [-1, 100, 250])
+    def test_index_outside_spectrum(self, i, monkeypatch):
+        # i = -1 once gave the last eigenvector's residual, with a warning
+        monkeypatch.setattr(verify, "build_discretization", _no_build)
+        with pytest.raises(ArgumentError, match="0 <= i < n = 100"):
+            commuting_residual(Family.SINE, i, 3.0)
 
     def test_untrustworthy_eigenvector_warns(self):
         with pytest.warns(PrecisionWarning):
