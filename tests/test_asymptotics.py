@@ -1,13 +1,16 @@
 """Closed-form expansion layer: every constant and formula is re-derived with
 mpmath at 30+ digits, and structural identities are property-tested."""
 
+import json
 import math
+import pathlib
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapspec import asymptotics
 from gapspec.asymptotics import (
     StokesPoint,
     TransitionExpansion,
@@ -336,6 +339,16 @@ class TestSigma:
         ref = float(x / (1 + x))
         assert sigma_pm(Family.AIRY, "+", k, alpha, t) == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("t", [5.0, 12.0])
+    @pytest.mark.parametrize("alpha", [-0.4, 0.2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_airy_minus_oracle(self, k, alpha, t):
+        # y = (2pi/h_{k-1}) 2^{5k/2-5/4} t^{-alpha-1/2}, sigma = y/(1+y)
+        hk = mp.factorial(k - 1) * mp.sqrt(mp.pi) / mp.mpf(2) ** (k - 1)
+        y = 2 * mp.pi / hk * mp.mpf(2) ** (mp.mpf(5) * k / 2 - mp.mpf(5) / 4) * mp.mpf(t) ** (-alpha - 0.5)
+        ref = float(y / (1 + y))
+        assert sigma_pm(Family.AIRY, "-", k, alpha, t) == pytest.approx(ref, rel=1e-13)
+
     def test_bessel_plus_oracle(self):
         k, alpha, t, a = 2, -0.3, 9.0, 0.5
         d = d_coeff(k, a)
@@ -382,3 +395,142 @@ class TestLogDeriv:
             airy_logderiv_asymp(-1.0, 1.0, 0.0)
         with pytest.raises(ArgumentError):
             bessel_logderiv_asymp(4.0, 1.0, 0.0, 0.0)
+
+
+def _h(k):
+    # Hermite norm h_k = k! sqrt(pi) / 2^k
+    return mp.factorial(k) * mp.sqrt(mp.pi) / mp.mpf(2) ** k
+
+
+def _d(k, a):
+    return mp.factorial(k) * mp.gamma(1 + mp.mpf(a) + k) / (mp.pi * mp.mpf(2) ** (4 * k + 2 * mp.mpf(a) + 3))
+
+
+def mp_airy_logderiv(s, v, k, alpha):
+    s, v = mp.mpf(s), mp.mpf(v)
+    t = (-s) ** mp.mpf(1.5)
+    zeta = 2 * mp.sqrt(2) / 3 * t
+    root = mp.sqrt(2) * mp.sqrt(-s)
+    base = s**2 / 4 - 1 / (8 * s) - root * k - 2 * mp.mpf(k) ** 2 / s
+    if alpha >= 0:
+        x = _h(k) / (2 * mp.pi) * mp.mpf(2) ** (-mp.mpf(5) * k / 2 - mp.mpf(5) / 4) * t ** (-k - mp.mpf(1) / 2) * mp.exp(zeta - v)
+        return base - root * x / (1 + x) + 7 * mp.mpf(k) / (12 * s) * (k + 1)
+    sig = 0
+    if k > 0:
+        y = 2 * mp.pi / _h(k - 1) * mp.mpf(2) ** (mp.mpf(5) * k / 2 - mp.mpf(5) / 4) * t ** (k - mp.mpf(1) / 2) * mp.exp(v - zeta)
+        sig = y / (1 + y)
+    return base + root * sig + 7 * mp.mpf(k) / (12 * s) * (k - 1)
+
+
+def mp_bessel_logderiv(s, v, k, alpha, a):
+    s, v, a = mp.mpf(s), mp.mpf(v), mp.mpf(a)
+    t = mp.sqrt(s)
+    base = -mp.mpf(1) / 4 + a / (2 * t) - a**2 / (4 * s) + k / t - k * (k + a) / (2 * s)
+    if alpha >= 0:
+        x = _d(k, a) * t ** (-2 * k - a - 1) * mp.exp(2 * t - v)
+        return base + x / (1 + x) / t
+    sig = 0
+    if k > 0:
+        y = t ** (2 * k + a - 1) * mp.exp(v - 2 * t)
+        sig = -2 * y / (_d(k - 1, a) + y)
+    return base + sig / (2 * t)
+
+
+class TestLogDerivFiniteV:
+    """Both sides of alpha = 0 at finite v, on the Stokes curve and off it."""
+
+    @pytest.mark.parametrize("dv", [0.0, 1.5])
+    @pytest.mark.parametrize("alpha", [-0.3, 0.3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("s", [-4.0, -9.0])
+    def test_airy_vs_oracle(self, s, k, alpha, dv):
+        t = (-s) ** 1.5
+        v = stokes_v(Family.AIRY, t, k + alpha) + dv
+        ref = float(mp_airy_logderiv(s, v, k, alpha))
+        assert airy_logderiv_asymp(s, v, k + alpha) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("dv", [0.0, 1.5])
+    @pytest.mark.parametrize("alpha", [-0.3, 0.3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("s,a", [(36.0, 0.0), (144.0, 1.5)])
+    def test_bessel_vs_oracle(self, s, a, k, alpha, dv):
+        v = stokes_v(Family.BESSEL, math.sqrt(s), k + alpha, a) + dv
+        ref = float(mp_bessel_logderiv(s, v, k, alpha, a))
+        assert bessel_logderiv_asymp(s, v, k + alpha, a) == pytest.approx(ref, rel=1e-12)
+
+
+# Values held to the bit across rewrites of this module, recorded as
+# float.hex in asymptotics_pins.json; the key is the call.
+_BIT_PINNED = (
+    [("sine_eig", (i, s)) for i in (0, 1, 4) for s in (2.0, 5.5, 30.0)]
+    + [("airy_eig", (i, s)) for i in (0, 1, 4) for s in (-3.0, -6.5, -20.0)]
+    + [("d_coeff", (i, a)) for i in (0, 1, 4) for a in (-0.5, 0.0, 1.3)]
+    + [
+        ("stokes_v", (fam, t, chi, a))
+        for fam in ("sine", "airy", "bessel")
+        for t in (1.5, 9.0)
+        for chi in (-0.5, 2.2)
+        for a in (0.0, 1.3)
+    ]
+    + [("airy_gap", (s,)) for s in (-2.0, -6.5, -20.0)]
+    + [("bessel_gap", (s, a)) for s in (4.0, 49.5) for a in (-0.5, 0.0, 1.3)]
+    + [("sine_det_crit", (s,)) for s in (2.0, 5.5, 30.0)]
+    + [
+        ("sine_transition", (s, v, 3, chi))
+        for s in (2.0, 5.5)
+        for v in (0.5, 9.0)
+        for chi in (None, 0.3)
+    ]
+    + [
+        ("airy_transition", (s, v, p, chi))
+        for s in (-3.0, -7.0)
+        for v in (0.5, 9.0)
+        for p, chi in ((0, None), (3, 0.3))
+    ]
+    + [
+        ("bessel_transition", (s, v, a, 3, chi))
+        for s in (16.0, 49.5)
+        for v in (0.5, 9.0)
+        for a in (-0.5, 1.3)
+        for chi in (None, 0.3)
+    ]
+)
+
+# bessel_eig sums its law in another order than bessel_transition, so it is
+# held to 1e-14 relative rather than to the bit
+_CLOSE_PINNED = [
+    ("bessel_eig", (i, s, a)) for i in (0, 1, 4) for s in (16.0, 49.5, 400.0) for a in (-0.5, 0.0, 1.3)
+]
+
+
+def _hexed(x):
+    if isinstance(x, TransitionExpansion):
+        return [
+            x.log_prefactor.hex(),
+            [f.hex() for f in x.factors],
+            x.p,
+            x.error_exponent.hex(),
+            [e.hex() for e in x.excesses],
+        ]
+    assert type(x) is float
+    return x.hex()
+
+
+def pinned_values(calls):
+    """{call: float.hex of its value} for (function name, args) pairs."""
+    return {f"{name}{args!r}": _hexed(getattr(asymptotics, name)(*args)) for name, args in calls}
+
+
+_PINS = json.loads(pathlib.Path(__file__).with_name("asymptotics_pins.json").read_text())
+
+
+class TestPinnedValues:
+    def test_bit_identical(self):
+        got = pinned_values(_BIT_PINNED)
+        assert len(got) == 95
+        for key, value in got.items():
+            assert value == _PINS[key], key
+
+    def test_bessel_eig_close(self):
+        for key, value in pinned_values(_CLOSE_PINNED).items():
+            assert float.fromhex(value) == pytest.approx(float.fromhex(_PINS[key]), rel=1e-14), key
