@@ -49,6 +49,7 @@ from .asymptotics import (
     bessel_transition,
     chi_decompose,
     d_coeff,
+    eig_law,
     p_of_chi,
     sigma_pm,
     sine_det_crit,
@@ -57,6 +58,7 @@ from .asymptotics import (
     sine_transition,
     stokes_chi,
     stokes_v,
+    transition,
 )
 from .verify import (
     ScanResult,

@@ -1,6 +1,26 @@
 """Closed-form eigenvalue laws, gap and transition determinants, Stokes-curve
 parameterizations and the sigma coefficients for the log-derivative estimates.
 
+Each family has one eigenvalue law, in its scaling variable t:
+
+    log(1 - lambda_i) ~ L_i(a) + (m(i + 1/2) + a) log t - kappa t
+
+    family  t           kappa      m  L_i(a)
+    sine    s           2          1  log(pi)/2 - log i! + (3i + 2) log 2
+    Airy    (-s)^(3/2)  2 sqrt2/3  1  log(pi)/2 - log i! + (7i/2 + 9/4) log 2
+    Bessel  sqrt(s)     2          2  -log d_i(a),
+                                      d_i(a) = i! Gamma(1+a+i) / (pi 2^(4i+2a+3))
+
+The order a enters for Bessel only (a = 0 elsewhere). Everything else is
+derived from that table:
+
+- the Stokes curve of parameter chi is v = kappa t - (m chi + a) log t;
+- the transition determinant is the gap expansion times the factors
+  1 + E_i, with excesses E_i = e^{-v} / (1 - lambda_i);
+- sigma+ = c z/(1+z) with z = e^{-L_k} t^{m(alpha-1/2)}, and sigma- likewise
+  with z = e^{L_{k-1}} t^{-m(alpha+1/2)}, where c = 1 (Airy) or -2 (Bessel).
+  On the curve through (t, v) these are c E_k/(1+E_k) and c/(1+E_{k-1}).
+
 All determinant expansions are computed and compared in log space: the
 prefactors like exp(s^3/12) underflow long before the regimes of interest.
 """
@@ -8,8 +28,8 @@ prefactors like exp(s^3/12) underflow long before the regimes of interest.
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, DomainError, PoleError
-from .kernels import Family, _coerce_family
+from .errors import ArgumentError, DomainError
+from .kernels import Family, IntervalSpec, _coerce_family
 from .specfun import log_barnes_g, log_gamma, zeta_prime_minus_one
 
 __all__ = [
@@ -19,6 +39,7 @@ __all__ = [
     "p_of_chi",
     "stokes_v",
     "stokes_chi",
+    "eig_law",
     "sine_eig",
     "airy_eig",
     "bessel_eig",
@@ -27,6 +48,7 @@ __all__ = [
     "bessel_gap",
     "sine_det_sub",
     "sine_det_crit",
+    "transition",
     "sine_transition",
     "airy_transition",
     "bessel_transition",
@@ -37,16 +59,97 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
+_LOG_PI = math.log(math.pi)
+
+
+def _log_factorial(i):
+    return log_gamma(i + 1.0)
+
+
+def _log_d(i, a):
+    # log d_i(a) = log(i! Gamma(1+a+i) / (pi 2^{4i+2a+3}))
+    return _log_factorial(i) + log_gamma(1.0 + a + i) - _LOG_PI - (4 * i + 2 * a + 3) * _LN2
+
+
+@dataclass(frozen=True)
+class _Law:
+    """One family's row of the table in the module docstring."""
+
+    kappa: float
+    m: int
+    uses_a: bool  # whether the order a enters the formulas
+    log_const: object  # (i, a) -> L_i(a)
+    gap: object  # (s, a) -> log D(J; 1), the transition prefactor
+    sigma_c: float  # c of sigma+-; nan where no log-derivative expansion exists
+    t_min: float  # smallest t the expansions are evaluated at
+    t_of_s: str  # t as a function of s, for messages
+
+
+_LAWS = {
+    Family.SINE: _Law(
+        2.0,
+        1,
+        False,
+        lambda i, a: 0.5 * _LOG_PI - _log_factorial(i) + (3 * i + 2) * _LN2,
+        lambda s, a: sine_det_crit(s),
+        math.nan,
+        2.0,
+        "s",
+    ),
+    Family.AIRY: _Law(
+        2.0 * _SQRT2 / 3.0,
+        1,
+        False,
+        lambda i, a: 0.5 * _LOG_PI - _log_factorial(i) + (3.5 * i + 2.25) * _LN2,
+        lambda s, a: airy_gap(s),
+        1.0,
+        5.0,
+        "(-s)^(3/2)",
+    ),
+    Family.BESSEL: _Law(
+        2.0,
+        2,
+        True,
+        lambda i, a: -_log_d(i, a),
+        lambda s, a: bessel_gap(s, a),
+        -2.0,
+        4.0,
+        "sqrt(s)",
+    ),
+}
+
+
+def _log_eig(fam, i, t, a):
+    """log(1 - lambda_i) from the family's law; a is 0 unless Bessel."""
+    law = _LAWS[fam]
+    return law.log_const(i, a) + (law.m * (i + 0.5) + a) * math.log(t) - law.kappa * t
+
+
+def _log_excess(fam, i, t, v, a):
+    """log E_i = log(e^{-v} / (1 - lambda_i)), the i-th transition excess."""
+    return -_log_eig(fam, i, t, a) - v
+
+
+def _order(fam, a):
+    """The order a as the family's formulas read it: checked for Bessel, else 0."""
+    return _check_order(a) if _LAWS[fam].uses_a else 0.0
+
+
+def _scale(fam, s, name):
+    """The scaling variable t at s, checked against the family's smallest t."""
+    law = _LAWS[fam]
+    t = IntervalSpec(fam, s).t
+    if not t >= law.t_min:
+        raise ArgumentError(f"{name} requires t = {law.t_of_s} >= {law.t_min:g}, got s = {s}")
+    return t
 
 
 def chi_decompose(chi):
     """Split chi = k + alpha with integer k >= 0 and alpha in [-1/2, 1/2)."""
     chi = float(chi)
-    if chi < -0.5:
+    if not chi >= -0.5:
         raise ArgumentError(f"chi_decompose requires chi >= -1/2, got {chi}")
     k = math.floor(chi + 0.5)
-    if k < 0:
-        k = 0
     alpha = chi - k
     # guard rounding at the upper edge so alpha stays in [-1/2, 1/2)
     if alpha >= 0.5:
@@ -70,29 +173,22 @@ def p_of_chi(chi, family):
 
 def stokes_v(family, t, chi, a=0.0):
     """v on the Stokes curve with parameter chi at scale t."""
-    fam = _coerce_family(family)
+    law = _LAWS[_coerce_family(family)]
     t = float(t)
-    if t <= 1.0:
+    if not t > 1.0:
         raise ArgumentError(f"stokes_v requires t > 1, got {t}")
-    if fam is Family.SINE:
-        return 2.0 * t - chi * math.log(t)
-    if fam is Family.AIRY:
-        return (2.0 * _SQRT2 / 3.0) * t - chi * math.log(t)
-    return 2.0 * t - 2.0 * (chi + 0.5 * a) * math.log(t)
+    a = float(a) if law.uses_a else 0.0
+    return law.kappa * t - (law.m * chi + a) * math.log(t)
 
 
 def stokes_chi(family, t, v, a=0.0):
     """Invert stokes_v: the curve parameter chi passing through (t, v)."""
-    fam = _coerce_family(family)
+    law = _LAWS[_coerce_family(family)]
     t = float(t)
-    if t <= 1.0:
+    if not t > 1.0:
         raise ArgumentError(f"stokes_chi requires t > 1, got {t}")
-    lt = math.log(t)
-    if fam is Family.SINE:
-        return (2.0 * t - v) / lt
-    if fam is Family.AIRY:
-        return ((2.0 * _SQRT2 / 3.0) * t - v) / lt
-    return (2.0 * t - v) / (2.0 * lt) - 0.5 * a
+    a = float(a) if law.uses_a else 0.0
+    return ((law.kappa * t - v) / math.log(t) - a) / law.m
 
 
 @dataclass(frozen=True)
@@ -148,75 +244,32 @@ class TransitionExpansion:
         return self.log_prefactor + sum(math.log1p(e) for e in self.excesses)
 
 
-def _log_factorial(i):
-    return log_gamma(i + 1.0)
+def eig_law(family, i, s, a=0.0):
+    """Predicted 1 - lambda_i of the family's operator at interval parameter s."""
+    fam = _coerce_family(family)
+    i = _check_index(i)
+    a = _order(fam, a)
+    return math.exp(_log_eig(fam, i, _scale(fam, s, f"{fam.value}_eig"), a))
 
 
 def sine_eig(i, s):
     """Predicted 1 - lambda_i for the sine operator on [-s, s]."""
-    i = _check_index(i)
-    s = float(s)
-    if s < 2.0:
-        raise ArgumentError(f"sine_eig requires s >= 2, got {s}")
-    lg = (
-        0.5 * math.log(math.pi)
-        - _log_factorial(i)
-        + (3 * i + 2) * _LN2
-        + (i + 0.5) * math.log(s)
-        - 2.0 * s
-    )
-    return math.exp(lg)
+    return eig_law(Family.SINE, i, s)
 
 
 def airy_eig(i, s):
     """Predicted 1 - lambda_i for the Airy operator on (s, inf), s < 0."""
-    i = _check_index(i)
-    s = float(s)
-    if s >= 0.0:
-        raise ArgumentError(f"airy_eig requires s < 0, got {s}")
-    t = (-s) ** 1.5
-    if t < 5.0:
-        raise ArgumentError(f"airy_eig requires t = (-s)^(3/2) >= 5, got {t}")
-    lg = (
-        0.5 * math.log(math.pi)
-        - _log_factorial(i)
-        + (3.5 * i + 2.25) * _LN2
-        + (i + 0.5) * math.log(t)
-        - (2.0 * _SQRT2 / 3.0) * t
-    )
-    return math.exp(lg)
+    return eig_law(Family.AIRY, i, s)
 
 
 def bessel_eig(i, s, a):
     """Predicted 1 - lambda_i for the Bessel operator on [0, s]."""
-    i = _check_index(i)
-    s = float(s)
-    a = _check_order(a)
-    t = math.sqrt(s)
-    if t < 4.0:
-        raise ArgumentError(f"bessel_eig requires t = sqrt(s) >= 4, got {t}")
-    lg = (
-        math.log(math.pi)
-        - _log_factorial(i)
-        + (4 * i + 2 * a + 3) * _LN2
-        - log_gamma(1.0 + a + i)
-        + (2 * i + 1 + a) * math.log(t)
-        - 2.0 * t
-    )
-    return math.exp(lg)
+    return eig_law(Family.BESSEL, i, s, a)
 
 
 def d_coeff(i, a):
     """d_i(a) = i! Gamma(1+a+i) / (pi 2^{4i+2a+3}), via log-gamma."""
-    i = _check_index(i)
-    a = _check_order(a)
-    lg = (
-        _log_factorial(i)
-        + log_gamma(1.0 + a + i)
-        - math.log(math.pi)
-        - (4 * i + 2 * a + 3) * _LN2
-    )
-    return math.exp(lg)
+    return math.exp(_log_d(_check_index(i), _check_order(a)))
 
 
 def _check_index(i):
@@ -228,7 +281,7 @@ def _check_index(i):
 
 def _check_order(a):
     a = float(a)
-    if a <= -1.0:
+    if not a > -1.0:
         raise DomainError(f"Bessel order must satisfy a > -1, got {a}")
     return a
 
@@ -251,8 +304,8 @@ def _log_tau(a):
 def airy_gap(s):
     """log D(J_Ai; 1) expansion: s^3/12 - (1/8) ln|s| + ln c0."""
     s = float(s)
-    if s > -2.0:
-        raise ArgumentError(f"airy_gap requires s <= -2, got {s}")
+    if not -math.inf < s <= -2.0:
+        raise ArgumentError(f"airy_gap requires a finite s <= -2, got {s}")
     return s**3 / 12.0 - 0.125 * math.log(-s) + _log_c0()
 
 
@@ -260,8 +313,8 @@ def bessel_gap(s, a):
     """log D(J_Bess; 1) expansion: -s/4 + a sqrt(s) - (a^2/4) ln s + ln tau_a."""
     s = float(s)
     a = _check_order(a)
-    if s < 4.0:
-        raise ArgumentError(f"bessel_gap requires s >= 4, got {s}")
+    if not 4.0 <= s < math.inf:
+        raise ArgumentError(f"bessel_gap requires a finite s >= 4, got {s}")
     return -0.25 * s + a * math.sqrt(s) - 0.25 * a * a * math.log(s) + _log_tau(a)
 
 
@@ -269,10 +322,10 @@ def sine_det_sub(s, v):
     """Sub-critical log D(J_sin; gamma), gamma = 1 - e^{-v} < 1."""
     s = float(s)
     v = float(v)
-    if s < 2.0:
-        raise ArgumentError(f"sine_det_sub requires s >= 2, got {s}")
-    if v <= 0.0:
-        raise ArgumentError(f"sine_det_sub requires v > 0, got {v}")
+    if not 2.0 <= s < math.inf:
+        raise ArgumentError(f"sine_det_sub requires a finite s >= 2, got {s}")
+    if not 0.0 < v < math.inf:
+        raise ArgumentError(f"sine_det_sub requires a finite v > 0, got {v}")
     return (
         -(2.0 * v / math.pi) * s
         + (v * v / (2.0 * math.pi**2)) * math.log(4.0 * s)
@@ -283,8 +336,8 @@ def sine_det_sub(s, v):
 def sine_det_crit(s):
     """Critical log D(J_sin; 1): -s^2/2 - (1/4) ln s + ln c0'."""
     s = float(s)
-    if s < 2.0:
-        raise ArgumentError(f"sine_det_crit requires s >= 2, got {s}")
+    if not 2.0 <= s < math.inf:
+        raise ArgumentError(f"sine_det_crit requires a finite s >= 2, got {s}")
     return -0.5 * s * s - 0.25 * math.log(s) + _log_c0_crit()
 
 
@@ -300,210 +353,105 @@ def _error_exponent(family, p, chi):
     return 2.0 * gap
 
 
-def sine_transition(s, v, p, chi=None):
-    """Transition determinant for the sine kernel with p explicit factors."""
-    s = float(s)
-    v = float(v)
+def transition(family, s, v, p, a=0.0, chi=None):
+    """Transition determinant with p explicit factors: the gap expansion
+    times 1 + E_i, E_i = e^{-v} / (1 - lambda_i) from the eigenvalue law."""
+    fam = _coerce_family(family)
+    name = f"{fam.value}_transition"
+    a = _order(fam, a)
     p = int(p)
-    if p < 1:
-        raise ArgumentError(f"sine_transition requires p >= 1, got {p}")
-    if s < 2.0:
-        raise ArgumentError(f"sine_transition requires s >= 2, got {s}")
-    if v <= 0.0:
-        raise ArgumentError(f"sine_transition requires v > 0, got {v}")
-    pref = -0.5 * s * s - 0.25 * math.log(s) + _log_c0_crit()
-    exc = []
-    for i in range(p):
-        lg = (
-            _log_factorial(i)
-            - 0.5 * math.log(math.pi)
-            - (3 * i + 2) * _LN2
-            - (i + 0.5) * math.log(s)
-            + 2.0 * s
-            - v
-        )
-        exc.append(math.exp(lg))
+    # the sine expansion always carries its leading factor
+    p_min = 1 if fam is Family.SINE else 0
+    if p < p_min:
+        raise ArgumentError(f"{name} requires p >= {p_min}, got {p}")
+    t = _scale(fam, s, name)
+    v = float(v)
+    if not v > 0.0:
+        raise ArgumentError(f"{name} requires v > 0, got {v}")
+    exc = tuple(math.exp(_log_excess(fam, i, t, v, a)) for i in range(p))
     return TransitionExpansion(
-        pref,
+        _LAWS[fam].gap(s, a),
         tuple(1.0 + e for e in exc),
         p,
-        _error_exponent(Family.SINE, p, chi),
-        tuple(exc),
+        _error_exponent(fam, p, chi),
+        exc,
     )
+
+
+def sine_transition(s, v, p, chi=None):
+    """Transition determinant for the sine kernel with p explicit factors."""
+    return transition(Family.SINE, s, v, p, chi=chi)
 
 
 def airy_transition(s, v, p, chi=None):
     """Transition determinant for the Airy kernel with p explicit factors."""
-    s = float(s)
-    v = float(v)
-    p = int(p)
-    if p < 0:
-        raise ArgumentError(f"airy_transition requires p >= 0, got {p}")
-    if s >= 0.0 or (-s) ** 1.5 < 5.0:
-        raise ArgumentError(f"airy_transition requires t = (-s)^(3/2) >= 5, got s={s}")
-    if v <= 0.0:
-        raise ArgumentError(f"airy_transition requires v > 0, got {v}")
-    t = (-s) ** 1.5
-    pref = s**3 / 12.0 - 0.125 * math.log(-s) + _log_c0()
-    exc = []
-    for i in range(p):
-        lg = (
-            _log_factorial(i)
-            - 0.5 * math.log(math.pi)
-            - (3.5 * i + 2.25) * _LN2
-            - (i + 0.5) * math.log(t)
-            + (2.0 * _SQRT2 / 3.0) * t
-            - v
-        )
-        exc.append(math.exp(lg))
-    return TransitionExpansion(
-        pref,
-        tuple(1.0 + e for e in exc),
-        p,
-        _error_exponent(Family.AIRY, p, chi),
-        tuple(exc),
-    )
+    return transition(Family.AIRY, s, v, p, chi=chi)
 
 
 def bessel_transition(s, v, a, p, chi=None):
     """Transition determinant for the Bessel kernel with p explicit factors."""
-    s = float(s)
-    v = float(v)
-    a = _check_order(a)
-    p = int(p)
-    if p < 0:
-        raise ArgumentError(f"bessel_transition requires p >= 0, got {p}")
-    if s <= 0.0 or math.sqrt(s) < 4.0:
-        raise ArgumentError(f"bessel_transition requires t = sqrt(s) >= 4, got s={s}")
-    if v <= 0.0:
-        raise ArgumentError(f"bessel_transition requires v > 0, got {v}")
-    t = math.sqrt(s)
-    pref = -0.25 * s + a * t - 0.25 * a * a * math.log(s) + _log_tau(a)
-    exc = []
-    for i in range(p):
-        lg = (
-            _log_factorial(i)
-            + log_gamma(1.0 + a + i)
-            - math.log(math.pi)
-            - (4 * i + 2 * a + 3) * _LN2
-            - (2 * i + 1 + a) * math.log(t)
-            + 2.0 * t
-            - v
-        )
-        exc.append(math.exp(lg))
-    return TransitionExpansion(
-        pref,
-        tuple(1.0 + e for e in exc),
-        p,
-        _error_exponent(Family.BESSEL, p, chi),
-        tuple(exc),
-    )
+    return transition(Family.BESSEL, s, v, p, a, chi)
 
 
-def _hermite_norm_ratio(k):
-    # h_k / (2 pi) with h_k = k! sqrt(pi) / 2^k, in log space
-    return _log_factorial(k) + 0.5 * math.log(math.pi) - k * _LN2 - math.log(2.0 * math.pi)
+def _logistic(c, lz):
+    """c z / (1 + z) for z = e^{lz}, without overflow at either end."""
+    if lz > 0.0:
+        return c / (1.0 + math.exp(-lz))
+    z = math.exp(lz)
+    return c * z / (1.0 + z)
 
 
 def sigma_pm(family, sign, k, alpha, t, a=0.0):
     """sigma+/- coefficients of the log-derivative estimates.
 
-    For the '+' branch the expansion parameter is t^{alpha-1/2}-small; for the
-    '-' branch it is t^{-alpha-1/2}-small; both built from the Hermite (Airy)
-    or Laguerre (Bessel) norms h_k.
+    The '+' branch is c z/(1+z) with z = e^{-L_k} t^{m(alpha-1/2)}, small for
+    alpha < 1/2; the '-' branch has z = e^{L_{k-1}} t^{-m(alpha+1/2)} and is 0
+    at k = 0. L_i is the law constant, c = 1 (Airy) or -2 (Bessel).
     """
     fam = _coerce_family(family)
     k = _check_index(k)
     alpha = float(alpha)
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ArgumentError(f"sigma_pm requires t > 0, got {t}")
     if sign not in ("+", "-"):
         raise ArgumentError(f"sign must be '+' or '-', got {sign!r}")
-    if fam is Family.AIRY:
-        if sign == "+":
-            # x = (h_k / 2pi) 2^{-5k/2 - 5/4} t^{alpha - 1/2}
-            lx = _hermite_norm_ratio(k) - (2.5 * k + 1.25) * _LN2 + (alpha - 0.5) * math.log(t)
-            x = math.exp(lx)
-            return _ratio(x, 1.0 + x)
-        if k == 0:
-            return 0.0
-        # y = (2pi / h_{k-1}) 2^{5k/2 - 5/4} t^{-alpha - 1/2}
-        ly = -_hermite_norm_ratio(k - 1) + (2.5 * k - 1.25) * _LN2 + (-alpha - 0.5) * math.log(t)
-        y = math.exp(ly)
-        return _ratio(y, 1.0 + y)
-    if fam is Family.BESSEL:
-        a = _check_order(a)
-        if sign == "+":
-            x = d_coeff(k, a) * t ** (-1.0 + 2.0 * alpha)
-            return _ratio(-2.0 * x, 1.0 + x)
-        if k == 0:
-            return 0.0
-        y = t ** (-1.0 - 2.0 * alpha)
-        return _ratio(-2.0 * y, d_coeff(k - 1, a) + y)
-    raise ArgumentError("sigma_pm is defined for the Airy and Bessel families")
-
-
-def _ratio(num, den):
-    if den == 0.0:
-        raise PoleError("sigma_pm: vanishing denominator")
-    return num / den
-
-
-def _sigma_airy_v(sign, k, alpha, t, v):
-    """Airy sigma with the curve substitution t^alpha = t^{-k} e^{(2sqrt2/3)t - v}."""
-    zeta = (2.0 * _SQRT2 / 3.0) * t
+    if fam is Family.SINE:
+        raise ArgumentError("sigma_pm is defined for the Airy and Bessel families")
+    law = _LAWS[fam]
+    a = _order(fam, a)
     if sign == "+":
-        lx = _hermite_norm_ratio(k) - (2.5 * k + 1.25) * _LN2 + (-k - 0.5) * math.log(t) + zeta - v
-        if lx > 700.0:
-            return 1.0
-        x = math.exp(lx)
-        return x / (1.0 + x)
+        lz = -law.log_const(k, a) + law.m * (alpha - 0.5) * math.log(t)
+    elif k == 0:
+        return 0.0
+    else:
+        lz = law.log_const(k - 1, a) - law.m * (alpha + 0.5) * math.log(t)
+    return _logistic(law.sigma_c, lz)
+
+
+def _sigma_on_curve(fam, k, alpha, t, v, a):
+    """sigma on the curve through (t, v): c E_k/(1+E_k) for alpha >= 0, else
+    c/(1+E_{k-1}), which is 0 at k = 0. At v = inf (gamma = 1) every E_i is 0."""
+    c = _LAWS[fam].sigma_c
+    if alpha >= 0.0:
+        return _logistic(c, _log_excess(fam, k, t, v, a))
     if k == 0:
         return 0.0
-    ly = -_hermite_norm_ratio(k - 1) + (2.5 * k - 1.25) * _LN2 + (k - 0.5) * math.log(t) + v - zeta
-    if ly > 700.0:
-        return 1.0
-    y = math.exp(ly)
-    return y / (1.0 + y)
-
-
-def _sigma_bessel_v(sign, k, alpha, t, v, a):
-    """Bessel sigma with the substitution t^{2 alpha} = t^{-2k-a} e^{2t - v}."""
-    if sign == "+":
-        lx = (
-            math.log(d_coeff(k, a))
-            + (-2.0 * k - a - 1.0) * math.log(t)
-            + 2.0 * t
-            - v
-        )
-        if lx > 700.0:
-            return -2.0
-        x = math.exp(lx)
-        return -2.0 * x / (1.0 + x)
-    if k == 0:
-        return 0.0
-    ly = (2.0 * k + a - 1.0) * math.log(t) + v - 2.0 * t
-    if ly > 700.0:
-        return -2.0
-    y = math.exp(ly)
-    return -2.0 * y / (d_coeff(k - 1, a) + y)
+    return _logistic(c, -_log_excess(fam, k - 1, t, v, a))
 
 
 def airy_logderiv_asymp(s, v, chi):
     """d/ds log D(J_Ai; gamma) along the curve, gamma = 1 - e^{-v}."""
     s = float(s)
     v = float(v)
-    t = (-s) ** 1.5 if s < 0.0 else 0.0
-    if t < 5.0:
-        raise ArgumentError(f"airy_logderiv_asymp requires t = (-s)^(3/2) >= 5, got s={s}")
+    t = _scale(Family.AIRY, s, "airy_logderiv_asymp")
     k, alpha = chi_decompose(chi)
-    root = _SQRT2 * math.sqrt(-s)
+    # -d(kappa t)/ds
+    root = 1.5 * _LAWS[Family.AIRY].kappa * math.sqrt(-s)
     base = s * s / 4.0 - 1.0 / (8.0 * s) - root * k - 2.0 * k * k / s
+    sig = _sigma_on_curve(Family.AIRY, k, alpha, t, v, 0.0)
     if alpha >= 0.0:
-        sig = 0.0 if math.isinf(v) else _sigma_airy_v("+", k, alpha, t, v)
         return base - root * sig + (7.0 * k / (12.0 * s)) * (k + 1.0)
-    sig = 1.0 if math.isinf(v) else _sigma_airy_v("-", k, alpha, t, v)
     return base + root * sig + (7.0 * k / (12.0 * s)) * (k - 1.0)
 
 
@@ -512,9 +460,7 @@ def bessel_logderiv_asymp(s, v, chi, a):
     s = float(s)
     v = float(v)
     a = _check_order(a)
-    t = math.sqrt(s) if s > 0.0 else 0.0
-    if t < 4.0:
-        raise ArgumentError(f"bessel_logderiv_asymp requires t = sqrt(s) >= 4, got s={s}")
+    t = _scale(Family.BESSEL, s, "bessel_logderiv_asymp")
     k, alpha = chi_decompose(chi)
     base = (
         -0.25
@@ -523,8 +469,7 @@ def bessel_logderiv_asymp(s, v, chi, a):
         + k / t
         - k * (k + a) / (2.0 * s)
     )
+    sig = _sigma_on_curve(Family.BESSEL, k, alpha, t, v, a)
     if alpha >= 0.0:
-        sig = 0.0 if math.isinf(v) else _sigma_bessel_v("+", k, alpha, t, v, a)
         return base - sig / (2.0 * t)
-    sig = -2.0 if math.isinf(v) else _sigma_bessel_v("-", k, alpha, t, v, a)
     return base + sig / (2.0 * t)

@@ -56,6 +56,10 @@ class RunConfig:
     output: str = None
 
     def __post_init__(self):
+        for name in ("a", "gamma", "v", "chi"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ArgumentError(f"--{name} must be finite, got {x}")
         if not 20 <= self.n <= 1000:
             raise ArgumentError(f"n must be in [20, 1000], got {self.n}")
         if self.fmt not in ("csv", "json"):
@@ -63,8 +67,6 @@ class RunConfig:
 
     @property
     def spec(self):
-        if self.family is Family.BESSEL and self.a is None:
-            raise ArgumentError("--a is required for the bessel kernel")
         return family_spec(self.family, self.a)
 
     def gamma_value(self):
@@ -189,12 +191,7 @@ def cmd_asymp(cfg, args):
                 raise ArgumentError("transition formulas need --v or --chi")
             v = asym.stokes_v(fam, _stokes_t(fam, s), chi, a)
         p = args.p if args.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
-        if fam is Family.AIRY:
-            te = asym.airy_transition(s, v, p, chi=chi)
-        elif fam is Family.BESSEL:
-            te = asym.bessel_transition(s, v, a, p, chi=chi)
-        else:
-            te = asym.sine_transition(s, v, p, chi=chi)
+        te = asym.transition(fam, s, v, p, a, chi)
         rows = [
             (
                 te.log_prefactor,

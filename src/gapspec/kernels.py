@@ -105,6 +105,8 @@ class IntervalSpec:
         object.__setattr__(self, "family", _coerce_family(self.family))
         object.__setattr__(self, "s", float(self.s))
         fam, s = self.family, self.s
+        if not math.isfinite(s):
+            raise DomainError(f"{fam.value} interval requires a finite s, got {s}")
         if fam is Family.SINE:
             if s <= 0:
                 raise DomainError(f"sine interval requires s > 0, got {s}")

@@ -13,7 +13,6 @@ one-element calls of the same code.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +20,6 @@ from . import _coeffs
 from .errors import DomainError
 
 __all__ = [
-    "EvalRange",
-    "BRANCH_RANGES",
     "airy_pair",
     "airy_ai",
     "airy_ai_prime",
@@ -45,44 +42,6 @@ def backend_name():
 
 _AIRY_LO, _AIRY_HI = -40.0, 200.0
 _BESSEL_XMAX = 1e4
-
-
-@dataclass(frozen=True)
-class EvalRange:
-    """Argument interval over which one implementation branch is certified."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError("EvalRange requires lo < hi")
-
-
-# Certified branch tilings (each adjacent pair overlaps by well over 10%).
-# Airy branches in x; Bessel branches in x for moderate orders (the Miller
-# and asymptotic seams shift with the order a, see bessel_j_pair).
-BRANCH_RANGES = {
-    "airy_ai": (
-        EvalRange(-40.0, -11.0),  # oscillatory asymptotics
-        EvalRange(-13.0, -3.0),  # negative Chebyshev zone
-        EvalRange(-4.0, 2.5),  # Maclaurin series
-        EvalRange(2.0, 15.5),  # positive Chebyshev zone
-        EvalRange(13.0, 200.0),  # decaying asymptotics
-    ),
-    "airy_ai_prime": (
-        EvalRange(-40.0, -11.0),
-        EvalRange(-13.0, -3.0),
-        EvalRange(-4.0, 2.5),
-        EvalRange(2.0, 15.5),
-        EvalRange(13.0, 200.0),
-    ),
-    "bessel_j": (
-        EvalRange(0.0, 9.0),  # ascending series
-        EvalRange(8.0, 40.0),  # backward recurrence (order-dependent top)
-        EvalRange(30.0, 1e4),  # large-argument asymptotics (order 0 seam)
-    ),
-}
 
 
 def _check_range(name, x, lo, hi):

@@ -81,14 +81,6 @@ def _s_of_t(fam, t):
     return t
 
 
-def _predicted_eig(fam, i, s, a):
-    if fam is Family.AIRY:
-        return asym.airy_eig(i, s)
-    if fam is Family.BESSEL:
-        return asym.bessel_eig(i, s, a)
-    return asym.sine_eig(i, s)
-
-
 def _rows_and_notes(results):
     """Split (row, note) results into rows and the notes, both in grid order."""
     return [r for r, _ in results], [note for _, note in results if note is not None]
@@ -122,7 +114,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
                 PrecisionWarning,
             )
             return None
-        pred = _predicted_eig(fam, i, s, a)
+        pred = asym.eig_law(fam, i, s, a)
         return (t, num, pred, abs(num - pred) / abs(pred))
 
     rows = [r for r in map(point, t_grid) if r is not None]
@@ -138,14 +130,6 @@ def _scan_from_rows(rows, meta):
         tuple(r[3] for r in rows),
         meta,
     )
-
-
-def _predicted_transition(fam, s, v, a, p, chi):
-    if fam is Family.AIRY:
-        return asym.airy_transition(s, v, p, chi=chi)
-    if fam is Family.BESSEL:
-        return asym.bessel_transition(s, v, a, p, chi=chi)
-    return asym.sine_transition(s, v, p, chi=chi)
 
 
 def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
@@ -171,7 +155,7 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
         spec = family_spec(fam, a)
         sp = _spectrum(spec, IntervalSpec(fam, s), n)
         num = log_fredholm_det(sp, gamma)
-        pred = _predicted_transition(fam, s, v, a, p, chi).log_value
+        pred = asym.transition(fam, s, v, p, a, chi).log_value
         return (t, num, pred, abs(num - pred) / abs(pred)), note
 
     rows, notes = _rows_and_notes([point(t) for t in t_grid])
@@ -201,14 +185,18 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
 
 def lidskii_split(sp, v, p):
     """Split D(J;gamma)/D(J;1) into p leading eigenvalue factors times the
-    residual product over the remaining spectrum, gamma = 1 - e^{-v}."""
+    residual product over the remaining spectrum, gamma = 1 - e^{-v}.
+    v = inf is gamma = 1."""
     p = int(p)
+    v = float(v)
     if p < 0:
         raise ArgumentError(f"lidskii_split requires p >= 0, got {p}")
+    if not v > -math.inf:
+        raise ArgumentError(f"lidskii_split requires v > -inf, got {v}")
     lam = np.asarray(sp.eigenvalues)
     if np.any(lam >= 1.0):
         raise DegeneracyError("lidskii_split requires all eigenvalues < 1")
-    ev = math.exp(-v) if not math.isinf(v) else 0.0
+    ev = math.exp(-v)
     mu = ev * lam / (1.0 - lam)
     factors = tuple(1.0 + float(m) for m in mu[:p])
     residual = float(np.prod(1.0 + mu[p:]))
@@ -441,14 +429,11 @@ def _acc_transition(fam, chis, a_values, t_grid):
         for chi in chis:
             scan = det_ratio_scan(fam, chi, t_grid, a=a, n=160)
             gaps = [abs(nm - pr) for nm, pr in zip(scan.numeric, scan.predicted)]
-            p = scan.metadata["p"]
-            exp_ = p - chi - 0.5
+            e = scan.metadata["error_exponent"]
             if fam is Family.AIRY:
-                bounds = [t ** -min(exp_, 0.5) for t in scan.grid]
+                bounds = [t**-e for t in scan.grid]
             else:
-                bounds = [
-                    max(t ** (-2.0 * exp_), math.log(t) / t) for t in scan.grid
-                ]
+                bounds = [max(t**-e, math.log(t) / t) for t in scan.grid]
             c_fit = max(g / b for g, b in zip(gaps, bounds))
             decreasing = all(b <= a_ for a_, b in zip(gaps, gaps[1:]))
             good = c_fit < 10.0 and decreasing
@@ -460,25 +445,16 @@ def _acc_transition(fam, chis, a_values, t_grid):
 def _acc_gap_constants():
     details = []
     ok = True
-    c0 = math.exp(asym._log_c0())
     errs = []
     for s in (-4.0, -5.0, -6.0):
         sp = _spectrum(AIRY, IntervalSpec(Family.AIRY, s), 200)
-        est = log_fredholm_det(sp, 1.0) - s**3 / 12.0 + 0.125 * math.log(-s)
-        errs.append(abs(math.exp(est) / c0 - 1.0))
+        errs.append(abs(math.exp(log_fredholm_det(sp, 1.0) - asym.airy_gap(s)) - 1.0))
     ok = ok and errs[-1] <= 0.02 and errs[-1] <= errs[0]
     details.append("airy c0 errs=" + "/".join(f"{e:.4f}" for e in errs))
     for a in (0.0, 1.0):
         s = 144.0
-        tau = math.exp(asym._log_tau(a))
         sp = _spectrum(bessel_spec(a), IntervalSpec(Family.BESSEL, s), 300)
-        est = (
-            log_fredholm_det(sp, 1.0)
-            + 0.25 * s
-            - a * math.sqrt(s)
-            + 0.25 * a * a * math.log(s)
-        )
-        err = abs(math.exp(est) / tau - 1.0)
+        err = abs(math.exp(log_fredholm_det(sp, 1.0) - asym.bessel_gap(s, a)) - 1.0)
         ok = ok and err <= 0.02
         details.append(f"bessel tau_{a:g} err={err:.4f}")
     return ok, "; ".join(details)
@@ -513,22 +489,11 @@ def _acc_logderiv():
 
 def _acc_reciprocity():
     worst = 0.0
-    s_a = -6.0
-    t_a = (-s_a) ** 1.5
-    te = asym.airy_transition(s_a, asym.stokes_v(Family.AIRY, t_a, 0.0), 5)
-    v = asym.stokes_v(Family.AIRY, t_a, 0.0)
-    for i in range(5):
-        worst = max(worst, abs(te.excesses[i] * math.exp(v) * asym.airy_eig(i, s_a) - 1.0))
-    s_b, a = 36.0, 0.5
-    v = asym.stokes_v(Family.BESSEL, 6.0, 0.0, a)
-    te = asym.bessel_transition(s_b, v, a, 5)
-    for i in range(5):
-        worst = max(worst, abs(te.excesses[i] * math.exp(v) * asym.bessel_eig(i, s_b, a) - 1.0))
-    s_s = 5.0
-    v = asym.stokes_v(Family.SINE, s_s, 0.0)
-    te = asym.sine_transition(s_s, v, 5)
-    for i in range(5):
-        worst = max(worst, abs(te.excesses[i] * math.exp(v) * asym.sine_eig(i, s_s) - 1.0))
+    for fam, s, a in ((Family.AIRY, -6.0, 0.0), (Family.BESSEL, 36.0, 0.5), (Family.SINE, 5.0, 0.0)):
+        v = asym.stokes_v(fam, IntervalSpec(fam, s).t, 0.0, a)
+        te = asym.transition(fam, s, v, 5, a)
+        for i, e in enumerate(te.excesses):
+            worst = max(worst, abs(e * math.exp(v) * asym.eig_law(fam, i, s, a) - 1.0))
     return worst <= 1e-12, f"worst |excess * e^v * (1-lambda)_pred - 1| = {worst:.3e}"
 
 

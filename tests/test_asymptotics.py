@@ -24,6 +24,7 @@ from gapspec.asymptotics import (
     bessel_transition,
     chi_decompose,
     d_coeff,
+    eig_law,
     p_of_chi,
     sigma_pm,
     sine_det_crit,
@@ -32,6 +33,7 @@ from gapspec.asymptotics import (
     sine_transition,
     stokes_chi,
     stokes_v,
+    transition,
 )
 from gapspec.errors import ArgumentError, DomainError
 from gapspec.kernels import Family
@@ -62,6 +64,8 @@ class TestChiDecompose:
     def test_domain(self):
         with pytest.raises(ArgumentError):
             chi_decompose(-0.6)
+        with pytest.raises(ArgumentError):
+            chi_decompose(math.nan)
 
 
 class TestPOfChi:
@@ -248,6 +252,17 @@ class TestGapExpansions:
             sine_det_crit(1.0)
         with pytest.raises(ArgumentError):
             sine_det_sub(5.0, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ArgumentError, match="finite"):
+                sine_det_sub(5.0, bad)
+            with pytest.raises(ArgumentError, match="finite"):
+                sine_det_sub(bad, 1.0)
+            with pytest.raises(ArgumentError, match="finite"):
+                sine_det_crit(bad)
+            with pytest.raises(ArgumentError, match="finite"):
+                airy_gap(-bad)
+            with pytest.raises(ArgumentError, match="finite"):
+                bessel_gap(bad, 0.0)
 
 
 class TestTransitions:
@@ -310,6 +325,18 @@ class TestTransitions:
         te = airy_transition(s, v, 1, chi=chi)
         assert te.excesses[0] * airy_eig(0, s) == pytest.approx(math.exp(-v), rel=1e-12)
 
+    @pytest.mark.parametrize("fam,s", [(Family.SINE, 5.0), (Family.AIRY, -6.0)])
+    def test_order_enters_bessel_only(self, fam, s):
+        assert transition(fam, s, 2.0, 3, 1.5) == transition(fam, s, 2.0, 3)
+        assert eig_law(fam, 2, s, 1.5) == eig_law(fam, 2, s)
+        assert stokes_v(fam, 7.0, 0.3, 1.5) == stokes_v(fam, 7.0, 0.3)
+
+    @pytest.mark.parametrize("v", [0.0, -1.0, math.nan])
+    def test_v_must_be_positive(self, v):
+        for fam, s in ((Family.SINE, 5.0), (Family.AIRY, -6.0), (Family.BESSEL, 36.0)):
+            with pytest.raises(ArgumentError, match="v > 0"):
+                transition(fam, s, v, 1)
+
     def test_argument_validation(self):
         with pytest.raises(ArgumentError):
             sine_transition(4.0, 1.0, 0)
@@ -364,6 +391,24 @@ class TestSigma:
             -2.0 * y / (d_coeff(0, a) + y), rel=1e-13
         )
 
+    @pytest.mark.parametrize("fam,a", [(Family.AIRY, 0.0), (Family.BESSEL, 0.0), (Family.BESSEL, 1.5)])
+    @pytest.mark.parametrize("chi", [0.2, 1.3, 1.7, 2.4])
+    def test_on_curve_is_the_transition_excess(self, fam, a, chi):
+        # on the curve, sigma+ = c E_k/(1+E_k) and sigma- = c/(1+E_{k-1})
+        t = 9.0
+        s = -(t ** (2.0 / 3.0)) if fam is Family.AIRY else t * t
+        k, alpha = chi_decompose(chi)
+        v = stokes_v(fam, t, chi, a)
+        c = 1.0 if fam is Family.AIRY else -2.0
+        exc = transition(fam, s, v, k + 1, a).excesses
+        if alpha >= 0.0:
+            expect = c * exc[k] / (1.0 + exc[k])
+        else:
+            expect = c / (1.0 + exc[k - 1])
+        assert sigma_pm(fam, "+" if alpha >= 0.0 else "-", k, alpha, t, a) == pytest.approx(
+            expect, rel=1e-12
+        )
+
     def test_sign_validation(self):
         with pytest.raises(ArgumentError):
             sigma_pm(Family.AIRY, "x", 0, 0.0, 5.0)
@@ -384,6 +429,15 @@ class TestLogDeriv:
             got = bessel_logderiv_asymp(s, math.inf, 0.0, a)
             ref = -0.25 + a / (2.0 * math.sqrt(s)) - a * a / (4.0 * s)
             assert got == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("chi", [-0.5, -0.3])
+    def test_gamma_one_below_alpha_zero(self, chi):
+        # k = 0 with alpha < 0 has no sigma- term at any v, v = inf included
+        assert airy_logderiv_asymp(-6.0, math.inf, chi) == airy_logderiv_asymp(-6.0, math.inf, 0.0)
+        assert airy_logderiv_asymp(-6.0, math.inf, chi) == airy_logderiv_asymp(-6.0, 1e300, chi)
+        assert bessel_logderiv_asymp(100.0, math.inf, chi, 0.5) == bessel_logderiv_asymp(
+            100.0, math.inf, 0.0, 0.5
+        )
 
     def test_large_v_approaches_gamma_one(self):
         assert airy_logderiv_asymp(-5.0, 900.0, 0.0) == pytest.approx(

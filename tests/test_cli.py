@@ -237,6 +237,33 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("gapspec: ") and hint in err
 
+    @pytest.mark.parametrize(
+        "argv, hint",
+        [
+            # a non-finite s is outside every interval's domain
+            (["det", "--kernel", "sine", "--s", "inf"], "finite s"),
+            (["det", "--kernel", "airy", "--s", "nan"], "finite s"),
+            (["spectrum", "--kernel", "bessel", "--a", "0", "--s=-inf"], "finite s"),
+            (["asymp", "--formula", "airy-gap", "--s", "nan"], "finite s"),
+            (["asymp", "--formula", "bessel-gap", "--a", "0", "--s", "inf"], "finite s"),
+            (["asymp", "--formula", "sine-crit", "--s", "inf"], "finite s"),
+            (["asymp", "--formula", "sine-sub", "--s", "nan", "--v", "1"], "finite s"),
+            (["asymp", "--formula", "sine-transition", "--s", "inf", "--v", "1"], "finite s"),
+            # a non-finite order or thinning parameter is refused before any work
+            (["det", "--kernel", "sine", "--s", "3", "--gamma", "nan"], "--gamma"),
+            (["det", "--kernel", "sine", "--s", "3", "--gamma=-inf"], "--gamma"),
+            (["det", "--kernel", "airy", "--s", "-3", "--v", "inf"], "--v"),
+            (["asymp", "--formula", "sine-transition", "--s", "5", "--v", "nan"], "--v"),
+            (["asymp", "--formula", "airy-transition", "--s", "-6", "--chi", "inf"], "--chi"),
+            (["det", "--kernel", "bessel", "--a", "inf", "--s", "25"], "--a"),
+            (["asymp", "--formula", "bessel-gap", "--a", "nan", "--s", "25"], "--a"),
+        ],
+    )
+    def test_non_finite_input(self, capsys, argv, hint):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("gapspec: ") and hint in err
+
     def test_chi_on_sine_uses_t_equal_s(self, capsys):
         code, out, _ = run_cli(
             ["det", "--kernel", "sine", "--s", "3", "--chi", "0.2", "--format", "json"], capsys

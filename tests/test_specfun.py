@@ -158,12 +158,6 @@ class TestBarnesG:
 
 
 class TestBranchRanges:
-    def test_ranges_cover_and_overlap(self):
-        for name, ranges in specfun.BRANCH_RANGES.items():
-            spans = sorted((r.lo, r.hi) for r in ranges)
-            for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):
-                assert lo2 < hi1, f"{name}: branch gap between {hi1} and {lo2}"
-
     def test_overlap_agreement(self):
         # evaluate in overlap windows; both branches feed the same public
         # function, so smoothness across seams is the observable

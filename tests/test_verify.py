@@ -126,6 +126,13 @@ class TestLidskii:
         assert factors == ()
         assert residual == pytest.approx(1.0 + math.exp(-1.0) * 1.0)
 
+    @pytest.mark.parametrize("v", [-math.inf, math.nan])
+    def test_v_without_a_gamma(self, v):
+        # gamma = 1 - e^{-v} is -inf at v = -inf and undefined at v = nan
+        sp = Spectrum(np.array([0.5, 0.2]), 2, {})
+        with pytest.raises(ArgumentError, match="v > -inf"):
+            lidskii_split(sp, v, 1)
+
     def test_negative_p(self):
         sp = Spectrum(np.array([0.5]), 1, {})
         with pytest.raises(ArgumentError):
@@ -335,6 +342,12 @@ class TestPointChecks:
 
     def test_logderiv_airy(self):
         assert logderiv_check(Family.AIRY, -6.0, 0.0, n=100) < 0.02
+
+    def test_logderiv_airy_below_alpha_zero(self):
+        # chi in [-1/2, 0) is k = 0 with alpha < 0, where sigma- is 0: at
+        # gamma = 1 the expansion is the gap derivative, as at chi = 0
+        assert logderiv_check(Family.AIRY, -6.0, -0.3, n=100) < 0.02
+        assert logderiv_check(Family.BESSEL, 100.0, -0.3, n=100) < 0.02
 
     def test_logderiv_sine_rejected(self):
         with pytest.raises(ArgumentError):
