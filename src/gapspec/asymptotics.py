@@ -135,6 +135,16 @@ def _order(fam, a):
     return _check_order(a) if _LAWS[fam].uses_a else 0.0
 
 
+def _real(x, name, what, inf_ok=False):
+    """x as a float, or ArgumentError for NaN, -inf, and +inf unless inf_ok
+    (v = +inf is the gamma = 1 curve)."""
+    x = float(x)
+    if not (-math.inf < x < math.inf or (inf_ok and x == math.inf)):
+        allowed = "finite or +inf" if inf_ok else "finite"
+        raise ArgumentError(f"{name} requires a {allowed} {what}, got {x}")
+    return x
+
+
 def _scale(fam, s, name):
     """The scaling variable t at s, checked against the family's smallest t."""
     law = _LAWS[fam]
@@ -146,7 +156,7 @@ def _scale(fam, s, name):
 
 def chi_decompose(chi):
     """Split chi = k + alpha with integer k >= 0 and alpha in [-1/2, 1/2)."""
-    chi = float(chi)
+    chi = _real(chi, "chi_decompose", "chi")
     if not chi >= -0.5:
         raise ArgumentError(f"chi_decompose requires chi >= -1/2, got {chi}")
     k = math.floor(chi + 0.5)
@@ -161,7 +171,7 @@ def chi_decompose(chi):
 def p_of_chi(chi, family):
     """Number of transition factors prescribed for curve parameter chi."""
     fam = _coerce_family(family)
-    chi = float(chi)
+    chi = _real(chi, "p_of_chi", "chi")
     if fam is Family.SINE:
         if chi < 0.5:
             return 1
@@ -173,21 +183,25 @@ def p_of_chi(chi, family):
 
 def stokes_v(family, t, chi, a=0.0):
     """v on the Stokes curve with parameter chi at scale t."""
-    law = _LAWS[_coerce_family(family)]
-    t = float(t)
+    fam = _coerce_family(family)
+    law = _LAWS[fam]
+    t = _real(t, "stokes_v", "t")
     if not t > 1.0:
         raise ArgumentError(f"stokes_v requires t > 1, got {t}")
-    a = float(a) if law.uses_a else 0.0
+    chi = _real(chi, "stokes_v", "chi")
+    a = _order(fam, a)
     return law.kappa * t - (law.m * chi + a) * math.log(t)
 
 
 def stokes_chi(family, t, v, a=0.0):
     """Invert stokes_v: the curve parameter chi passing through (t, v)."""
-    law = _LAWS[_coerce_family(family)]
-    t = float(t)
+    fam = _coerce_family(family)
+    law = _LAWS[fam]
+    t = _real(t, "stokes_chi", "t")
     if not t > 1.0:
         raise ArgumentError(f"stokes_chi requires t > 1, got {t}")
-    a = float(a) if law.uses_a else 0.0
+    v = _real(v, "stokes_chi", "v", inf_ok=True)
+    a = _order(fam, a)
     return ((law.kappa * t - v) / math.log(t) - a) / law.m
 
 
@@ -349,8 +363,18 @@ def _error_exponent(family, p, chi):
         return min(gap, 1.0)
     if family is Family.AIRY:
         return min(gap, 0.5)
-    # Bessel: the bound is max(t^{-2 gap}, ln t / t); report the power part
+    # Bessel: the bound is max(t^{-2 gap}, ln t / t) (_error_bound); report
+    # the power part
     return 2.0 * gap
+
+
+def _error_bound(family, t, exponent):
+    """The order of a transition expansion's error at scale t, from the
+    exponent e it reports: t^{-e}, and max(t^{-e}, ln t / t) for Bessel."""
+    power = t**-exponent
+    if family is Family.BESSEL:
+        return max(power, math.log(t) / t)
+    return power
 
 
 def transition(family, s, v, p, a=0.0, chi=None):
@@ -443,7 +467,7 @@ def _sigma_on_curve(fam, k, alpha, t, v, a):
 def airy_logderiv_asymp(s, v, chi):
     """d/ds log D(J_Ai; gamma) along the curve, gamma = 1 - e^{-v}."""
     s = float(s)
-    v = float(v)
+    v = _real(v, "airy_logderiv_asymp", "v", inf_ok=True)
     t = _scale(Family.AIRY, s, "airy_logderiv_asymp")
     k, alpha = chi_decompose(chi)
     # -d(kappa t)/ds
@@ -458,7 +482,7 @@ def airy_logderiv_asymp(s, v, chi):
 def bessel_logderiv_asymp(s, v, chi, a):
     """d/ds log D(J_Bess; gamma) along the curve, gamma = 1 - e^{-v}."""
     s = float(s)
-    v = float(v)
+    v = _real(v, "bessel_logderiv_asymp", "v", inf_ok=True)
     a = _check_order(a)
     t = _scale(Family.BESSEL, s, "bessel_logderiv_asymp")
     k, alpha = chi_decompose(chi)

@@ -10,11 +10,14 @@ The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
 whole Nystrom grid from one special-function call, and `kernel_eval` runs the
 same forms on any batch of pairs, also from one call.
 
-`kernel_matrix` evaluates the exact form on the upper triangle only, in
-cache-sized blocks of rows, and mirrors it: about n^2/2 entries instead of
-n^2. The mirror is bit-exact, because swapping a pair only flips the sign
-of an exact form's numerator and of its denominator. It reports how many
-entries the Taylor branch set.
+`kernel_matrix` returns the sqrt(w)-weighted Nystrom matrix. It evaluates
+the exact form on the upper triangle only, in cache-sized blocks of rows
+that it weights while they are in cache, and mirrors it: about n^2/2
+entries instead of n^2. The mirror is bit-exact, because swapping a pair
+only flips the sign of an exact form's numerator and of its denominator.
+The sine matrix on a grid symmetric about 0 is also invariant under index
+reversal, so only its two free blocks are evaluated, about n^2/4 entries.
+It reports how many entries the Taylor branch set.
 """
 
 import enum
@@ -260,55 +263,96 @@ def kernel_eval(spec, lam, mu):
     return k.reshape(shape) if shape else float(k[0])
 
 
-def kernel_matrix(spec, x):
-    """Symmetric matrix of K(x_i, x_j) on a strictly increasing grid x, and
-    the number of its entries the Taylor branch set (both triangles and the
-    diagonal).
+def _assemble(spec, cols, rows, sw, out):
+    """Write the symmetric matrix of K(cols_j, rows_i) * (sw_i * sw_j) into
+    out and return how many of its entries the Taylor branch set (both
+    triangles and the diagonal).
 
-    One special-function call covers the grid and the midpoints of the
-    near-diagonal pairs; every entry equals kernel_eval(spec, x_i, x_j).
+    rows is cols, or -cols for the sine kernel's reflected block; the forms
+    read special-function values at cols only, and the sine forms read none.
     The exact form runs over row blocks of _BLOCK rows, each only on the
     columns from its first row on: the block's part right of its diagonal
-    square is the sorted pair kernel_eval takes (s = x_j >= t = x_i) and is
-    copied, transposed, below the square. Inside the square the pairs below
-    the diagonal come unsorted. Swapping a pair only changes the sign of an
-    exact form's numerator and of its denominator (s - t negates exactly,
-    products commute, sin is odd), so they equal the sorted values bit for
-    bit. A block's temporaries are _BLOCK x n, small enough to stay in
-    cache where n x n ones do not.
+    square is the sorted pair kernel_eval takes and is copied, transposed,
+    below the square. Inside the square the pairs below the diagonal come
+    unsorted. Swapping a pair only changes the sign of an exact form's
+    numerator and of its denominator (s - t negates exactly, products
+    commute, sin is odd), so they equal the sorted values bit for bit. A
+    block's temporaries are _BLOCK x n, small enough to stay in cache where
+    n x n ones do not, and its weights are applied there.
     """
-    x = np.asarray(x, dtype=float)
-    _check_domain(spec, x)
-    n = len(x)
-    t = _variable(spec, x)
-    # Taylor pairs (i, j = i + d) of the upper triangle, where s = t[j] >= t[i].
-    # On an increasing grid the gap grows faster than the switch radius
-    # along each row, so they fill a band: stop at the first off-diagonal
-    # without one (the diagonal itself always is one).
-    ii, jj = [], []
+    n = len(cols)
+    # Taylor pairs (i, j = i + d) of the upper triangle. Along each row the
+    # gap |cols_j - rows_i| grows faster than the switch radius, so they
+    # fill a band from the diagonal: stop at the first diagonal without one.
+    # The empty seeds serve a block with no Taylor pair at all.
+    ii, jj = [np.zeros(0, int)], [np.zeros(0, int)]
     for d in range(n):
-        i = np.flatnonzero(_near(spec, t[d:], t[: n - d]))
+        i = np.flatnonzero(_near(spec, cols[d:], rows[: n - d]))
         if not i.size:
             break
         ii.append(i)
         jj.append(i + d)
     ii = np.concatenate(ii)
     jj = np.concatenate(jj)
-    values = _edge_values(spec, np.concatenate([t, 0.5 * (t[jj] + t[ii])]))
+    values = _edge_values(spec, np.concatenate([cols, 0.5 * (cols[jj] + rows[ii])]))
     vt = [v[:n] for v in values]
-    k = np.empty((n, n))
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(0, n, _BLOCK):
             e = min(r + _BLOCK, n)
-            k[r:e, r:] = _exact(
-                spec, t[None, r:], [v[None, r:] for v in vt],
-                t[r:e, None], [v[r:e, None] for v in vt],
+            k = _exact(
+                spec, cols[None, r:], [v[None, r:] for v in vt],
+                rows[r:e, None], [v[r:e, None] for v in vt],
             )
-            k[e:, r:e] = k[r:e, e:].T
-    band = _taylor(spec, t[jj], t[ii], [v[n:] for v in values])
-    k[ii, jj] = band
-    k[jj, ii] = band
-    return k, 2 * len(ii) - n
+            np.multiply(k, sw[r:e, None] * sw[r:], out=out[r:e, r:])
+            out[e:, r:e] = out[r:e, e:].T
+    band = _taylor(spec, cols[jj], rows[ii], [v[n:] for v in values])
+    band *= sw[ii] * sw[jj]
+    out[ii, jj] = band
+    out[jj, ii] = band
+    return 2 * len(ii) - int(np.count_nonzero(ii == jj))
+
+
+def kernel_matrix(spec, x, sw):
+    """The sqrt(w)-weighted matrix K(x_i, x_j) * (sw_i * sw_j) on a strictly
+    increasing grid x with square-root weights sw, and the number of its
+    entries the Taylor branch set (both triangles and the diagonal).
+
+    Every entry equals kernel_eval(spec, x_i, x_j) * (sw_i * sw_j); one
+    special-function call covers the grid and the near-diagonal midpoints.
+    The upper triangle is evaluated in row blocks and mirrored (_assemble).
+
+    The sine kernel on a grid and weights symmetric about 0 (x reversed is
+    -x, sw reversed is sw) gives a matrix that index reversal leaves
+    unchanged too: the entries depend on x_j - x_i only, and -x_i - (-x_j)
+    rounds as x_j - x_i. With h = n // 2 and k = n - h (the layout of
+    operator._parity_layout), it evaluates the upper triangles of two
+    blocks, about n^2/4 entries: the lower-right block on rows and columns
+    h:, which holds the centre node of an odd n, and the reflected block
+    K(x_{k+i}, -x_{k+j}) = sinc(x_{k+i} + x_{k+j}) on the positive nodes,
+    which is the lower-left block with its columns reversed. The rest of the
+    matrix is copied from these by index reversal.
+    """
+    x = np.asarray(x, dtype=float)
+    sw = np.asarray(sw, dtype=float)
+    _check_domain(spec, x)
+    n = len(x)
+    t = _variable(spec, x)
+    out = np.empty((n, n))
+    if spec.family is not Family.SINE or not (
+        np.array_equal(x, -x[::-1]) and np.array_equal(sw, sw[::-1])
+    ):
+        return out, _assemble(spec, t, t, sw, out)
+    from .operator import _parity_layout
+
+    h, k, c = _parity_layout(n)
+    y = t[k:]
+    repaired = _assemble(spec, t[h:], t[h:], sw[h:], out[h:, h:])
+    repaired += _assemble(spec, y, -y, sw[k:], out[k:, :h][:, ::-1])
+    out[:h] = out[k:][::-1, ::-1]
+    if c:
+        out[h, :h] = out[h, k:][::-1]
+    # each block stands for itself and its reflection; the centre entry once
+    return out, 2 * repaired - c
 
 
 def kernel_diag(spec, lam):

@@ -2,16 +2,18 @@
 probabilities for the sine, Airy and Bessel trace-class operators.
 
 The operator on L^2(J) is discretized with Gauss-Legendre quadrature mapped
-onto J and symmetrized as A[i,j] = sqrt(w_i) K(x_i, x_j) sqrt(w_j), so a
+onto J and symmetrized as A[i,j] = K(x_i, x_j) (sqrt(w_i) sqrt(w_j)), so a
 symmetric eigensolver applies and the Nystrom eigenvalues converge
-exponentially in n for these analytic kernels.
+exponentially in n for these analytic kernels. kernels.kernel_matrix
+assembles A in one pass, the weights applied block by block.
 
 The sine operator on (-s, s) commutes with the reflection x -> -x, and its
 matrix is exactly symmetric under the index reversal that maps x_i to -x_i.
 A sine spectrum therefore comes from two half-size blocks, even and odd
 under x -> -x, each solved on its own; the eigenvectors alternate in parity
-like the prolate spheroidal functions. Airy and Bessel intervals have no
-such symmetry and take one full solve.
+like the prolate spheroidal functions. The assembly evaluates only the two
+blocks of A that this solve reads; both take the split from _parity_layout.
+Airy and Bessel intervals have no such symmetry and take one full solve.
 """
 
 import functools
@@ -233,11 +235,7 @@ def build_discretization(spec, interval, n):
     if n < 1:
         raise ArgumentError(f"build_discretization requires n >= 1, got {n}")
     nodes, weights, hi = discretization_grid(spec, interval, n)
-    # K and the weight products are both symmetric, so the matrix is too;
-    # weighting in place keeps one n x n temporary fewer alive
-    sw = np.sqrt(weights)
-    mat, repaired = kernels.kernel_matrix(spec, nodes)
-    mat *= np.outer(sw, sw)
+    mat, repaired = kernels.kernel_matrix(spec, nodes, np.sqrt(weights))
     return Discretization(spec, interval, n, hi, nodes, weights, mat, repaired)
 
 
@@ -251,6 +249,14 @@ class Spectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
+
+
+def _parity_layout(n):
+    """(h, k, c) of a sine matrix of size n: the h = n // 2 nodes below the
+    centre, the first row k = n - h of the lower half, and c = 1 when node h
+    is a centre node at 0 (odd n), else 0."""
+    h = n // 2
+    return h, n - h, n - 2 * h
 
 
 def _sine_parity_eig(mat, vectors):
@@ -267,9 +273,7 @@ def _sine_parity_eig(mat, vectors):
     one of size n.
     """
     n = len(mat)
-    h = n // 2
-    k = n - h  # the even block's size and the first row of the lower half
-    c = k - h  # 1 when a centre node exists
+    h, k, c = _parity_layout(n)  # k is also the even block's size
     a21j = mat[k:, :h][:, ::-1]
     even = mat[h:, h:].copy()
     even[c:, c:] += a21j

@@ -435,25 +435,22 @@ def log_gamma_complex(z):
 
 _BORWEIN_N = 40
 
-# The exact tables below are built on first use: most runs never need zeta
-# or Barnes G, and fractions pulls in decimal.
-
 
 @functools.cache
 def _borwein_c():
-    """The float weights (d_k - d_n)/d_n, k < n, of Borwein's series."""
-    from fractions import Fraction
+    """The float weights (d_k - d_n)/d_n, k < n, of Borwein's series, with
+    d_i = n sum_{j<=i} (n+j-1)! 4^j / ((n-j)! (2j)!).
 
+    The d_i are kept times n! (2n)! / n, which makes every term an integer;
+    int / int rounds correctly, so each weight is its exact ratio rounded."""
     n = _BORWEIN_N
-    d = [Fraction(0)] * (n + 1)
-    acc = Fraction(0)
-    for i in range(n + 1):
-        acc += Fraction(
-            math.factorial(n + i - 1) * 4**i,
-            math.factorial(n - i) * math.factorial(2 * i),
-        )
-        d[i] = n * acc
-    return tuple(float((d[k] - d[n]) / d[n]) for k in range(n))
+    f = math.factorial
+    d = []
+    acc = 0
+    for j in range(n + 1):
+        acc += f(n + j - 1) * 4**j * (f(n) // f(n - j)) * (f(2 * n) // f(2 * j))
+        d.append(acc)
+    return tuple((d[k] - d[n]) / d[n] for k in range(n))
 
 
 def zeta_real(s):
@@ -472,55 +469,29 @@ def _zeta_int():
     return {k: zeta_real(k) for k in range(2, 80)}
 
 
-@functools.cache
-def _bernoulli():
-    """B_0..B_32 as floats, from the exact defining recurrence."""
-    from fractions import Fraction
-
-    bern = [Fraction(1)]
-    for m in range(1, 33):
-        s = Fraction(0)
-        for k in range(m):
-            s += Fraction(math.comb(m + 1, k)) * bern[k]
-        bern.append(-s / (m + 1))
-    return [float(b) for b in bern]
-
+# B_0..B_32 as exact numerator/denominator pairs; p / q of two ints rounds
+# correctly
+_BERNOULLI_PQ = (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
+    (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6), (0, 1),
+    (-3617, 510), (0, 1), (43867, 798), (0, 1), (-174611, 330), (0, 1),
+    (854513, 138), (0, 1), (-236364091, 2730), (0, 1), (8553103, 6), (0, 1),
+    (-23749461029, 870), (0, 1), (8615841276005, 14322), (0, 1),
+    (-7709321041217, 510),
+)
+_BERNOULLI = tuple(p / q for p, q in _BERNOULLI_PQ)
 
 _EULER_GAMMA = 0.5772156649015328606
 
-
-def _zeta_prime_2():
-    """zeta'(2) = -sum_{n>=2} ln(n)/n^2, Euler-Maclaurin accelerated."""
-    big_n = 64
-    s = 0.0
-    for n in range(2, big_n):
-        s += math.log(n) / (n * n)
-    # tail sum_{n>=N} f(n) with f = ln(x)/x^2:
-    #   integral + f(N)/2 - sum_k B_{2k}/(2k)! f^{(2k-1)}(N)
-    # f^{(m)}(x) = x^{-(m+2)} (a_m + b_m ln x), a_0 = 0, b_0 = 1,
-    # a_{m+1} = b_m - (m+2) a_m, b_{m+1} = -(m+2) b_m
-    ln_n = math.log(big_n)
-    tail = (ln_n + 1.0) / big_n + 0.5 * ln_n / (big_n * big_n)
-    a, b = 0.0, 1.0
-    derivs = {}
-    for m in range(0, 12):
-        derivs[m] = (a, b)
-        a, b = b - (m + 2) * a, -(m + 2) * b
-    bern = _bernoulli()
-    for k in range(1, 6):
-        am, bm = derivs[2 * k - 1]
-        fd = (am + bm * ln_n) / big_n ** (2 * k + 1)
-        tail -= bern[2 * k] / math.factorial(2 * k) * fd
-    return -(s + tail)
+# zeta'(-1) = 1/12 - ln A (A the Glaisher-Kinkelin constant) as that
+# relation gave it in double arithmetic, one ulp from the correctly rounded
+# -0.16542114370045094; the closed forms are pinned to this value
+_ZETA_PRIME_MINUS_ONE = -0.16542114370045097
 
 
-@functools.cache
 def zeta_prime_minus_one():
-    """zeta'(-1) via the Glaisher-Kinkelin relation zeta'(-1) = 1/12 - ln A."""
-    ln_a = (_EULER_GAMMA + math.log(2.0 * math.pi)) / 12.0 - _zeta_prime_2() / (
-        2.0 * math.pi**2
-    )
-    return 1.0 / 12.0 - ln_a
+    """zeta'(-1) = 1/12 - ln A, A the Glaisher-Kinkelin constant."""
+    return _ZETA_PRIME_MINUS_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +531,8 @@ def _log_barnes_asym(w):
     )
     w2 = w * w
     wp = w2
-    bern = _bernoulli()
     for k in range(1, 14):
-        term = bern[2 * k + 2] / (2 * k * (2 * k + 2) * wp)
+        term = _BERNOULLI[2 * k + 2] / (2 * k * (2 * k + 2) * wp)
         s += term
         if abs(term) < 1e-18 * max(1.0, abs(s)):
             break

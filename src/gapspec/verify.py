@@ -430,10 +430,7 @@ def _acc_transition(fam, chis, a_values, t_grid):
             scan = det_ratio_scan(fam, chi, t_grid, a=a, n=160)
             gaps = [abs(nm - pr) for nm, pr in zip(scan.numeric, scan.predicted)]
             e = scan.metadata["error_exponent"]
-            if fam is Family.AIRY:
-                bounds = [t**-e for t in scan.grid]
-            else:
-                bounds = [max(t**-e, math.log(t) / t) for t in scan.grid]
+            bounds = [asym._error_bound(fam, t, e) for t in scan.grid]
             c_fit = max(g / b for g, b in zip(gaps, bounds))
             decreasing = all(b <= a_ for a_, b in zip(gaps, gaps[1:]))
             good = c_fit < 10.0 and decreasing

@@ -348,6 +348,15 @@ class TestTransitions:
             TransitionExpansion(0.0, (1.0, 1.0), 3)
 
 
+class TestErrorBound:
+    def test_bessel_log_term(self):
+        # the transition error is t^-e, and for Bessel never below ln t / t
+        assert asymptotics._error_bound(Family.AIRY, 10, 0.5) == 10**-0.5
+        assert asymptotics._error_bound(Family.AIRY, 10, 3.0) == 10**-3.0
+        assert asymptotics._error_bound(Family.BESSEL, 10, 0.5) == 10**-0.5
+        assert asymptotics._error_bound(Family.BESSEL, 10, 3.0) == math.log(10) / 10
+
+
 class TestSigma:
     def test_airy_plus_in_unit_interval(self):
         for t in (5.0, 20.0):
@@ -488,6 +497,44 @@ def mp_bessel_logderiv(s, v, k, alpha, a):
         y = t ** (2 * k + a - 1) * mp.exp(v - 2 * t)
         sig = -2 * y / (_d(k - 1, a) + y)
     return base + sig / (2 * t)
+
+
+# each of the five curve functions with x in one of its real arguments
+_CURVE_CALLS = {
+    "p_of_chi-chi": lambda x: p_of_chi(x, Family.AIRY),
+    "stokes_v-t": lambda x: stokes_v(Family.BESSEL, x, 0.5, 1.0),
+    "stokes_v-chi": lambda x: stokes_v(Family.AIRY, 9.0, x),
+    "stokes_chi-t": lambda x: stokes_chi(Family.SINE, x, 20.0),
+    "stokes_chi-v": lambda x: stokes_chi(Family.AIRY, 9.0, x),
+    "airy_logderiv-v": lambda x: airy_logderiv_asymp(-6.0, x, 0.0),
+    "airy_logderiv-chi": lambda x: airy_logderiv_asymp(-6.0, 20.0, x),
+    "bessel_logderiv-v": lambda x: bessel_logderiv_asymp(100.0, x, 0.0, 0.5),
+    "bessel_logderiv-chi": lambda x: bessel_logderiv_asymp(100.0, 20.0, x, 0.5),
+}
+
+
+class TestNonFiniteCurveArguments:
+    @pytest.mark.parametrize("x", [math.nan, -math.inf])
+    @pytest.mark.parametrize("name", list(_CURVE_CALLS))
+    def test_nan_and_minus_inf_rejected(self, name, x):
+        with pytest.raises(ArgumentError):
+            _CURVE_CALLS[name](x)
+
+    @pytest.mark.parametrize("name", [n for n in _CURVE_CALLS if not n.endswith("-v")])
+    def test_plus_inf_rejected_but_for_v(self, name):
+        with pytest.raises(ArgumentError):
+            _CURVE_CALLS[name](math.inf)
+
+    def test_v_plus_inf_is_the_gamma_one_curve(self):
+        assert stokes_chi(Family.AIRY, 9.0, math.inf) == -math.inf
+        assert math.isfinite(_CURVE_CALLS["airy_logderiv-v"](math.inf))
+        assert math.isfinite(_CURVE_CALLS["bessel_logderiv-v"](math.inf))
+
+    def test_bessel_order_checked(self):
+        with pytest.raises(DomainError):
+            stokes_v(Family.BESSEL, 9.0, 0.5, math.nan)
+        with pytest.raises(DomainError):
+            stokes_chi(Family.BESSEL, 9.0, 20.0, -1.0)
 
 
 class TestLogDerivFiniteV:

@@ -283,6 +283,40 @@ class TestBlockedAssembly:
         assert d.repaired_entries == _band_count(spec, np.asarray(d.nodes))
         assert compute_spectrum(d).meta["repaired_entries"] == d.repaired_entries
 
+    # half grids of h = n // 2 nodes on both sides of the block edges B, 2B
+    @pytest.mark.parametrize("n", [2 * _B - 1, 2 * _B, 2 * _B + 1, 2 * _B + 2, 4 * _B + 3])
+    @pytest.mark.parametrize("s", [0.001, 0.01, 2.0, 25.0])
+    def test_sine_two_block_assembly_bitwise(self, s, n):
+        # s = 0.001 puts Taylor pairs across the centre at these n, that is
+        # in the reflected block (s = 0.01 does so from n ~ 2000 on)
+        iv = IntervalSpec(Family.SINE, s)
+        d = build_discretization(SINE, iv, n)
+        assert np.asarray(d.matrix).tobytes() == _full_grid_matrix(SINE, iv, n).tobytes()
+        assert d.repaired_entries == _band_count(SINE, np.asarray(d.nodes))
+
+    def test_sine_evaluates_a_quarter_of_the_pairs(self, monkeypatch):
+        # the exact form runs on the two free blocks only: 29 448 pairs at
+        # n = 300, where the upper-triangle assembly took 51 984
+        count = 0
+        real = kernels._exact
+
+        def counted(spec, s, vs, t, vt):
+            nonlocal count
+            count += np.broadcast(s, t).size
+            return real(spec, s, vs, t, vt)
+
+        monkeypatch.setattr(kernels, "_exact", counted)
+        build_discretization(SINE, IntervalSpec(Family.SINE, 2.0), 300)
+        assert 150 * 151 <= count <= 30_000
+
+    def test_sine_off_a_symmetric_grid(self):
+        # a grid not symmetric about 0 takes the one-block assembly
+        x = np.array([-0.7, -0.2, 0.1, 0.4, 1.3])
+        sw = np.sqrt(np.array([0.3, 0.5, 0.2, 0.6, 0.4]))
+        mat, repaired = kernels.kernel_matrix(SINE, x, sw)
+        ref = kernel_eval(SINE, x[:, None], x[None, :]) * (sw[:, None] * sw[None, :])
+        assert np.array_equal(mat, ref) and repaired == 5
+
 
 class TestSpectrum:
     def test_matrix_symmetric_bitwise(self):

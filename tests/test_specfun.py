@@ -125,6 +125,23 @@ class TestGammaZeta:
         for k, z in specfun._zeta_int().items():
             assert z == self._zeta_per_call_reference(float(k)), k
 
+    def test_tables_are_the_exact_rationals_rounded(self):
+        from fractions import Fraction
+
+        bern = [Fraction(1)]
+        for m in range(1, 33):
+            bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+        assert specfun._BERNOULLI_PQ == tuple((b.numerator, b.denominator) for b in bern)
+        assert specfun._BERNOULLI == tuple(float(b) for b in bern)
+        n = 40
+        d, acc = [], Fraction(0)
+        for i in range(n + 1):
+            acc += Fraction(
+                math.factorial(n + i - 1) * 4**i, math.factorial(n - i) * math.factorial(2 * i)
+            )
+            d.append(n * acc)
+        assert specfun._borwein_c() == tuple(float((d[k] - d[n]) / d[n]) for k in range(n))
+
     def test_zeta_prime_minus_one(self):
         # zeta'(-1) = 1/12 - ln A with A the Glaisher-Kinkelin constant
         ref = float(mp.mpf(1) / 12 - mp.log(mp.glaisher))
