@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, specfun
 from .errors import (
     ArgumentError,
     DegeneracyError,
+    DomainError,
     NumericalError,
     PoleError,
     PrecisionWarning,
@@ -216,8 +217,19 @@ def discretization_grid(spec, interval, n):
     if spec.family is Family.AIRY:
         hi = airy_truncation(interval.s)
         lo = interval.s
+        # the nodes lie in (s, M), M = max(s + 10, 9.49), where Ai is evaluated
+        if lo < specfun.AIRY_LO or hi > specfun.AIRY_HI:
+            raise DomainError(
+                f"Airy interval needs {specfun.AIRY_LO:g} <= s <= "
+                f"{specfun.AIRY_HI - 10.0:g}, got s={lo}"
+            )
     else:
         lo, hi = interval.lo, interval.hi
+    # the Bessel kernel evaluates J at sqrt(x) for x in (0, s)
+    if spec.family is Family.BESSEL and math.sqrt(hi) > specfun.BESSEL_XMAX:
+        raise DomainError(
+            f"Bessel interval needs s <= {specfun.BESSEL_XMAX**2:g}, got s={hi}"
+        )
     if spec.family is Family.BESSEL and not _is_even_integer(spec.a):
         u, wu = _map_quadrature(0.0, math.sqrt(hi), n)
         return u * u, 2.0 * u * wu, hi

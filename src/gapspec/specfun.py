@@ -3,11 +3,16 @@ complex log-Barnes-G, and the zeta derivative constant.
 
 Airy and Bessel values come from one array implementation, `airy_pair` and
 `bessel_j_pair`, which evaluate a whole grid per call. Each element takes
-its branch by mask (power series, the frozen Chebyshev tables of _coeffs.py,
-backward recurrence, optimally truncated asymptotics) and stops its series
-at its own term, so no value depends on the rest of the batch. The scalar
-functions `airy_ai`, `airy_ai_prime`, `bessel_j` and `bessel_j_prime` are
-one-element calls of the same code.
+its zone by mask, and a zone costs a fixed number of array passes, its
+degree set by a tail below 1e-18 at the zone's worst point: Airy on (-3, 2)
+by Horner in x^3 to degree 15 (at |x| = 3), Airy on [2, 15.5] and [-13, -3]
+by one Clenshaw pass over the stacked tables of _coeffs.py, Bessel on x <= 9
+by 26 series terms (at x = 9, relative to the terms' moduli, for any a > -1)
+and below 30 + a^2 by backward recurrence. Only the asymptotic expansions
+stop at their smallest term, element by element. Every sum is elementwise,
+so no value depends on the rest of the batch. The scalar functions
+`airy_ai`, `airy_ai_prime`, `bessel_j` and `bessel_j_prime` are one-element
+calls of the same code.
 """
 
 import cmath
@@ -40,8 +45,8 @@ def backend_name():
     return "python"
 
 
-_AIRY_LO, _AIRY_HI = -40.0, 200.0
-_BESSEL_XMAX = 1e4
+AIRY_LO, AIRY_HI = -40.0, 200.0
+BESSEL_XMAX = 1e4
 
 
 def _check_range(name, x, lo, hi):
@@ -66,50 +71,43 @@ _X_POS_ASYM = _coeffs.AIRY_POS_XHI  # 15.5
 _Y_NEG_CHEB = _coeffs.AIRY_NEG_YLO  # 3.0
 _Y_NEG_ASYM = _coeffs.AIRY_NEG_YHI  # 13.0
 
-_POS_TABLES = np.array([_coeffs.AIRY_FA, _coeffs.AIRY_FAP])
-_NEG_TABLES = np.array(
-    [_coeffs.AIRY_NEG_P, _coeffs.AIRY_NEG_Q, _coeffs.AIRY_NEG_R, _coeffs.AIRY_NEG_S]
+# central-zone series in z = x^3 as (term, row, 1): f = F, g = x G, f' = x^2 FP, g' = GP
+_MAC = np.array(
+    [_coeffs.AIRY_MAC_F, _coeffs.AIRY_MAC_G, _coeffs.AIRY_MAC_FP, _coeffs.AIRY_MAC_GP]
+).T[:, :, None]
+
+
+def _cheb_tables(*zones):
+    """Chebyshev tables as (term, row, zone), zero-padded to four rows and at
+    the top to the longest table: zero top terms leave every Clenshaw sum as is."""
+    out = np.zeros((max(len(t) for rows in zones for t in rows), 4, len(zones)))
+    for j, rows in enumerate(zones):
+        for i, t in enumerate(rows):
+            out[: len(t), i, j] = t
+    return out
+
+
+# zone 0 (x >= 2) has the rows FA, FAP and zone 1 (x <= -3) P, Q, R, S
+_CHEB = _cheb_tables(
+    (_coeffs.AIRY_FA, _coeffs.AIRY_FAP),
+    (_coeffs.AIRY_NEG_P, _coeffs.AIRY_NEG_Q, _coeffs.AIRY_NEG_R, _coeffs.AIRY_NEG_S),
 )
-
-
-def _clenshaw(cs, u):
-    """Chebyshev sums of every row of the table cs at the points u."""
-    u2 = 2.0 * u
-    b1 = np.zeros((len(cs), len(u)))
-    b2 = b1
-    for k in range(cs.shape[1] - 1, 0, -1):
-        b1, b2 = u2 * b1 - b2 + cs[:, k, None], b1
-    return u * b1 - b2 + cs[:, 0, None]
+# per zone, r = 1/zeta in [R_LO, R_HI] maps onto [-1, 1]
+_R_LO = np.array([_coeffs.AIRY_POS_RLO, _coeffs.AIRY_NEG_RLO])
+_R_HI = np.array([_coeffs.AIRY_POS_RHI, _coeffs.AIRY_NEG_RHI])
 
 
 def _airy_maclaurin(x):
-    """(Ai, Ai') on the central zone via the two entire solutions f, g."""
-    x3 = x * x * x
-    # f = sum a_k x^{3k}, g = sum b_k x^{3k+1}; ta, tb are the latest terms
-    f = np.ones_like(x)
-    fp = np.zeros_like(x)
-    g = x.copy()
-    gp = np.ones_like(x)
-    ta = np.ones_like(x)
-    tb = x.copy()
-    # at x = 0 every term after the first is 0, so dividing by 1 instead
-    # leaves fp = 0 and gp = 1 there
-    xs = np.where(x != 0.0, x, 1.0)
-    live = np.ones(x.shape, dtype=bool)
-    for k in range(1, 81):
-        ta = ta * (x3 / ((3 * k) * (3 * k - 1)))
-        tb = tb * (x3 / ((3 * k) * (3 * k + 1)))
-        np.add(f, ta, out=f, where=live)
-        np.add(g, tb, out=g, where=live)
-        np.add(fp, 3 * k * ta / xs, out=fp, where=live)
-        np.add(gp, (3 * k + 1) * tb / xs, out=gp, where=live)
-        live &= ~(
-            (np.abs(ta) < 1e-18 * np.abs(f))
-            & (np.abs(tb) < 1e-18 * np.maximum(np.abs(g), 1e-30))
-        )
-        if not live.any():
-            break
-    return _AI_C1 * f - _AI_C2 * g, _AI_C1 * fp - _AI_C2 * gp
+    """(Ai, Ai') on the central zone: the rows F, G, FP, GP in one Horner pass,
+    on the full (row, point) shape, as a broadcast operand costs twice as much."""
+    cs = np.repeat(_MAC, len(x), axis=2)
+    z = np.repeat((x * x * x)[None], 4, axis=0)
+    h = cs[-1].copy()
+    for c in cs[-2::-1]:
+        h *= z
+        h += c
+    f, g, fp, gp = h
+    return _AI_C1 * f - _AI_C2 * (x * g), _AI_C1 * (x * x * fp) - _AI_C2 * gp
 
 
 def _airy_u_next(u, k):
@@ -158,15 +156,10 @@ def _airy_pos_asym(x):
     return ai, aip
 
 
-def _airy_neg_trig(y):
-    """zeta = (2/3) y^{3/2} with cos and sin of zeta + pi/4."""
+def _airy_neg_asym(y):
     zeta = _TWO_THIRDS * y * np.sqrt(y)
     zp = zeta + 0.25 * math.pi
-    return zeta, np.cos(zp), np.sin(zp)
-
-
-def _airy_neg_asym(y):
-    zeta, c, s = _airy_neg_trig(y)
+    c, s = np.cos(zp), np.sin(zp)
     # even/odd splits of the u_k and v_k series
     sp = np.ones_like(y)
     sq = np.zeros_like(y)
@@ -199,43 +192,41 @@ def _airy_neg_asym(y):
     return ai, aip
 
 
-def _airy_pos_cheb(x):
-    zeta = _TWO_THIRDS * x * np.sqrt(x)
-    r = 1.0 / zeta
-    u = (2.0 * r - (_coeffs.AIRY_POS_RLO + _coeffs.AIRY_POS_RHI)) / (
-        _coeffs.AIRY_POS_RHI - _coeffs.AIRY_POS_RLO
-    )
-    fa, fap = _clenshaw(_POS_TABLES, u)
-    pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
-    x4 = x**0.25
-    return pre / x4 * fa, -pre * x4 * fap
-
-
-def _airy_neg_cheb(y):
-    zeta, c, s = _airy_neg_trig(y)
-    r = 1.0 / zeta
-    u = (2.0 * r - (_coeffs.AIRY_NEG_RLO + _coeffs.AIRY_NEG_RHI)) / (
-        _coeffs.AIRY_NEG_RHI - _coeffs.AIRY_NEG_RLO
-    )
-    p, q, rr, ss = _clenshaw(_NEG_TABLES, u)
+def _airy_cheb(x):
+    """(Ai, Ai') on both Chebyshev zones, in one Clenshaw pass."""
+    neg = x < 0.0
+    zone = neg.astype(np.intp)
+    y = np.abs(x)
+    zeta = _TWO_THIRDS * y * np.sqrt(y)
+    u = (2.0 / zeta - (_R_LO + _R_HI)[zone]) / (_R_HI - _R_LO)[zone]
+    cs = np.take(_CHEB, zone, axis=2)
+    u2 = np.repeat(2.0 * u[None], 4, axis=0)  # full shape, as in _airy_maclaurin
+    b1 = b2 = np.zeros(u2.shape)
+    for ck in cs[:0:-1]:
+        b1, b2 = u2 * b1 - b2 + ck, b1
+    p, q, r, s = u * b1 - b2 + cs[0]
     y4 = y**0.25
-    ai = (s * p - c * q) / (_SQRT_PI * y4)
-    aip = -(c * rr - s * ss) * y4 / _SQRT_PI
+    # x >= 2: FA and FAP scale e^{-zeta}; x <= -3: P..S carry the phase
+    pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
+    zp = zeta + 0.25 * math.pi
+    c, sn = np.cos(zp), np.sin(zp)
+    ai = np.where(neg, (sn * p - c * q) / (_SQRT_PI * y4), pre / y4 * p)
+    aip = np.where(neg, -(c * r - sn * s) * y4 / _SQRT_PI, -pre * y4 * q)
     return ai, aip
 
 
 def airy_pair(x):
     """(Ai(x), Ai'(x)) elementwise, for x (scalar or array) in [-40, 200]."""
     x = np.asarray(x, dtype=float)
-    _check_range("airy_pair", x, _AIRY_LO, _AIRY_HI)
+    _check_range("airy_pair", x, AIRY_LO, AIRY_HI)
     ai = np.empty(x.shape)
     aip = np.empty(x.shape)
     y = -x
+    mac = (x > -_Y_NEG_CHEB) & (x < _X_POS_CHEB)
     for mask, branch, arg in (
-        ((x >= _X_POS_CHEB) & (x <= _X_POS_ASYM), _airy_pos_cheb, x),
+        (mac, _airy_maclaurin, x),
+        ((y <= _Y_NEG_ASYM) & (x <= _X_POS_ASYM) & ~mac, _airy_cheb, x),
         (x > _X_POS_ASYM, _airy_pos_asym, x),
-        ((x > -_Y_NEG_CHEB) & (x < _X_POS_CHEB), _airy_maclaurin, x),
-        ((y >= _Y_NEG_CHEB) & (y <= _Y_NEG_ASYM), _airy_neg_cheb, y),
         (y > _Y_NEG_ASYM, _airy_neg_asym, y),
     ):
         if mask.any():
@@ -258,6 +249,12 @@ def airy_ai_prime(x):
 # a and a + 1 together, as the two rows of one (2, len(x)) array.
 
 
+# Series degree on x <= 9: t_k = t_{k-1} q / (k (k + v)), q = -(x/2)^2, obeys
+# |t_k| <= |t_1| |q|^{k-1} / (k! (k-1)!) for every order v > -1, and |t_1| <= sum |t_k|,
+# the scale of the sum's rounding; at |q| = 81/4 the tail past 25 is below 1e-18 of it.
+_SERIES_DEGREE = 25
+
+
 def _bessel_series(a, x):
     """Ascending power series; accurate for x <= 9."""
     a1 = a + 1.0
@@ -266,16 +263,13 @@ def _bessel_series(a, x):
     zero = x == 0.0
     xh = 0.5 * np.where(zero, 1.0, x)
     lpre = order * np.log(xh) - lgam
-    q = -xh * xh
-    term = np.ones((2, len(x)))
-    s = np.ones((2, len(x)))
-    live = np.ones(s.shape, dtype=bool)
-    for k in range(1, 201):
-        term = term * (q / (k * (k + order)))
-        np.add(s, term, out=s, where=live)
-        live &= ~(np.abs(term) < 1e-18 * np.maximum(np.abs(s), 1e-3))
-        if not live.any():
-            break
+    # ratios t_k / t_{k-1} as one (term, order, point) array, made terms and summed in order
+    k = np.arange(1.0, _SERIES_DEGREE + 1.0)[:, None, None]
+    terms = -xh * xh / (k * (k + order))
+    s = 1.0 + terms[0]
+    for prev, cur in zip(terms, terms[1:]):
+        cur *= prev
+        s += cur
     out = np.exp(lpre) * s
     tiny = lpre < -700.0
     if tiny.any():
@@ -321,11 +315,17 @@ def _bessel_miller(a, x):
     f = np.zeros((top + 2, len(x)))
     f[start, np.arange(len(x))] = 1e-300
     ratio = (2.0 * (a + np.arange(top + 1)))[:, None] / x
+    # A step grows |f| at most g = 1 + 2(|a| + 67)/9 times on x > 9, n <= x + 12 sqrt(x)
+    # + 22. Checks every m rows, g^m <= 2^480, scale columns past 2^512 by the exact
+    # 2^-512, so no value passes 2^992; the checked rows depend on a, not the batch.
+    every = max(1, int(480.0 / math.log2(1.0 + 2.0 * (abs(a) + 67.0) / 9.0)))
+    rows, ratio = list(f), list(ratio)  # row views, indexed faster by a list
     for n in range(top, 0, -1):
-        f[n - 1] += ratio[n] * f[n] - f[n + 1]
-        big = np.abs(f[n - 1]) > 1e250
-        if big.any():
-            f[n - 1 :, big] *= 1e-250
+        rows[n - 1] += ratio[n] * rows[n] - rows[n + 1]
+        if n % every == 0:
+            big = np.abs(f[n - 1 : n + 1]).max(axis=0) > 2.0**512
+            if big.any():
+                f[n - 1 :, big] *= 2.0**-512
     # normalization S = sum_k c_k f_{a+2k} -> (x/2)^a / Gamma(a+1), with
     # c_0 = 1, c_k = (a+2k) Gamma(a+k) / (Gamma(a+1) k!); rows past a
     # column's start are zero, so each column sums its own terms in order
@@ -346,7 +346,7 @@ def bessel_j_pair(a, x):
     if a <= -1.0:
         raise DomainError(f"bessel_j_pair: order a={a} must exceed -1")
     x = np.asarray(x, dtype=float)
-    _check_range("bessel_j_pair", x, 0.0, _BESSEL_XMAX)
+    _check_range("bessel_j_pair", x, 0.0, BESSEL_XMAX)
     ja = np.empty(x.shape)
     ja1 = np.empty(x.shape)
     series = x <= 9.0

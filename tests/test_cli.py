@@ -240,6 +240,25 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, hint",
         [
+            (["det", "--kernel", "airy", "--s", "-45"], "needs -40 <= s <= 190, got s=-45.0"),
+            (["det", "--kernel", "bessel", "--a", "0", "--s", "2e8"], "needs s <= 1e+08, got s=2"),
+        ],
+    )
+    def test_interval_outside_special_function_domain(self, capsys, argv, hint):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("gapspec: ") and hint in err
+
+    def test_airy_transition_below_grid_domain(self, capsys):
+        # the closed forms need no grid, so s below the Airy grid's range works
+        code, out, _ = run_cli(
+            ["asymp", "--formula", "airy-transition", "--s", "-45", "--v", "1"], capsys
+        )
+        assert code == 0 and len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "argv, hint",
+        [
             # a non-finite s is outside every interval's domain
             (["det", "--kernel", "sine", "--s", "inf"], "finite s"),
             (["det", "--kernel", "airy", "--s", "nan"], "finite s"),

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import gapspec.operator as operator_module
 from gapspec import kernels
-from gapspec.errors import ArgumentError, DegeneracyError, PoleError, PrecisionWarning
+from gapspec.errors import (
+    ArgumentError,
+    DegeneracyError,
+    DomainError,
+    PoleError,
+    PrecisionWarning,
+)
 from gapspec.kernels import (
     AIRY,
     SINE,
@@ -177,6 +183,27 @@ class TestGrid:
         nodes, _, _ = discretization_grid(bessel_spec(2.0), IntervalSpec(Family.BESSEL, 4.0), 30)
         base = gauss_legendre(30)
         assert np.allclose(nodes, 2.0 + 2.0 * base.nodes)
+
+    @pytest.mark.parametrize(
+        "spec, s, rng",
+        [
+            (AIRY, -45.0, "-40 <= s <= 190"),
+            (AIRY, 190.5, "-40 <= s <= 190"),
+            (bessel_spec(0.0), 2e8, "s <= 1e+08"),
+            (bessel_spec(0.5), 2e8, "s <= 1e+08"),
+        ],
+    )
+    def test_out_of_range_names_s(self, spec, s, rng):
+        # the message names the interval's s, not the node or u = sqrt(x)
+        # where the special function would have failed
+        with pytest.raises(DomainError) as exc:
+            discretization_grid(spec, IntervalSpec(spec.family, s), 40)
+        assert rng in str(exc.value) and f"got s={s}" in str(exc.value)
+
+    @pytest.mark.parametrize("spec, s", [(AIRY, -40.0), (AIRY, 190.0), (bessel_spec(0.5), 1e8)])
+    def test_range_ends_are_inside(self, spec, s):
+        nodes, _, _ = discretization_grid(spec, IntervalSpec(spec.family, s), 40)
+        assert np.all(np.isfinite(kernel_diag(spec, nodes)))
 
 
 class TestAssembly:

@@ -285,3 +285,137 @@ class TestDomainErrors:
     def test_airy_out_of_range(self):
         with pytest.raises(DomainError):
             specfun.airy_ai(-1e6)
+
+
+# one point deep in every Airy zone, both sides of each of the four seams,
+# and the far ends of the domain
+_AIRY_BATCH = np.random.default_rng(13).permutation(
+    np.concatenate(
+        [
+            [-40.0, -25.0, -8.0, -2.3381074104597670, -1.0187929716474710, 0.0],
+            [1.0, 7.0, 30.0, 200.0],
+            _around([-13.0, -3.0, 2.0, 15.5]),
+            np.linspace(-39.0, 120.0, 400),
+        ]
+    )
+)
+
+_ORDERS = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.3, 5.0)
+
+
+def _bessel_batch(a):
+    """Series, Miller and Hankel points, x = 0 and both sides of 9 and 30 + a^2."""
+    return np.random.default_rng(14).permutation(
+        np.concatenate(
+            [
+                [0.0, 1e-300, 0.5, 4.0, 20.0, 100.0, 1e4],
+                _around([9.0, 30.0 + a * a]),
+                np.linspace(0.0, 150.0, 400),
+            ]
+        )
+    )
+
+
+def _assert_batch_independent(pair, grid):
+    """Every value of every batch equals its one-element call, bit for bit."""
+    single = [pair(np.array([x])) for x in grid]
+    one = np.array([[s[0][0] for s in single], [s[1][0] for s in single]])
+    for size in (1, 2, 47, 333):
+        for start in range(0, len(grid), size):
+            got = pair(grid[start : start + size])
+            want = one[:, start : start + size]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (
+                size,
+                start,
+            )
+
+
+class TestBatchIndependence:
+    def test_airy(self):
+        _assert_batch_independent(specfun.airy_pair, _AIRY_BATCH)
+
+    @pytest.mark.parametrize("a", _ORDERS)
+    def test_bessel(self, a):
+        _assert_batch_independent(lambda x: specfun.bessel_j_pair(a, x), _bessel_batch(a))
+
+
+# every zone the array core sums to a fixed degree, as (lo, hi); each gets
+# 200 points inside, and the central zone also 11 points within 1e-3 of each
+# zero of Ai and of Ai' in it
+_AIRY_ZONES = {"maclaurin": (-3.0, 2.0), "pos_cheb": (2.0, 15.5), "neg_cheb": (-13.0, -3.0)}
+_BESSEL_ZONES = {"series": lambda a: (0.0, 9.0), "miller": lambda a: (9.0, 30.0 + a * a)}
+
+
+def _airy_zeros(lo, hi, derivative):
+    """Zeros of Ai (derivative 0) or Ai' (1) inside (lo, hi), hi <= 0."""
+    zeros, k = [], 1
+    while (z := float(mp.airyaizero(k, derivative=derivative))) > lo:
+        if z < hi:
+            zeros.append(z)
+        k += 1
+    return zeros
+
+
+def _airy_zone_errors(zone):
+    """Worst errors of Ai and Ai' on the zone against mpmath: relative, but
+    within 1e-3 of a zero of the function, the absolute error over the
+    function's largest modulus on the zone."""
+    lo, hi = _AIRY_ZONES[zone]
+    zeros = [_airy_zeros(lo, min(hi, 0.0), d) for d in (0, 1)]
+    x = np.linspace(lo, hi, 202)[1:-1]
+    if zone == "maclaurin":
+        x = np.concatenate([x] + [z + np.linspace(-1e-3, 1e-3, 11) for z in zeros[0] + zeros[1]])
+    got = specfun.airy_pair(x)
+    worst = []
+    for d in (0, 1):
+        ref = np.array([float(mp.airyai(mp.mpf(xi), d)) for xi in x])
+        scale = np.abs(ref)
+        for z in zeros[d]:
+            scale[np.abs(x - z) <= 1e-3] = np.abs(ref).max()
+        worst.append(float(np.max(np.abs(got[d] - ref) / scale)))
+    return worst
+
+
+def _bessel_zone_errors(zone, a):
+    """Worst errors of J_a and J_{a+1} on the zone against mpmath, in the
+    measure of the Bessel tests: |error| / max(1, 100 |J|)."""
+    lo, hi = _BESSEL_ZONES[zone](a)
+    x = np.linspace(lo, hi, 202)[1:-1]
+    got = specfun.bessel_j_pair(a, x)
+    worst = []
+    for d in (0, 1):
+        ref = np.array([float(mp.besselj(a + d, mp.mpf(xi))) for xi in x])
+        worst.append(float(np.max(np.abs(got[d] - ref) / np.maximum(1.0, 100.0 * np.abs(ref)))))
+    return worst
+
+
+class TestZoneAccuracy:
+    @pytest.mark.parametrize("zone", sorted(_AIRY_ZONES))
+    def test_airy(self, zone):
+        assert max(_airy_zone_errors(zone)) < 5e-12
+
+    @pytest.mark.parametrize("zone", sorted(_BESSEL_ZONES))
+    @pytest.mark.parametrize("a", _ORDERS)
+    def test_bessel(self, zone, a):
+        assert max(_bessel_zone_errors(zone, a)) < 2e-11
+
+
+class TestFixedDegrees:
+    def test_series_degree_is_the_least_meeting_its_tail_bound(self):
+        # |t_k| <= |t_1| |q|^{k-1} / (k! (k-1)!) for every order > -1, at
+        # |q| = (9/2)^2 the largest on the series zone
+        q = mp.mpf(81) / 4
+
+        def tail(degree):
+            return mp.nsum(lambda k: q ** (k - 1) / (mp.factorial(k) * mp.factorial(k - 1)), [degree + 1, mp.inf])
+
+        assert tail(specfun._SERIES_DEGREE) < 1e-18 <= tail(specfun._SERIES_DEGREE - 1)
+
+    def test_miller_rescales_without_overflow(self):
+        # at a = 3e7 the unnormalized recurrence passes 1e400 near x = 9.5, so
+        # columns are rescaled many times; J itself underflows to 0
+        x = np.array([9.5, 12.0, 20.0])
+        with np.errstate(over="raise", invalid="raise"):
+            ja, ja1 = specfun.bessel_j_pair(3e7, x)
+        assert np.all(ja == 0.0) and np.all(ja1 == 0.0)
+        _assert_batch_independent(lambda v: specfun.bessel_j_pair(3e7, v), np.linspace(9.1, 20.0, 50))

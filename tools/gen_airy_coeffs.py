@@ -1,4 +1,4 @@
-"""Generate frozen Chebyshev coefficient tables for the Airy mid-range zones.
+"""Generate the frozen coefficient tables of the Airy zones.
 
 Runs mpmath at 40 significant digits to fit Chebyshev expansions of
 slowly-varying auxiliary functions of r = 1/zeta, zeta = (2/3)|x|^{3/2}:
@@ -14,8 +14,20 @@ slowly-varying auxiliary functions of r = 1/zeta, zeta = (2/3)|x|^{3/2}:
 
 All six functions are smooth and bounded on their zones, so the Chebyshev
 coefficients decay geometrically; series are truncated once the tail drops
-below 1e-18.  The output module src/gapspec/_coeffs.py is committed so the
-package builds without mpmath installed.
+below 1e-18.
+
+The central zone -YN_LO < x < XP_LO takes Ai = C1 f - C2 g and
+Ai' = C1 f' - C2 g' from the two entire solutions f = sum a_k z^k and
+g = x sum b_k z^k, z = x^3, as four power series in z:
+
+      f = F(z),  g = x G(z),  f' = x^2 FP(z),  g' = GP(z).
+
+All four are cut at one degree K, the smallest for which the tails bound
+the truncation error of Ai and Ai' below 1e-18 at |x| = YN_LO, the zone's
+largest |x| (every tail term only shrinks as |x| falls).
+
+The output module src/gapspec/_coeffs.py is committed so the package builds
+without mpmath installed.
 
 Usage:  python3 tools/gen_airy_coeffs.py
 """
@@ -87,6 +99,45 @@ def pqrs_neg(r):
     return p, q, c * u + s * w, -s * u + c * w
 
 
+def maclaurin_rows(kmax):
+    """F, G, FP and GP of the central zone, coefficients of z^0 .. z^kmax."""
+    a, b = [mp.mpf(1)], [mp.mpf(1)]
+    for k in range(1, kmax + 2):
+        a.append(a[-1] / ((3 * k) * (3 * k - 1)))
+        b.append(b[-1] / ((3 * k) * (3 * k + 1)))
+    ks = range(kmax + 1)
+    return (
+        a[: kmax + 1],
+        b[: kmax + 1],
+        [(3 * k + 3) * a[k + 1] for k in ks],
+        [(3 * k + 1) * b[k] for k in ks],
+    )
+
+
+def maclaurin_tail(kmax, extra=60):
+    """Bounds on |Ai - Ai_K| and |Ai' - Ai'_K| over |x| <= YN_LO.
+
+    Row tails are summed to degree kmax + extra; from k = 3 on each term is
+    below half the one before, so the rest is below the last term summed.
+    """
+    zmax = YN_LO**3
+    rows = maclaurin_rows(kmax + extra)
+    tail = []
+    for row, xpow in zip(rows, (0, 1, 2, 0)):
+        terms = [abs(c) * zmax**k for k, c in enumerate(row)][kmax + 1 :]
+        tail.append(YN_LO**xpow * (mp.fsum(terms) + terms[-1]))
+    c1 = 1 / (mp.mpf(3) ** (mp.mpf(2) / 3) * mp.gamma(mp.mpf(2) / 3))
+    c2 = 1 / (mp.mpf(3) ** (mp.mpf(1) / 3) * mp.gamma(mp.mpf(1) / 3))
+    return c1 * tail[0] + c2 * tail[1], c1 * tail[2] + c2 * tail[3]
+
+
+def maclaurin_degree():
+    k = 1
+    while max(maclaurin_tail(k)) > TAIL_TOL:
+        k += 1
+    return k
+
+
 def fmt_table(name, cs):
     lines = [f"{name} = ("]
     for c in cs:
@@ -118,6 +169,9 @@ def main():
     rr = truncate(cheb_fit(neg(2), rn_lo, rn_hi, NFIT), TAIL_TOL)
     ss = truncate(cheb_fit(neg(3), rn_lo, rn_hi, NFIT), TAIL_TOL)
 
+    kmac = maclaurin_degree()
+    mac = maclaurin_rows(kmac)
+
     out = os.path.join(
         os.path.dirname(os.path.abspath(__file__)),
         os.pardir,
@@ -127,7 +181,8 @@ def main():
     )
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(
-            '"""Frozen Chebyshev tables for the Airy mid-range zones.\n\n'
+            '"""Frozen Chebyshev tables for the Airy mid-range zones, and the power\n'
+            "series in z = x^3 of the central zone.\n\n"
             "Generated by tools/gen_airy_coeffs.py -- do not edit by hand.\n"
             '"""\n\n'
         )
@@ -146,12 +201,21 @@ def main():
             ("AIRY_NEG_Q", q),
             ("AIRY_NEG_R", rr),
             ("AIRY_NEG_S", ss),
+            ("AIRY_MAC_F", mac[0]),
+            ("AIRY_MAC_G", mac[1]),
+            ("AIRY_MAC_FP", mac[2]),
+            ("AIRY_MAC_GP", mac[3]),
         ):
             fh.write(fmt_table(name, cs))
             fh.write("\n\n")
     print(f"wrote {out}")
     for name, cs in (("FA", fa), ("FAP", fap), ("P", p), ("Q", q), ("R", rr), ("S", ss)):
         print(f"  {name}: {len(cs)} coefficients, tail {mp.nstr(abs(cs[-1]), 3)}")
+    ai_tail, aip_tail = maclaurin_tail(kmac)
+    print(
+        f"  MAC: degree {kmac} in z = x^3, truncation bound at |x| = {mp.nstr(YN_LO, 3)}: "
+        f"Ai {mp.nstr(ai_tail, 3)}, Ai' {mp.nstr(aip_tail, 3)}"
+    )
 
 
 if __name__ == "__main__":
