@@ -135,6 +135,8 @@ def _config_echo(cfg):
 
 def cmd_spectrum(cfg, args):
     top = args.top
+    if top < 0:
+        raise ArgumentError(f"--top must be >= 0, got {top}")
     d = build_discretization(cfg.spec, IntervalSpec(cfg.family, cfg.s), cfg.n)
     sp = compute_spectrum(d)
     rows = []
@@ -222,8 +224,18 @@ def cmd_asymp(cfg, args):
     return EXIT_OK
 
 
+def _parse_grid(text):
+    grid = []
+    for item in text.split(","):
+        try:
+            grid.append(float(item))
+        except ValueError:
+            raise ArgumentError(f"--grid item {item!r} is not a number") from None
+    return grid
+
+
 def cmd_scan(cfg, args):
-    grid = [float(x) for x in args.grid.split(",")]
+    grid = _parse_grid(args.grid)
     kind = args.kind
     if kind == "eig":
         res = verify_mod.eig_ratio_scan(cfg.family, args.index, grid, n=cfg.n, a=cfg.a or 0.0)
@@ -308,6 +320,23 @@ def _build_parser():
     return ap
 
 
+# the JSON type each config-file key must have: that of its flag
+_CONFIG_TYPES = {
+    "kernel": str, "a": float, "s": float, "gamma": float, "v": float, "chi": float,
+    "n": int, "format": str, "output": str,
+}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
+
+
+def _config_value(file_cfg, key, default):
+    val = file_cfg.get(key, default)
+    want = _CONFIG_TYPES[key]
+    ok = isinstance(val, (int, float) if want is float else want) and not isinstance(val, bool)
+    if val is not None and not ok:
+        raise ArgumentError(f"config key {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
+    return val
+
+
 def _load_config(args):
     file_cfg = {}
     if getattr(args, "config", None):
@@ -320,7 +349,7 @@ def _load_config(args):
         val = getattr(args, flag, None)
         if val is not None:
             return val
-        return file_cfg.get(key, default)
+        return _config_value(file_cfg, key, default)
 
     fam_name = pick("kernel", "kernel")
     family = _coerce_family(fam_name) if fam_name else None

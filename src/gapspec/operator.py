@@ -19,7 +19,7 @@ Airy and Bessel intervals have no such symmetry and take one full solve.
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -253,11 +253,19 @@ def build_discretization(spec, interval, n):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending eigenvalues of a discretized operator, validated to (0,1)."""
+    """Descending eigenvalues of a discretized operator, validated to (0,1).
+
+    A spectrum also keeps, out of sight of == and repr, the counting state
+    of the last gamma it was read at: mu, the highest ESP row reached and
+    e_0..e_k. counting_prob and counting_ratio extend it instead of
+    starting again at e_0, so a table E(0..k) read one degree at a time
+    costs one pass per degree in all.
+    """
 
     eigenvalues: np.ndarray
     n: int
     meta: dict
+    _esp_memo: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
@@ -394,29 +402,42 @@ def _mu_values(sp, gamma=1.0):
     return lam / (1.0 - lam)
 
 
-def _esp_all(mu, kmax):
-    """Elementary symmetric polynomials e_0..e_kmax of mu, kmax <= len(mu).
+def _esp_extend(mu, row, e, kmax):
+    """Extend e = [e_0..e_k] of mu, whose ESP row k is row, to e_0..e_kmax;
+    return (row kmax, the longer list). Neither argument is changed.
 
     Row k holds e_k of the first k, k+1, ..., len(mu) values, a running sum
     (sequential cumsum) of mu_j times row k-1. Every e_k is then a running
     sum of positive terms, stable even when the mu span many orders of
-    magnitude, and costs one array pass instead of a loop over mu.
+    magnitude, and costs one array pass instead of a loop over mu. Row k
+    does not depend on kmax, or on where a previous extension stopped.
     """
-    row = np.ones(len(mu) + 1)
-    e = [1.0]
-    for k in range(1, kmax + 1):
+    e = list(e)
+    for k in range(len(e), kmax + 1):
         row = np.cumsum(mu[k - 1 :] * row[:-1])
         e.append(row[-1])
-    return np.array(e)
+    return row, e
+
+
+def _esp_all(mu, kmax):
+    """Elementary symmetric polynomials e_0..e_kmax of mu, kmax <= len(mu)."""
+    return np.array(_esp_extend(mu, np.ones(len(mu) + 1), [1.0], kmax)[1])
+
+
+def _same_float(x, y):
+    """x and y are the same double, signed zeros told apart (NaN never is)."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def _counting(sp, n, least, gamma, times_det, name):
     """e_k(mu), mu = g l/(1 - g l), at the degrees n (an int or a 1-D array),
     times D(J; gamma) if times_det.
 
-    One ESP pass up to the largest degree serves them all; row k of
-    _esp_all does not depend on kmax, so each value is the one a call for
-    degree k alone gives. A degree above N gives 0.
+    The ESP comes from sp's memo of the last gamma, extended to the largest
+    degree asked for when it holds less; row k does not depend on where the
+    recurrence stopped before, so each value is the one a call for degree k
+    alone gives. D and the gamma check run on every call, and the memo
+    takes nothing from a call that raised. A degree above N gives 0.
     """
     deg = np.asarray(n, dtype=int)
     if deg.ndim == 0:
@@ -431,14 +452,23 @@ def _counting(sp, n, least, gamma, times_det, name):
     size = len(sp.eigenvalues)
     if low > size or top < 0:
         return np.zeros(deg.shape) if deg.ndim else 0.0
-    mu = _mu_values(sp, gamma)
-    if top > size:
-        # index N + 1 holds e = 0 for every degree above N
-        e = np.append(_esp_all(mu, size), 0.0)[np.minimum(deg, size + 1)]
+    g = float(gamma)
+    memo = sp._esp_memo
+    if memo is None or not _same_float(memo[0], g):
+        memo = (g, _mu_values(sp, g), np.ones(size + 1), [1.0])
+    _, mu, row, e = memo
+    det = fredholm_det(sp, gamma) if times_det else None
+    kmax = min(top, size)
+    if kmax >= len(e):
+        row, e = _esp_extend(mu, row, e, kmax)
+    object.__setattr__(sp, "_esp_memo", (g, mu, row, e))
+    if deg.ndim:
+        # index kmax + 1 holds e = 0 for every degree above N
+        e = np.array(e[: kmax + 1] + [0.0])[np.minimum(deg, kmax + 1)]
     else:
-        e = _esp_all(mu, top)[deg]
+        e = e[top]
     if times_det:
-        e = fredholm_det(sp, gamma) * e
+        e = det * e
     return e if deg.ndim else float(e)
 
 
@@ -447,7 +477,11 @@ def counting_prob(sp, n, gamma=1.0):
     process in J: prod(1 - gamma lambda) * e_n(mu), mu = g l/(1 - g l).
 
     n is an int (a float is returned) or a 1-D array of degrees (an array
-    is returned, from one ESP pass up to the largest degree)."""
+    is returned). The ESP rows are kept on sp for the last gamma, so calls
+    on one spectrum and gamma, in any order, cost one array pass per degree
+    in all, and each value is the one a fresh call gives. D(J; gamma) and
+    the gamma lambda < 1 check (DegeneracyError) run on every call, so its
+    PrecisionWarning is issued by every call whose D underflows."""
     return _counting(sp, n, 0, gamma, True, "counting_prob")
 
 

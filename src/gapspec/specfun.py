@@ -8,16 +8,18 @@ degree set by a tail below 1e-18 at the zone's worst point: Airy on (-3, 2)
 by Horner in x^3 to degree 15 (at |x| = 3), Airy on [2, 15.5] and [-13, -3]
 by one Clenshaw pass over the stacked tables of _coeffs.py, Bessel on x <= 9
 by 26 series terms (at x = 9, relative to the terms' moduli, for any a > -1)
-and below 30 + a^2 by backward recurrence. Only the asymptotic expansions
-stop at their smallest term, element by element. Every sum is elementwise,
-so no value depends on the rest of the batch. The scalar functions
-`airy_ai`, `airy_ai_prime`, `bessel_j` and `bessel_j_prime` are one-element
-calls of the same code.
+and below 30 + a^2 by backward recurrence, normalized in logs at a point
+whose weights pass the largest double (orders above about 150).
+Only the asymptotic expansions stop at their smallest term, element by
+element. Every sum is elementwise, so no value depends on the rest of the
+batch. The scalar functions `airy_ai`, `airy_ai_prime`, `bessel_j` and
+`bessel_j_prime` are one-element calls of the same code.
 """
 
 import cmath
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -249,6 +251,8 @@ def airy_ai_prime(x):
 # a and a + 1 together, as the two rows of one (2, len(x)) array.
 
 
+_LOG_MAX = math.log(sys.float_info.max)  # e^t overflows a double past t = 709.78
+
 # Series degree on x <= 9: t_k = t_{k-1} q / (k (k + v)), q = -(x/2)^2, obeys
 # |t_k| <= |t_1| |q|^{k-1} / (k! (k-1)!) for every order v > -1, and |t_1| <= sum |t_k|,
 # the scale of the sum's rounding; at |q| = 81/4 the tail past 25 is below 1e-18 of it.
@@ -309,6 +313,17 @@ def _bessel_miller(a, x):
     """(J_a, J_{a+1}) by backward recurrence with Gegenbauer normalization."""
     start = (x + 12.0 * np.sqrt(x) + 22.0).astype(int)
     top = int(start.max())
+    # normalization S = sum_k c_k f_{a+2k} -> (x/2)^a / Gamma(a+1), with
+    # c_0 = 1, c_k = (a+2k) Gamma(a+k) / (Gamma(a+1) k!); rows past a
+    # column's start are zero, so each column sums its own terms in order.
+    # A column whose weights and prefactor fit in a double (every column at
+    # moderate orders) sums them as they are; a wide one (orders above about
+    # 150) takes the terms and the prefactor in logs.
+    lg_a1 = math.lgamma(a + 1.0)
+    log_g = [math.lgamma(a + k) - lg_a1 - math.lgamma(k + 1.0) for k in range(1, top // 2 + 1)]
+    log_pre = a * np.log(0.5 * x) - lg_a1
+    log_c = np.concatenate(([0.0], log_g + np.log(a + 2.0 * np.arange(1, top // 2 + 1))))
+    wide = np.maximum(np.maximum.accumulate(log_c)[start // 2], log_pre) > _LOG_MAX
     # f[n] holds f_{a+n}. Each column starts at its own n_start with
     # f[n_start + 1] = 0, f[n_start] = 1e-300 and is zero above; the update
     # adds 0 to a row until its column has started, which keeps the seed.
@@ -318,25 +333,56 @@ def _bessel_miller(a, x):
     # A step grows |f| at most g = 1 + 2(|a| + 67)/9 times on x > 9, n <= x + 12 sqrt(x)
     # + 22. Checks every m rows, g^m <= 2^480, scale columns past 2^512 by the exact
     # 2^-512, so no value passes 2^992; the checked rows depend on a, not the batch.
+    # A wide column's largest terms can lie so far below f[0] that scaling every
+    # row would flush them: only its two live rows are scaled, and the rows above
+    # keep the frame they were made in.
     every = max(1, int(480.0 / math.log2(1.0 + 2.0 * (abs(a) + 67.0) / 9.0)))
+    rescaled = []  # (n, wide columns scaled at row n)
     rows, ratio = list(f), list(ratio)  # row views, indexed faster by a list
     for n in range(top, 0, -1):
         rows[n - 1] += ratio[n] * rows[n] - rows[n + 1]
         if n % every == 0:
             big = np.abs(f[n - 1 : n + 1]).max(axis=0) > 2.0**512
             if big.any():
-                f[n - 1 :, big] *= 2.0**-512
-    # normalization S = sum_k c_k f_{a+2k} -> (x/2)^a / Gamma(a+1), with
-    # c_0 = 1, c_k = (a+2k) Gamma(a+k) / (Gamma(a+1) k!); rows past a
-    # column's start are zero, so each column sums its own terms in order
-    lg_a1 = math.lgamma(a + 1.0)
-    c = [1.0] + [
-        (a + 2.0 * k) * math.exp(math.lgamma(a + k) - lg_a1 - math.lgamma(k + 1.0))
-        for k in range(1, top // 2 + 1)
-    ]
+                f[n - 1 :, big & ~wide] *= 2.0**-512
+                f[n - 1 : n + 1, big & wide] *= 2.0**-512
+                rescaled.append((n, big & wide))
+    if not wide.any():
+        return _gegenbauer_scale(a, f, start, log_g, log_pre)
+    # a batch with wide columns: each kind of column on its own
+    out = np.empty((2, len(x)))
+    fits = ~wide
+    if fits.any():
+        out[:, fits] = _gegenbauer_scale(a, f[:, fits], start[fits], log_g, log_pre[fits])
+    frames = np.zeros((top + 2, len(x)))
+    for n, cols in rescaled:
+        frames[: n + 1, cols] += 1.0
+    lost = (frames[0] - frames) * (512.0 * math.log(2.0))
+    out[:, wide] = _gegenbauer_scale_log(f[:, wide], lost[:, wide], log_c, log_pre[wide])
+    return out[0], out[1]
+
+
+def _gegenbauer_scale(a, f, start, log_g, log_pre):
+    """Miller's rows f normalized to (J_a, J_{a+1}), with the weights and
+    the prefactor e^log_pre as they are."""
+    kmax = int(start.max()) // 2
+    c = [1.0] + [(a + 2.0 * k) * math.exp(lg) for k, lg in zip(range(1, kmax + 1), log_g)]
     s = np.cumsum(np.array(c)[:, None] * f[0 : 2 * len(c) : 2], axis=0)[-1]
-    scale = np.exp(a * np.log(0.5 * x) - lg_a1) / s
+    scale = np.exp(log_pre) / s
     return f[0] * scale, f[1] * scale
+
+
+def _gegenbauer_scale_log(f, lost, log_c, log_pre):
+    """The same from logs: row n of f, times e^-lost[n], is its value in the
+    frame of rows 0 and 1. The terms log |c_k f_{a+2k}| and the prefactor
+    take one shift per column, its largest term."""
+    even = slice(0, 2 * len(log_c), 2)
+    with np.errstate(divide="ignore"):  # log 0 = -inf on rows past a column's start
+        log_t = log_c[:, None] + np.log(np.abs(f[even])) - lost[even]
+        shift = log_t.max(axis=0)
+        s = np.cumsum(np.sign(f[even]) * np.exp(log_t - shift), axis=0)[-1]
+        log_j = np.log(np.abs(f[:2])) + (log_pre - shift - np.log(np.abs(s)))
+    return np.sign(f[:2]) * np.sign(s) * np.exp(log_j)
 
 
 def bessel_j_pair(a, x):

@@ -283,6 +283,44 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("gapspec: ") and hint in err
 
+    @pytest.mark.parametrize(
+        "config, hint",
+        [
+            ({"n": "x"}, "'n' must be an integer, got 'x'"),
+            ({"kernel": "sine", "s": 2, "n": 60.5}, "'n' must be an integer"),
+            ({"kernel": "sine", "s": "abc"}, "'s' must be a number, got 'abc'"),
+            ({"kernel": "sine", "s": 2, "gamma": "0.5"}, "'gamma' must be a number, got '0.5'"),
+            ({"kernel": "sine", "s": 2, "v": True}, "'v' must be a number, got True"),
+            ({"kernel": 5, "s": 2}, "'kernel' must be a string"),
+            ({"kernel": "sine", "s": 2, "output": 5}, "'output' must be a string"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type(self, capsys, tmp_path, config, hint):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["det", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("gapspec: config key ") and hint in err
+
+    def test_config_numbers_may_be_ints(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"kernel": "sine", "s": 2, "gamma": 1, "n": 60}))
+        code, out, _ = run_cli(["det", "--config", str(cfg)], capsys)
+        assert code == 0 and out.splitlines()[1].endswith(",60,2")
+
+    @pytest.mark.parametrize("grid, item", [("2,,3", "''"), ("2,3,x", "'x'"), ("", "''")])
+    def test_grid_item_not_a_number(self, capsys, grid, item):
+        code, out, err = run_cli(["scan", "--kind", "eig", "--kernel", "sine", "--grid", grid], capsys)
+        assert code == 2 and out == ""
+        assert err == f"gapspec: --grid item {item} is not a number\n"
+
+    def test_negative_top(self, capsys):
+        code, out, err = run_cli(["spectrum", "--kernel", "sine", "--s", "2", "--top", "-3"], capsys)
+        assert code == 2 and out == ""
+        assert "--top must be >= 0, got -3" in err
+        code, out, _ = run_cli(["spectrum", "--kernel", "sine", "--s", "2", "--top", "0"], capsys)
+        assert code == 0 and out == "index,lambda,one_minus_lambda,mu\n"
+
     def test_chi_on_sine_uses_t_equal_s(self, capsys):
         code, out, _ = run_cli(
             ["det", "--kernel", "sine", "--s", "3", "--chi", "0.2", "--format", "json"], capsys

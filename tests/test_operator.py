@@ -697,6 +697,69 @@ class TestCounting:
         assert counting_ratio(sp, [3, 1]).tolist() == [ref[2], ref[0]]
         assert counting_prob(sp, [n + 1, n + 2]).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "spec, interval",
+        [
+            (SINE, IntervalSpec(Family.SINE, 3.0)),
+            (AIRY, IntervalSpec(Family.AIRY, -4.0)),
+            (bessel_spec(0.5), IntervalSpec(Family.BESSEL, 50.0)),
+        ],
+    )
+    def test_memo_keeps_the_bits_in_any_call_order(self, spec, interval):
+        # every call reads and extends the spectrum's memo; each value must
+        # still be the one-degree code's, whatever the calls before it were
+        sp = compute_spectrum(build_discretization(spec, interval, 40))
+        n = len(sp.eigenvalues)
+        degrees = list(range(n + 3))  # 0..N+2
+        orders = [degrees, degrees[::-1], np.random.default_rng(7).permutation(degrees).tolist()]
+        ref = {g: np.array([self._counting_prob_one_degree(sp, k, g) for k in degrees])
+               for g in (0.3, 1.0)}
+        ratio = np.array([0.0] + [self._counting_ratio_one_degree(sp, k) for k in degrees[1:]])
+
+        def check(got, want):
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        def prob(k, g):
+            check(counting_prob(sp, k, g), ref[g][k] if np.ndim(k) else float(ref[g][k]))
+
+        for g in (0.3, 1.0, 0.3):
+            for order in orders:
+                for k in order[:5]:
+                    prob(k, g)
+                prob(np.array(order[5:12]), g)
+                check(counting_ratio(sp, order[12] or 1), float(ratio[order[12] or 1]))
+                for k in order[12:]:
+                    prob(k, g)
+            prob(np.array([n + 2, 3, n + 1, 0]), g)
+            check(counting_ratio(sp, np.array([n, 2, n + 2])), ratio[[n, 2, n + 2]])
+
+    def test_memo_raises_on_every_degenerate_call(self):
+        sp = _fake_spectrum([0.9, 0.5])
+        for _ in range(2):
+            assert counting_prob(sp, 1, 0.5) > 0.0
+            for n in (0, 1, 1, 2, np.arange(3)):
+                with pytest.raises(DegeneracyError):
+                    counting_prob(sp, n, 1.2)  # 1.2 * 0.9 >= 1
+        assert counting_prob(sp, 2, 0.5) == self._counting_prob_one_degree(sp, 2, 0.5)
+
+    def test_memo_warns_on_every_underflowing_call(self):
+        sp = _fake_spectrum([0.9] * 800)
+        calls = [0, 1, 2, 1, np.arange(4), 0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for n in calls:
+                counting_prob(sp, n)
+        assert [w.category for w in caught] == [PrecisionWarning] * len(calls)
+
+    def test_memo_is_outside_equality_and_repr(self):
+        eigs = np.array([0.7, 0.2, 0.01])
+        sp, twin = Spectrum(eigs, 3, {}), Spectrum(eigs, 3, {})
+        before = repr(sp)
+        counting_prob(sp, np.arange(4), 0.5)
+        counting_ratio(sp, 2)
+        assert sp == twin and repr(sp) == before == repr(twin)
+        assert "memo" not in before
+
     def test_array_of_degrees_edges(self):
         sp = _fake_spectrum([0.7, 0.2, 0.01])
         for fn in (counting_prob, counting_ratio):

@@ -419,3 +419,33 @@ class TestFixedDegrees:
             ja, ja1 = specfun.bessel_j_pair(3e7, x)
         assert np.all(ja == 0.0) and np.all(ja1 == 0.0)
         _assert_batch_independent(lambda v: specfun.bessel_j_pair(3e7, v), np.linspace(9.1, 20.0, 50))
+
+
+# (a, x) past the range of a double's weights c_k or prefactor (x/2)^a / Gamma(a+1):
+# the calls that overflowed, two where those weights summed to inf and J read 0.0,
+# and two whose largest terms lie so far below f[0] that rescaling every row flushes them
+_LARGE_ORDERS = [
+    (300.0, 5000.0),
+    (1000.0, 1000.0),
+    (500.0, 2000.0),
+    (1000.0, 5000.0),
+    (180.0, 5884.168059186901),
+    (300.0, 1609.5075297212707),
+    (2000.0, 4382.604984653766),
+    (5000.0, 5547.464353446033),
+]
+
+
+class TestLargeOrders:
+    @pytest.mark.parametrize("a, x", _LARGE_ORDERS)
+    def test_against_mpmath(self, a, x):
+        with np.errstate(over="raise", invalid="raise"):
+            got = specfun.bessel_j_pair(a, np.array([x]))
+        for d in (0, 1):
+            ref = float(mp.besselj(a + d, mp.mpf(x), maxprec=20000))
+            assert abs(got[d][0] - ref) < 2e-11 * max(1.0, abs(ref) * 1e2), (d, got[d][0], ref)
+
+    def test_batch_independent_across_the_log_switch(self):
+        # at a = 300 the columns below x of about 1600 sum their weights as they are
+        grid = np.random.default_rng(15).permutation(np.geomspace(9.5, 1e4, 24))
+        _assert_batch_independent(lambda v: specfun.bessel_j_pair(300.0, v), grid)
