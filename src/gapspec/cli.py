@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Subcommands: spectrum, det, asymp, scan, verify. Output is deterministic
-CSV or JSON (schema_version 1); floats are emitted with 17 significant
-digits so files are byte-identical across runs.
+Subcommands: spectrum, det, asymp, scan, verify. Each registers only the
+options it reads (`gapspec <command> --help` lists them), declared once in
+_OPTIONS. A --config JSON object supplies the flags left unset; it may hold
+only keys of the command's own options, each of its flag's type, so a
+misspelt or foreign key is refused rather than silently ignored.
+
+Output is deterministic CSV or JSON (schema_version 1); floats are
+emitted with 17 significant digits so files are byte-identical across runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 error.
@@ -243,10 +248,8 @@ def cmd_scan(cfg, args):
         if cfg.chi is None:
             raise ArgumentError("det scans need --chi")
         res = verify_mod.det_ratio_scan(cfg.family, cfg.chi, grid, a=cfg.a or 0.0, n=cfg.n)
-    elif kind == "stokes":
-        res = verify_mod.stokes_crossing_scan(cfg.family, args.q, grid, a=cfg.a or 0.0, n=cfg.n)
     else:
-        raise ArgumentError(f"unknown scan kind {kind!r}")
+        res = verify_mod.stokes_crossing_scan(cfg.family, args.q, grid, a=cfg.a or 0.0, n=cfg.n)
     rows = list(zip(res.grid, res.numeric, res.predicted, res.rel_error))
     summary = {
         k: (_fmt(v) if isinstance(v, float) else v)
@@ -270,6 +273,22 @@ def cmd_verify(cfg, args):
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAIL
 
 
+# every option a config-file key may name: its argparse keywords, whose
+# type is also the JSON type the key's value must have (an int is a number)
+_OPTIONS = {
+    "kernel": dict(type=str, choices=["sine", "airy", "bessel"]),
+    "a": dict(type=float, help="Bessel order"),
+    "s": dict(type=float, help="interval parameter"),
+    "gamma": dict(type=float),
+    "v": dict(type=float, help="v = -ln(1-gamma)"),
+    "chi": dict(type=float, help="Stokes curve parameter"),
+    "n": dict(type=int, help="quadrature size"),
+    "format": dict(type=str, choices=["csv", "json"]),
+    "output": dict(type=str),
+}
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
+
+
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="gapspec",
@@ -278,93 +297,71 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_family=True):
-        if need_family:
-            p.add_argument("--kernel", choices=["sine", "airy", "bessel"])
-        p.add_argument("--a", type=float, default=None, help="Bessel order")
-        p.add_argument("--s", type=float, default=None, help="interval parameter")
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--v", type=float, default=None, help="v = -ln(1-gamma)")
-        p.add_argument("--chi", type=float, default=None, help="Stokes curve parameter")
-        p.add_argument("--n", type=int, default=None, help="quadrature size")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--config", default=None, help="optional JSON config file")
+    def command(name, fn, help, options, need):
+        """Subparser taking options (keys of _OPTIONS), format, output and
+        --config; the options in need must be set by a flag or the config."""
+        p = sub.add_parser(name, help=help)
+        options += ("format", "output")
+        for key in options:
+            p.add_argument(f"--{key}", **_OPTIONS[key])
+        p.add_argument("--config", help="optional JSON config file")
+        p.set_defaults(fn=fn, options=options, need=need)
+        return p
 
-    p = sub.add_parser("spectrum", help="top eigenvalues of the discretized operator")
-    common(p)
+    p = command("spectrum", cmd_spectrum, "top eigenvalues of the discretized operator",
+                ("kernel", "a", "s", "n"), need=("kernel", "s"))
     p.add_argument("--top", type=int, default=10)
-    p.set_defaults(fn=cmd_spectrum, need=("kernel", "s"))
 
-    p = sub.add_parser("det", help="Fredholm determinant")
-    common(p)
-    p.set_defaults(fn=cmd_det, need=("kernel", "s"))
+    command("det", cmd_det, "Fredholm determinant",
+            ("kernel", "a", "s", "gamma", "v", "chi", "n"), need=("kernel", "s"))
 
-    p = sub.add_parser("asymp", help="closed-form expansions")
-    common(p)
+    p = command("asymp", cmd_asymp, "closed-form expansions", ("a", "s", "v", "chi"), need=("s",))
     p.add_argument("--formula", choices=_ASYMP_SELECTORS, required=True)
     p.add_argument("--p", type=int, default=None)
-    p.set_defaults(fn=cmd_asymp, need=("s",))
 
-    p = sub.add_parser("scan", help="oracle-vs-formula scans")
-    common(p)
+    p = command("scan", cmd_scan, "oracle-vs-formula scans", ("kernel", "a", "chi", "n"),
+                need=("kernel",))
     p.add_argument("--kind", choices=["eig", "det", "stokes"], required=True)
     p.add_argument("--grid", required=True, help="comma-separated t values")
     p.add_argument("--index", type=int, default=0, help="eigenvalue index (eig scans)")
     p.add_argument("--q", type=int, default=1, help="factor index (stokes scans)")
-    p.set_defaults(fn=cmd_scan, need=("kernel",))
 
-    p = sub.add_parser("verify", help="run the full acceptance suite")
-    common(p, need_family=False)
-    p.set_defaults(fn=cmd_verify, need=())
+    command("verify", cmd_verify, "run the full acceptance suite", (), need=())
     return ap
 
 
-# the JSON type each config-file key must have: that of its flag
-_CONFIG_TYPES = {
-    "kernel": str, "a": float, "s": float, "gamma": float, "v": float, "chi": float,
-    "n": int, "format": str, "output": str,
-}
-_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
-
-
-def _config_value(file_cfg, key, default):
-    val = file_cfg.get(key, default)
-    want = _CONFIG_TYPES[key]
-    ok = isinstance(val, (int, float) if want is float else want) and not isinstance(val, bool)
-    if val is not None and not ok:
-        raise ArgumentError(f"config key {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
-    return val
-
-
 def _load_config(args):
+    """RunConfig from the command's flags, each unset one taken from the
+    --config file; the file may hold only keys of the command's options."""
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as f:
             file_cfg = json.load(f)
         if not isinstance(file_cfg, dict):
             raise ArgumentError("config file must contain a JSON object")
-
-    def pick(flag, key, default=None):
-        val = getattr(args, flag, None)
+    for key in file_cfg:
+        if key not in args.options:
+            raise ArgumentError(
+                f"config key {key!r} is not an option of {args.command}, "
+                f"which takes {', '.join(args.options)}"
+            )
+    given = {}
+    for key in args.options:
+        val = getattr(args, key)
+        if val is None:
+            val = file_cfg.get(key)
+            want = _OPTIONS[key]["type"]
+            ok = isinstance(val, (int, float) if want is float else want)
+            if val is not None and (not ok or isinstance(val, bool)):
+                raise ArgumentError(f"config key {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
         if val is not None:
-            return val
-        return _config_value(file_cfg, key, default)
-
-    fam_name = pick("kernel", "kernel")
-    family = _coerce_family(fam_name) if fam_name else None
-    cfg = RunConfig(
-        family=family,
-        a=pick("a", "a"),
-        s=pick("s", "s"),
-        gamma=pick("gamma", "gamma"),
-        v=pick("v", "v"),
-        chi=pick("chi", "chi"),
-        n=int(pick("n", "n", 80)),
-        fmt=pick("format", "format", "csv"),
-        output=pick("output", "output"),
-    )
-    for key in getattr(args, "need", ()):
+            given[key] = val
+    kernel = given.pop("kernel", None)
+    family = _coerce_family(kernel) if kernel else None
+    if "format" in given:
+        given["fmt"] = given.pop("format")
+    cfg = RunConfig(family=family, **given)
+    for key in args.need:
         attr = "family" if key == "kernel" else key
         if getattr(cfg, attr) is None:
             raise ArgumentError(f"--{key} is required for this command")

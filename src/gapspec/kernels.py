@@ -312,6 +312,14 @@ def _assemble(spec, cols, rows, sw, out):
     return 2 * len(ii) - int(np.count_nonzero(ii == jj))
 
 
+def _parity_layout(n):
+    """(h, k, c) of a sine matrix of size n: the h = n // 2 nodes below the
+    centre, the first row k = n - h of the lower half, and c = 1 when node h
+    is a centre node at 0 (odd n), else 0."""
+    h = n // 2
+    return h, n - h, n - 2 * h
+
+
 def kernel_matrix(spec, x, sw):
     """The sqrt(w)-weighted matrix K(x_i, x_j) * (sw_i * sw_j) on a strictly
     increasing grid x with square-root weights sw, and the number of its
@@ -324,13 +332,14 @@ def kernel_matrix(spec, x, sw):
     The sine kernel on a grid and weights symmetric about 0 (x reversed is
     -x, sw reversed is sw) gives a matrix that index reversal leaves
     unchanged too: the entries depend on x_j - x_i only, and -x_i - (-x_j)
-    rounds as x_j - x_i. With h = n // 2 and k = n - h (the layout of
-    operator._parity_layout), it evaluates the upper triangles of two
-    blocks, about n^2/4 entries: the lower-right block on rows and columns
-    h:, which holds the centre node of an odd n, and the reflected block
-    K(x_{k+i}, -x_{k+j}) = sinc(x_{k+i} + x_{k+j}) on the positive nodes,
-    which is the lower-left block with its columns reversed. The rest of the
-    matrix is copied from these by index reversal.
+    rounds as x_j - x_i. With h = n // 2 and k = n - h (_parity_layout, the
+    split the parity eigensolve in operator reads too), it evaluates the
+    upper triangles of two blocks, about n^2/4 entries: the lower-right
+    block on rows and columns h:, which holds the centre node of an odd n,
+    and the reflected block K(x_{k+i}, -x_{k+j}) = sinc(x_{k+i} + x_{k+j})
+    on the positive nodes, which is the lower-left block with its columns
+    reversed. The rest of the matrix is copied from these by index
+    reversal.
     """
     x = np.asarray(x, dtype=float)
     sw = np.asarray(sw, dtype=float)
@@ -342,8 +351,6 @@ def kernel_matrix(spec, x, sw):
         np.array_equal(x, -x[::-1]) and np.array_equal(sw, sw[::-1])
     ):
         return out, _assemble(spec, t, t, sw, out)
-    from .operator import _parity_layout
-
     h, k, c = _parity_layout(n)
     y = t[k:]
     repaired = _assemble(spec, t[h:], t[h:], sw[h:], out[h:, h:])

@@ -12,8 +12,9 @@ matrix is exactly symmetric under the index reversal that maps x_i to -x_i.
 A sine spectrum therefore comes from two half-size blocks, even and odd
 under x -> -x, each solved on its own; the eigenvectors alternate in parity
 like the prolate spheroidal functions. The assembly evaluates only the two
-blocks of A that this solve reads; both take the split from _parity_layout.
-Airy and Bessel intervals have no such symmetry and take one full solve.
+blocks of A that this solve reads; both take the split from
+kernels._parity_layout. Airy and Bessel intervals have no such symmetry
+and take one full solve.
 """
 
 import functools
@@ -271,14 +272,6 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
 
 
-def _parity_layout(n):
-    """(h, k, c) of a sine matrix of size n: the h = n // 2 nodes below the
-    centre, the first row k = n - h of the lower half, and c = 1 when node h
-    is a centre node at 0 (odd n), else 0."""
-    h = n // 2
-    return h, n - h, n - 2 * h
-
-
 def _sine_parity_eig(mat, vectors):
     """Ascending eigenvalues of a sine Nystrom matrix from its two parity
     blocks, and with vectors the full eigenvectors, columns in that order.
@@ -293,7 +286,7 @@ def _sine_parity_eig(mat, vectors):
     one of size n.
     """
     n = len(mat)
-    h, k, c = _parity_layout(n)  # k is also the even block's size
+    h, k, c = kernels._parity_layout(n)  # k is also the even block's size
     a21j = mat[k:, :h][:, ::-1]
     even = mat[h:, h:].copy()
     even[c:, c:] += a21j
@@ -437,9 +430,14 @@ def _counting(sp, n, least, gamma, times_det, name):
     degree asked for when it holds less; row k does not depend on where the
     recurrence stopped before, so each value is the one a call for degree k
     alone gives. D and the gamma check run on every call, and the memo
-    takes nothing from a call that raised. A degree above N gives 0.
+    takes nothing from a call that raised. A degree above N gives 0. A
+    degree that is not of integer dtype (a float or a bool) is refused, not
+    truncated; an empty list is accepted.
     """
-    deg = np.asarray(n, dtype=int)
+    deg = np.asarray(n)
+    if deg.dtype.kind not in "iu" and deg.size:
+        raise ArgumentError(f"{name} takes integer degrees, got {n!r}")
+    deg = deg.astype(int, copy=False)
     if deg.ndim == 0:
         low = top = int(deg)
     elif deg.ndim == 1:

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +331,80 @@ class TestUsageErrors:
         assert code == 0
         v = 2.0 * 3.0 - 0.2 * math.log(3.0)
         assert float(json.loads(out)["summary"]["gamma"]) == -math.expm1(-v)
+
+
+def _readme_cli_lines():
+    """The argv of every `gapspec ...` line in README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("gapspec ")
+    ]
+
+
+class TestOptionTables:
+    # each command registers only the options it reads
+    OPTIONS = {
+        "spectrum": "kernel a s n format output config top",
+        "det": "kernel a s gamma v chi n format output config",
+        "asymp": "a s v chi format output config formula p",
+        "scan": "kernel a chi n format output config kind grid index q",
+        "verify": "format output config",
+    }
+    VALID = {
+        "spectrum": ["--kernel", "sine", "--s", "2", "--top", "1"],
+        "asymp": ["--formula", "sine-crit", "--s", "4"],
+        "scan": ["--kind", "eig", "--kernel", "sine", "--grid", "2.5"],
+        "verify": [],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("spectrum", "--gamma", "0.5"), ("spectrum", "--v", "1"), ("spectrum", "--chi", "0"),
+            ("asymp", "--kernel", "bessel"), ("asymp", "--gamma", "0.5"), ("asymp", "--n", "80"),
+            ("scan", "--s", "99"), ("scan", "--gamma", "0.5"), ("scan", "--v", "1"),
+            ("verify", "--a", "0"), ("verify", "--s", "2"), ("verify", "--gamma", "0.5"),
+            ("verify", "--v", "1"), ("verify", "--chi", "0"), ("verify", "--n", "80"),
+        ],
+    )
+    def test_option_the_command_does_not_read(self, capsys, command, flag, value):
+        code, out, err = run_cli([command] + self.VALID[command] + [flag, value], capsys)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("det", {"kernel": "sine", "s": 3, "gama": 0.5}, "gama"),
+            ("spectrum", {"kernel": "sine", "s": 2, "gamma": 0.5}, "gamma"),
+            ("asymp", {"s": 4, "kernel": "sine"}, "kernel"),
+            ("verify", {"n": 80}, "n"),
+        ],
+    )
+    def test_config_key_outside_the_command(self, capsys, tmp_path, command, config, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli([command] + self.VALID.get(command, []) + ["--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"gapspec: config key {key!r} is not an option of {command}")
+
+    @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+    def test_readme_examples_run(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == "" and out
+
+    def test_readme_shows_every_command(self):
+        assert {argv[0] for argv in _readme_cli_lines()} == set(self.OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_exactly_the_command_options(self, capsys, command):
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        listed = set(re.findall(r"(?<![\w-])--([a-z]+)", out))
+        assert listed == set(self.OPTIONS[command].split()) | {"help"}
 
 
 class TestEntryPoint:

@@ -772,6 +772,26 @@ class TestCounting:
         with pytest.raises(ArgumentError):
             counting_prob(sp, np.zeros((2, 2), dtype=int))
 
+    def test_degrees_must_be_integers(self):
+        # a float or bool degree is refused, never truncated to an int
+        sp = _fake_spectrum([0.7, 0.2, 0.01])
+        for fn, n in [
+            (counting_prob, 2.5), (counting_prob, True), (counting_prob, np.float64(2.0)),
+            (counting_prob, np.array([0.9, 1.5])), (counting_prob, [1, 2.0]),
+            (counting_prob, np.array([True, False])), (counting_ratio, 1.7),
+        ]:
+            with pytest.raises(ArgumentError, match="integer degrees"):
+                fn(sp, n)
+        ref = [counting_prob(sp, k) for k in range(4)]
+        for n in (2, np.int32(2), np.uint8(2), np.int64(2)):
+            got = counting_prob(sp, n)
+            assert type(got) is float and got == ref[2]
+        for n in ([0, 1, 3], np.array([0, 1, 3], dtype=np.uint16), (0, 1, 3)):
+            assert counting_prob(sp, n).tolist() == [ref[0], ref[1], ref[3]]
+        for fn in (counting_prob, counting_ratio):
+            empty = fn(sp, [])
+            assert empty.shape == (0,) and empty.dtype == float
+
     def test_esp_degree_bounds(self):
         mu = np.array([1.0, 2.0, 3.0])
         assert _esp_all(mu, 0).tolist() == [1.0]
