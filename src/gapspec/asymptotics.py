@@ -26,10 +26,9 @@ prefactors like exp(s^3/12) underflow long before the regimes of interest.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ArgumentError, DomainError
-from .kernels import Family, IntervalSpec, _coerce_family
+from .kernels import Family, IntervalSpec, _coerce_family, _Record
 from .specfun import log_barnes_g, log_gamma, zeta_prime_minus_one
 
 __all__ = [
@@ -71,18 +70,23 @@ def _log_d(i, a):
     return _log_factorial(i) + log_gamma(1.0 + a + i) - _LOG_PI - (4 * i + 2 * a + 3) * _LN2
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(_Record):
     """One family's row of the table in the module docstring."""
 
-    kappa: float
-    m: int
-    uses_a: bool  # whether the order a enters the formulas
-    log_const: object  # (i, a) -> L_i(a)
-    gap: object  # (s, a) -> log D(J; 1), the transition prefactor
-    sigma_c: float  # c of sigma+-; nan where no log-derivative expansion exists
-    t_min: float  # smallest t the expansions are evaluated at
-    t_of_s: str  # t as a function of s, for messages
+    _fields = (
+        "kappa",
+        "m",
+        "uses_a",  # whether the order a enters the formulas
+        "log_const",  # (i, a) -> L_i(a)
+        "gap",  # (s, a) -> log D(J; 1), the transition prefactor
+        "sigma_c",  # c of sigma+-; nan where no log-derivative expansion exists
+        "t_min",  # smallest t the expansions are evaluated at
+        "t_of_s",  # t as a function of s, for messages
+    )
+
+    def __init__(self, kappa, m, uses_a, log_const, gap, sigma_c, t_min, t_of_s):
+        self._set(kappa=kappa, m=m, uses_a=uses_a, log_const=log_const, gap=gap,
+                  sigma_c=sigma_c, t_min=t_min, t_of_s=t_of_s)
 
 
 _LAWS = {
@@ -205,17 +209,13 @@ def stokes_chi(family, t, v, a=0.0):
     return ((law.kappa * t - v) / math.log(t) - a) / law.m
 
 
-@dataclass(frozen=True)
-class StokesPoint:
+class StokesPoint(_Record):
     """A point (t, v) on the Stokes curve with parameter chi = k + alpha."""
 
-    family: Family
-    t: float
-    v: float
-    chi: float
-    k: int
-    alpha: float
-    a: float = 0.0
+    _fields = ("family", "t", "v", "chi", "k", "alpha", "a")
+
+    def __init__(self, family, t, v, chi, k, alpha, a=0.0):
+        self._set(family=family, t=t, v=v, chi=chi, k=k, alpha=alpha, a=a)
 
     @property
     def kappa(self):
@@ -228,29 +228,24 @@ class StokesPoint:
         return cls(fam, float(t), stokes_v(fam, t, chi, a), float(chi), k, alpha, float(a))
 
 
-@dataclass(frozen=True)
-class TransitionExpansion:
+class TransitionExpansion(_Record):
     """Log-space transition determinant: exp(log_prefactor) * prod(factors).
 
     excesses[i] = factors[i] - 1 held at full precision, so that identities
     involving factor - 1 do not lose digits when the factor is close to 1.
     """
 
-    log_prefactor: float
-    factors: tuple
-    p: int
-    error_exponent: float = math.nan
-    excesses: tuple = None
+    _fields = ("log_prefactor", "factors", "p", "error_exponent", "excesses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
-        if self.excesses is None:
-            object.__setattr__(
-                self, "excesses", tuple(f - 1.0 for f in self.factors)
-            )
+    def __init__(self, log_prefactor, factors, p, error_exponent=math.nan, excesses=None):
+        factors = tuple(float(f) for f in factors)
+        if excesses is None:
+            excesses = tuple(f - 1.0 for f in factors)
         else:
-            object.__setattr__(self, "excesses", tuple(float(e) for e in self.excesses))
-        if len(self.factors) != self.p or len(self.excesses) != self.p:
+            excesses = tuple(float(e) for e in excesses)
+        self._set(log_prefactor=log_prefactor, factors=factors, p=p,
+                  error_exponent=error_exponent, excesses=excesses)
+        if len(factors) != p or len(excesses) != p:
             raise ArgumentError("TransitionExpansion: len(factors) must equal p")
 
     @property

@@ -10,14 +10,17 @@ Output is deterministic CSV or JSON (schema_version 1); floats are
 emitted with 17 significant digits so files are byte-identical across runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-error.
+error. The process entry point, run(), ends the process without interpreter
+teardown once its output is flushed; if a flush fails (stdout a closed
+pipe), Python's own exit runs and reports it, with exit code 120. main()
+returns the code and never exits.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 
 from . import asymptotics as asym
 from . import verify as verify_mod
@@ -28,7 +31,7 @@ from .errors import (
     NumericalError,
     PoleError,
 )
-from .kernels import Family, IntervalSpec, _coerce_family, family_spec
+from .kernels import Family, IntervalSpec, _coerce_family, _Record, family_spec
 from .operator import build_discretization, compute_spectrum, log_fredholm_det
 
 SCHEMA_VERSION = 1
@@ -46,29 +49,22 @@ def _fmt(x):
     return str(x)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
     """Validated run parameters; seedless determinism is unconditional."""
 
-    family: Family = None
-    a: float = None
-    s: float = None
-    gamma: float = None
-    v: float = None
-    chi: float = None
-    n: int = 80
-    fmt: str = "csv"
-    output: str = None
+    _fields = ("family", "a", "s", "gamma", "v", "chi", "n", "fmt", "output")
 
-    def __post_init__(self):
-        for name in ("a", "gamma", "v", "chi"):
-            x = getattr(self, name)
+    def __init__(self, family=None, a=None, s=None, gamma=None, v=None, chi=None, n=80,
+                 fmt="csv", output=None):
+        for name, x in (("a", a), ("gamma", gamma), ("v", v), ("chi", chi)):
             if x is not None and not math.isfinite(x):
                 raise ArgumentError(f"--{name} must be finite, got {x}")
-        if not 20 <= self.n <= 1000:
-            raise ArgumentError(f"n must be in [20, 1000], got {self.n}")
-        if self.fmt not in ("csv", "json"):
-            raise ArgumentError(f"format must be csv or json, got {self.fmt}")
+        if not 20 <= n <= 1000:
+            raise ArgumentError(f"n must be in [20, 1000], got {n}")
+        if fmt not in ("csv", "json"):
+            raise ArgumentError(f"format must be csv or json, got {fmt}")
+        self._set(family=family, a=a, s=s, gamma=gamma, v=v, chi=chi, n=n, fmt=fmt,
+                  output=output)
 
     @property
     def spec(self):
@@ -390,5 +386,19 @@ def main(argv=None):
         return EXIT_NUMERICAL
 
 
+def run():
+    """Process entry point: main(), then, once stdout and stderr are
+    flushed, os._exit without interpreter teardown. A flush that fails (a
+    closed pipe) leaves the exit to sys.exit, so Python reports it as usual
+    and the process exits 120."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,7 +4,8 @@ Each kernel has the form K(lam, mu) = (phi(lam) psi(mu) - psi(lam) phi(mu))
 / (lam - mu) (times 1/2 for Bessel).  The difference quotient cancels
 catastrophically near the diagonal, so inside |lam - mu| <= delta_switch the
 kernel is evaluated by a 3-term Taylor expansion about the midpoint, with
-all derivatives reduced through the defining ODEs.
+all derivatives reduced through the defining ODEs. The Bessel band is
+|u - w| <= min(1e-4 (u + w), 1e-3) in u = sqrt(x) instead (_near).
 
 The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
 whole Nystrom grid from one special-function call, and `kernel_eval` runs the
@@ -22,7 +23,6 @@ It reports how many entries the Taylor branch set.
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,16 +59,51 @@ def _coerce_family(family):
         raise ArgumentError(f"unknown kernel family: {family!r}") from None
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class _Record:
+    """Base of gapspec's immutable records, in place of frozen dataclasses,
+    whose generated methods cost an import about 10 ms.
+
+    Assignment and deletion raise AttributeError, so a record's __init__
+    sets its attributes through _set. ==, hash and repr read the fields in
+    _fields, in order: two records are equal when they are of the same class
+    and the tuples of those fields are equal. Attributes outside _fields
+    (derived values, private state) enter none of the three.
+    """
+
+    _fields = ()
+
+    def _set(self, **attrs):
+        self.__dict__.update(attrs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class KernelSpec(_Record):
     """Which integrable kernel: sine, Airy, or Bessel with order a > -1."""
 
-    family: Family
-    a: float = 0.0
+    _fields = ("family", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", _coerce_family(self.family))
-        object.__setattr__(self, "a", float(self.a))
+    def __init__(self, family, a=0.0):
+        self._set(family=_coerce_family(family), a=float(a))
         if self.family is Family.BESSEL and self.a <= -1.0:
             raise DomainError(f"Bessel order a={self.a} must exceed -1")
 
@@ -89,25 +124,19 @@ def family_spec(family, a=0.0):
     return SINE if fam is Family.SINE else AIRY
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(_Record):
     """Family-consistent endpoint s and the derived interval J.
 
     Sine: J = (-s, s), s > 0.  Airy: J = (s, inf).  Bessel: J = (0, s), s > 0.
     Carries the scaling variable t of the Stokes curves: t = s (sine),
     t = (-s)^{3/2} (Airy, s < 0; nan for s >= 0) or t = sqrt(s) (Bessel).
+    The derived lo, hi and t stay out of ==, hash and repr.
     """
 
-    family: Family
-    s: float
-    lo: float = field(init=False, compare=False)
-    hi: float = field(init=False, compare=False)
-    t: float = field(init=False, compare=False)
+    _fields = ("family", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", _coerce_family(self.family))
-        object.__setattr__(self, "s", float(self.s))
-        fam, s = self.family, self.s
+    def __init__(self, family, s):
+        fam, s = _coerce_family(family), float(s)
         if not math.isfinite(s):
             raise DomainError(f"{fam.value} interval requires a finite s, got {s}")
         if fam is Family.SINE:
@@ -121,9 +150,7 @@ class IntervalSpec:
             if s <= 0:
                 raise DomainError(f"Bessel interval requires s > 0, got {s}")
             lo, hi, t = 0.0, s, math.sqrt(s)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "t", t)
+        self._set(family=fam, s=s, lo=lo, hi=hi, t=t)
 
 
 def delta_switch(lam, mu):
@@ -161,8 +188,10 @@ def _edge_values(spec, t):
 def _near(spec, s, t):
     """Mask of the pairs that take the Taylor branch."""
     if spec.family is Family.BESSEL:
-        # relative in u: the expansion parameter is (u - w)/(u + w)
-        return np.abs(s - t) <= 1e-4 * (s + t)
+        # relative in u, where the expansion parameter is (u - w)/(u + w),
+        # and at most 1e-3: the kernel oscillates on a fixed scale in u, so
+        # a band growing with u would let the h^4 error grow with it
+        return np.abs(s - t) <= np.minimum(1e-4 * (s + t), 1e-3)
     return np.abs(s - t) <= delta_switch(s, t)
 
 

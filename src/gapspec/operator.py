@@ -20,7 +20,6 @@ and take one full solve.
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .errors import (
     PoleError,
     PrecisionWarning,
 )
-from .kernels import Family, IntervalSpec, KernelSpec
+from .kernels import Family, IntervalSpec, _Record
 
 __all__ = [
     "Quadrature",
@@ -57,17 +56,13 @@ _CLAMP_TOP = 1.0 - 1e-16
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Quadrature:
+class Quadrature(_Record):
     """Quadrature rule: strictly increasing nodes, positive weights."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple
+    _fields = ("nodes", "weights", "interval")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _frozen(self.nodes))
-        object.__setattr__(self, "weights", _frozen(self.weights))
+    def __init__(self, nodes, weights, interval):
+        self._set(nodes=_frozen(nodes), weights=_frozen(weights), interval=interval)
 
 
 def _frozen(arr):
@@ -171,27 +166,21 @@ def airy_truncation(s):
     return max(float(s) + 10.0, m_star)
 
 
-@dataclass(frozen=True)
-class Discretization:
+class Discretization(_Record):
     """Symmetrized Nystrom matrix with its grid and provenance.
 
     repaired_entries counts the matrix entries the near-diagonal Taylor
     branch set, both triangles and the diagonal.
     """
 
-    spec: KernelSpec
-    interval: IntervalSpec
-    n: int
-    truncation: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    matrix: np.ndarray
-    repaired_entries: int
+    _fields = ("spec", "interval", "n", "truncation", "nodes", "weights", "matrix",
+               "repaired_entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _frozen(self.nodes))
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
+    def __init__(self, spec, interval, n, truncation, nodes, weights, matrix,
+                 repaired_entries):
+        self._set(spec=spec, interval=interval, n=n, truncation=truncation,
+                  nodes=_frozen(nodes), weights=_frozen(weights), matrix=_frozen(matrix),
+                  repaired_entries=repaired_entries)
 
 
 def _map_quadrature(lo, hi, n):
@@ -252,8 +241,7 @@ def build_discretization(spec, interval, n):
     return Discretization(spec, interval, n, hi, nodes, weights, mat, repaired)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Descending eigenvalues of a discretized operator, validated to (0,1).
 
     A spectrum also keeps, out of sight of == and repr, the counting state
@@ -263,13 +251,11 @@ class Spectrum:
     costs one pass per degree in all.
     """
 
-    eigenvalues: np.ndarray
-    n: int
-    meta: dict
-    _esp_memo: tuple = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("eigenvalues", "n", "meta")
+    _esp_memo = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
+    def __init__(self, eigenvalues, n, meta):
+        self._set(eigenvalues=_frozen(eigenvalues), n=n, meta=meta)
 
 
 def _sine_parity_eig(mat, vectors):
@@ -459,7 +445,7 @@ def _counting(sp, n, least, gamma, times_det, name):
     kmax = min(top, size)
     if kmax >= len(e):
         row, e = _esp_extend(mu, row, e, kmax)
-    object.__setattr__(sp, "_esp_memo", (g, mu, row, e))
+    sp._set(_esp_memo=(g, mu, row, e))
     if deg.ndim:
         # index kmax + 1 holds e = 0 for every degree above N
         e = np.array(e[: kmax + 1] + [0.0])[np.minimum(deg, kmax + 1)]

@@ -11,14 +11,22 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import asymptotics as asym
 from . import kernels
 from .errors import ArgumentError, DegeneracyError, PrecisionWarning
-from .kernels import AIRY, SINE, Family, IntervalSpec, _coerce_family, bessel_spec, family_spec
+from .kernels import (
+    AIRY,
+    SINE,
+    Family,
+    IntervalSpec,
+    _coerce_family,
+    _Record,
+    bessel_spec,
+    family_spec,
+)
 from .operator import (
     _is_even_integer,
     build_discretization,
@@ -47,21 +55,17 @@ __all__ = [
 _T_WINDOWS = {Family.AIRY: (5.0, 20.0), Family.BESSEL: (4.0, 16.0), Family.SINE: (2.0, 10.0)}
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Aligned per-point scan output; rel_error[i] = |num-pred|/|pred|."""
+class ScanResult(_Record):
+    """Aligned per-point scan output; rel_error[i] = |num-pred|/|pred|.
+    metadata defaults to a new empty dict."""
 
-    grid: tuple
-    numeric: tuple
-    predicted: tuple
-    rel_error: tuple
-    metadata: dict = field(default_factory=dict)
+    _fields = ("grid", "numeric", "predicted", "rel_error", "metadata")
 
-    def __post_init__(self):
-        if not len(self.grid) == len(self.numeric) == len(self.predicted) == len(
-            self.rel_error
-        ):
+    def __init__(self, grid, numeric, predicted, rel_error, metadata=None):
+        if not len(grid) == len(numeric) == len(predicted) == len(rel_error):
             raise ArgumentError("ScanResult sequences must have equal length")
+        self._set(grid=grid, numeric=numeric, predicted=predicted, rel_error=rel_error,
+                  metadata={} if metadata is None else metadata)
 
 
 @functools.lru_cache(maxsize=32)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -105,6 +106,15 @@ class TestDet:
         )
         assert code == 2
         assert "exactly one" in err
+
+    # each exited 3 with "eigenvalues outside (-1e-10, 1+1e-10)", min -6.5e-9
+    # and -7.2e-9, before the Bessel Taylor band was capped
+    @pytest.mark.parametrize("a, s, n", [("300", "2.5e5", "300"), ("1000", "1.2e6", "200")])
+    def test_large_order_bessel(self, capsys, a, s, n):
+        argv = ["det", "--kernel", "bessel", "--a", a, "--s", s, "--n", n]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert math.isfinite(float(out.splitlines()[1].split(",")[0]))
 
     def test_pole_exits_numerical(self, capsys):
         code, _, err = run_cli(
@@ -424,3 +434,75 @@ class TestEntryPoint:
         value = out.splitlines()[1]
         # round-trips exactly through float
         assert format(float(value), ".17g") == value
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_script_target_is_run(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert target == {"gapspec": "gapspec.cli:run"}
+
+
+def _child_env():
+    """The environment with this gapspec first on PYTHONPATH and
+    PYTHONUNBUFFERED unset, so a child's stdout to a pipe is buffered."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+class TestFastExit:
+    """`python -m gapspec.cli` ends through run(): os._exit once stdout and
+    stderr are flushed, or Python's own exit when a flush fails."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["det", "--kernel", "sine", "--s", "3.0"], 0),
+            (["spectrum", "--kernel", "airy", "--s", "-2", "--format", "json", "--output", "FILE"],
+             0),
+            (["det", "--kernle", "sine", "--s", "3.0"], 2),
+            (["det", "--kernel", "airy", "--s", "-30"], 3),
+        ],
+        ids=["det", "spectrum-json-output", "misspelt-flag", "numerical-failure"],
+    )
+    def test_process_matches_main(self, capsys, tmp_path, argv, code):
+        def argv_for(name):  # FILE becomes tmp_path / name: a file per side
+            return [str(tmp_path / name) if x == "FILE" else x for x in argv]
+
+        want = cli.main(argv_for("main.json"))
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapspec.cli", *argv_for("process.json")],
+            capture_output=True,
+            env=_child_env(),
+        )
+        assert want == proc.returncode == code
+        assert proc.stdout == out.encode() and proc.stderr == err.encode()
+        if "FILE" in argv:
+            written = (tmp_path / "process.json").read_bytes()
+            assert written and written == (tmp_path / "main.json").read_bytes()
+
+    @staticmethod
+    def _to_closed_pipe(argv):
+        """Run argv with stdout the write end of a pipe whose read end is closed."""
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            return subprocess.run(argv, stdout=w, stderr=subprocess.PIPE, env=_child_env())
+        finally:
+            os.close(w)
+
+    def test_closed_stdout_pipe_exits_120(self):
+        # a process that writes and exits as usual shows Python's report of
+        # the failed flush at exit, which run() must keep
+        plain = self._to_closed_pipe([sys.executable, "-c", "print('x')"])
+        proc = self._to_closed_pipe(
+            [sys.executable, "-m", "gapspec.cli", "det", "--kernel", "sine", "--s", "3.0"]
+        )
+        assert plain.returncode == proc.returncode == 120
+        assert b"BrokenPipeError" in proc.stderr and b"Traceback" not in proc.stderr
+        assert proc.stderr == plain.stderr
+

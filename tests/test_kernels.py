@@ -1,6 +1,7 @@
 """Kernel evaluation against high-precision oracles, including the
 near-diagonal Taylor regime where naive formulas cancel catastrophically."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -193,6 +194,61 @@ class TestBesselDomain:
     def test_origin_accepted(self):
         assert kernel_eval(bessel_spec(0.0), 0.0, 0.0) == 0.25
         assert math.isfinite(kernel_eval(bessel_spec(0.5), 0.0, 2.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_bessel_triple(a, z):
+    """J_{a-1}(z), J_a(z), J_{a+1}(z) at 40 digits. An integer order of 1000
+    or more at z >= 0.99 a comes by forward recurrence from J_0 and J_1 at
+    60 digits, where mp.besselj takes seconds: the recurrence is stable
+    below the turning point z = a and loses under 10 digits from 0.99 a on."""
+    if a >= 1000 and a == int(a) and z >= 0.99 * a:
+        with mp.workdps(60):
+            lo, hi = mp.besselj(0, z), mp.besselj(1, z)
+            for k in range(1, int(a) + 1):
+                if k == a:
+                    below = lo
+                lo, hi = hi, 2 * k / z * hi - lo
+            return below, lo, hi
+    return tuple(mp.besselj(a + d, z, maxprec=20000) for d in (-1, 0, 1))
+
+
+def _mp_bessel_u(a, x, y):
+    """Bessel kernel at x, y from J_a and J_{a+1} at u = sqrt(x), w = sqrt(y),
+    in the form the code takes; the diagonal by its closed form."""
+    u, w = mp.sqrt(mp.mpf(x)), mp.sqrt(mp.mpf(y))
+    jm_u, ja_u, j1_u = _mp_bessel_triple(a, u)
+    if x == y:
+        return (ja_u**2 - j1_u * jm_u) / 4
+    _, ja_w, j1_w = _mp_bessel_triple(a, w)
+    return (u * j1_u * ja_w - w * j1_w * ja_u) / (2 * (u * u - w * w))
+
+
+class TestBesselBand:
+    """The Taylor band |u - w| <= min(1e-4 (u + w), 1e-3), in u = sqrt(x).
+    Without the cap its h^4 error grew with u: 1e-9 relative at u = 100 and
+    1e-5 at u = 1000 on pairs at the band's edge, which left large-order
+    spectra outside [0, 1]."""
+
+    # gaps u - w as multiples of the half-width 1e-3: the diagonal and band
+    # pairs, pairs just outside, and a pair at the uncapped edge 2e-4 u
+    RATIOS = (0.0, 0.5, 0.99, 1.01, 2.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 300.0, 1e4])
+    @pytest.mark.parametrize("u", [10.0, 100.0, 1000.0, 1e4])
+    def test_against_mpmath(self, a, u):
+        spec = bessel_spec(a)
+        gaps = [r * 1e-3 for r in self.RATIOS] + [0.99 * 2e-4 * u]
+        for g in gaps:
+            w = u - g
+            x, y = u * u, w * w
+            near = kernels._near(spec, np.array([math.sqrt(x)]), np.array([math.sqrt(y)]))[0]
+            assert near == (g < 1e-3), (u, g)
+            got = kernel_eval(spec, x, y)
+            ref = float(_mp_bessel_u(a, x, y))
+            # test_specfun's measure |err| / max(1, 100 |K|): an absolute
+            # 1e-13 up to |K| = 0.01, and every K here is at most 0.016
+            assert abs(got - ref) <= 1e-13 * max(1.0, 100.0 * abs(ref)), (u, g, got, ref)
 
 
 class TestDeltaSwitch:

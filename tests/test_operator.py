@@ -268,11 +268,7 @@ def _band_count(spec, x):
     count = 0
     for r in range(0, len(u), 100):
         a, b = u[r : r + 100, None], u[None, :]
-        if spec.family is Family.BESSEL:
-            near = np.abs(a - b) <= 1e-4 * (a + b)
-        else:
-            near = np.abs(a - b) <= delta_switch(a, b)
-        count += int(np.count_nonzero(near))
+        count += int(np.count_nonzero(kernels._near(spec, np.maximum(a, b), np.minimum(a, b))))
     return count
 
 
@@ -468,6 +464,20 @@ class TestSpectrum:
         assert [v.hex() for v in sp.eigenvalues.tolist()] == [v.hex() for v in ref.tolist()]
         assert sp.meta["clamped_zero"] == 4
         assert sp.meta["clamped_top"] == 2
+
+
+class TestBesselBandSpectra:
+    """Large-argument Bessel spectra with the Taylor band capped at 1e-3 in
+    u: before the cap, band pairs carried relative errors up to 1e-5 there."""
+
+    def test_log_det_agrees_across_n(self):
+        # at gamma = 1/2 every factor is resolved; the uncapped band let log D
+        # drift by 2e-11 between n = 300 and n = 700
+        iv = IntervalSpec(Family.BESSEL, 1e4)
+        vals = [log_fredholm_det(compute_spectrum(build_discretization(bessel_spec(0.0), iv, n)),
+                                 0.5)
+                for n in (300, 500, 700)]
+        assert max(vals) - min(vals) <= 1e-12, vals
 
 
 class TestSineParity:

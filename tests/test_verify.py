@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gapspec import kernels, verify
+from gapspec import asymptotics, cli, kernels, verify
 from gapspec.errors import ArgumentError, PrecisionWarning
 from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, family_spec
 from gapspec.operator import (
@@ -20,6 +20,7 @@ from gapspec.operator import (
     compute_spectrum_with_vectors,
     counting_prob,
     counting_ratio,
+    gauss_legendre,
 )
 from gapspec.verify import (
     ScanResult,
@@ -434,7 +435,8 @@ class TestImportFootprint:
     def test_import_leaves_thread_pool_and_fractions_unloaded(self):
         # the exact zeta/Bernoulli tables are set up on first use, so a plain
         # import loads neither concurrent.futures (with logging, queue) nor
-        # fractions (with decimal)
+        # fractions (with decimal); the records are plain classes, so it
+        # loads no dataclasses either (numpy does not load it)
         import gapspec
 
         src = os.path.dirname(os.path.dirname(gapspec.__file__))
@@ -444,7 +446,7 @@ class TestImportFootprint:
                 sys.executable,
                 "-c",
                 "import sys, gapspec; "
-                "print(sorted({'concurrent.futures', 'fractions'} & set(sys.modules)))",
+                "print(sorted({'concurrent.futures', 'fractions', 'dataclasses'} & set(sys.modules)))",
             ],
             capture_output=True,
             text=True,
@@ -452,3 +454,38 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def _sine_discretization():
+    return build_discretization(SINE, IntervalSpec(Family.SINE, 1.0), 20)
+
+
+# a factory of one instance of each record class
+_RECORDS = {
+    "KernelSpec": lambda: SINE,
+    "IntervalSpec": lambda: IntervalSpec(Family.AIRY, -2.0),
+    "Quadrature": lambda: gauss_legendre(5),
+    "Discretization": _sine_discretization,
+    "Spectrum": lambda: compute_spectrum(_sine_discretization()),
+    "_Law": lambda: asymptotics._LAWS[Family.AIRY],
+    "StokesPoint": lambda: asymptotics.StokesPoint.from_chi(Family.AIRY, 10.0, 0.5),
+    "TransitionExpansion": lambda: asymptotics.TransitionExpansion(0.0, (1.5,), 1),
+    "ScanResult": lambda: ScanResult((1.0,), (2.0,), (2.5,), (0.2,)),
+    "RunConfig": cli.RunConfig,
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(_RECORDS))
+    def test_refuses_assignment(self, name):
+        rec = _RECORDS[name]()
+        assert type(rec).__name__ == name
+        field = rec._fields[0]
+        before = getattr(rec, field)
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 1.0)
+        with pytest.raises(AttributeError):
+            rec.extra = 1.0
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+        assert getattr(rec, field) is before and not hasattr(rec, "extra")
