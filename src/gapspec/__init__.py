@@ -37,16 +37,11 @@ from .operator import (
     trace_norm,
 )
 from .asymptotics import (
-    StokesPoint,
     TransitionExpansion,
-    airy_eig,
     airy_gap,
     airy_logderiv_asymp,
-    airy_transition,
-    bessel_eig,
     bessel_gap,
     bessel_logderiv_asymp,
-    bessel_transition,
     chi_decompose,
     d_coeff,
     eig_law,
@@ -54,8 +49,6 @@ from .asymptotics import (
     sigma_pm,
     sine_det_crit,
     sine_det_sub,
-    sine_eig,
-    sine_transition,
     stokes_chi,
     stokes_v,
     transition,

@@ -11,8 +11,10 @@ Each family has one eigenvalue law, in its scaling variable t:
     Bessel  sqrt(s)     2          2  -log d_i(a),
                                       d_i(a) = i! Gamma(1+a+i) / (pi 2^(4i+2a+3))
 
-The order a enters for Bessel only (a = 0 elsewhere). Everything else is
-derived from that table:
+The order a enters for Bessel only (a = 0 elsewhere). Each quantity has one
+public function that takes the family: eig_law gives 1 - lambda_i and
+transition the transition determinant. Everything else is derived from that
+table:
 
 - the Stokes curve of parameter chi is v = kappa t - (m chi + a) log t;
 - the transition determinant is the gap expansion times the factors
@@ -32,25 +34,18 @@ from .kernels import Family, IntervalSpec, _coerce_family, _Record
 from .specfun import log_barnes_g, log_gamma, zeta_prime_minus_one
 
 __all__ = [
-    "StokesPoint",
     "TransitionExpansion",
     "chi_decompose",
     "p_of_chi",
     "stokes_v",
     "stokes_chi",
     "eig_law",
-    "sine_eig",
-    "airy_eig",
-    "bessel_eig",
     "d_coeff",
     "airy_gap",
     "bessel_gap",
     "sine_det_sub",
     "sine_det_crit",
     "transition",
-    "sine_transition",
-    "airy_transition",
-    "bessel_transition",
     "sigma_pm",
     "airy_logderiv_asymp",
     "bessel_logderiv_asymp",
@@ -209,25 +204,6 @@ def stokes_chi(family, t, v, a=0.0):
     return ((law.kappa * t - v) / math.log(t) - a) / law.m
 
 
-class StokesPoint(_Record):
-    """A point (t, v) on the Stokes curve with parameter chi = k + alpha."""
-
-    _fields = ("family", "t", "v", "chi", "k", "alpha", "a")
-
-    def __init__(self, family, t, v, chi, k, alpha, a=0.0):
-        self._set(family=family, t=t, v=v, chi=chi, k=k, alpha=alpha, a=a)
-
-    @property
-    def kappa(self):
-        return self.v / self.t
-
-    @classmethod
-    def from_chi(cls, family, t, chi, a=0.0):
-        fam = _coerce_family(family)
-        k, alpha = chi_decompose(chi)
-        return cls(fam, float(t), stokes_v(fam, t, chi, a), float(chi), k, alpha, float(a))
-
-
 class TransitionExpansion(_Record):
     """Log-space transition determinant: exp(log_prefactor) * prod(factors).
 
@@ -258,22 +234,7 @@ def eig_law(family, i, s, a=0.0):
     fam = _coerce_family(family)
     i = _check_index(i)
     a = _order(fam, a)
-    return math.exp(_log_eig(fam, i, _scale(fam, s, f"{fam.value}_eig"), a))
-
-
-def sine_eig(i, s):
-    """Predicted 1 - lambda_i for the sine operator on [-s, s]."""
-    return eig_law(Family.SINE, i, s)
-
-
-def airy_eig(i, s):
-    """Predicted 1 - lambda_i for the Airy operator on (s, inf), s < 0."""
-    return eig_law(Family.AIRY, i, s)
-
-
-def bessel_eig(i, s, a):
-    """Predicted 1 - lambda_i for the Bessel operator on [0, s]."""
-    return eig_law(Family.BESSEL, i, s, a)
+    return math.exp(_log_eig(fam, i, _scale(fam, s, f"{fam.value} eig_law"), a))
 
 
 def d_coeff(i, a):
@@ -395,21 +356,6 @@ def transition(family, s, v, p, a=0.0, chi=None):
         _error_exponent(fam, p, chi),
         exc,
     )
-
-
-def sine_transition(s, v, p, chi=None):
-    """Transition determinant for the sine kernel with p explicit factors."""
-    return transition(Family.SINE, s, v, p, chi=chi)
-
-
-def airy_transition(s, v, p, chi=None):
-    """Transition determinant for the Airy kernel with p explicit factors."""
-    return transition(Family.AIRY, s, v, p, chi=chi)
-
-
-def bessel_transition(s, v, a, p, chi=None):
-    """Transition determinant for the Bessel kernel with p explicit factors."""
-    return transition(Family.BESSEL, s, v, p, a, chi)
 
 
 def _logistic(c, lz):

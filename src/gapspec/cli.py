@@ -10,10 +10,12 @@ Output is deterministic CSV or JSON (schema_version 1); floats are
 emitted with 17 significant digits so files are byte-identical across runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-error. The process entry point, run(), ends the process without interpreter
-teardown once its output is flushed; if a flush fails (stdout a closed
-pipe), Python's own exit runs and reports it, with exit code 120. main()
-returns the code and never exits.
+error. A PrecisionWarning (a result resting on an unresolved factor) goes to
+stderr and leaves stdout as it is; under python -W error it exits 3. The
+process entry point, run(), ends the process without interpreter teardown
+once its output is flushed; if a flush fails (stdout a closed pipe),
+Python's own exit runs and reports it, with exit code 120. main() returns
+the code and never exits.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from .errors import (
     DomainError,
     NumericalError,
     PoleError,
+    PrecisionWarning,
 )
 from .kernels import Family, IntervalSpec, _coerce_family, _Record, family_spec
 from .operator import build_discretization, compute_spectrum, log_fredholm_det
@@ -381,7 +384,9 @@ def main(argv=None):
     except (ArgumentError, DomainError) as exc:
         print(f"gapspec: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, PoleError, DegeneracyError, FloatingPointError, OverflowError) as exc:
+    # a PrecisionWarning arrives here only as an error, under -W error
+    except (NumericalError, PoleError, DegeneracyError, FloatingPointError, OverflowError,
+            PrecisionWarning) as exc:
         print(f"gapspec: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -4,8 +4,12 @@ Each kernel has the form K(lam, mu) = (phi(lam) psi(mu) - psi(lam) phi(mu))
 / (lam - mu) (times 1/2 for Bessel).  The difference quotient cancels
 catastrophically near the diagonal, so inside |lam - mu| <= delta_switch the
 kernel is evaluated by a 3-term Taylor expansion about the midpoint, with
-all derivatives reduced through the defining ODEs. The Bessel band is
-|u - w| <= min(1e-4 (u + w), 1e-3) in u = sqrt(x) instead (_near).
+all derivatives reduced through the defining ODEs. The sine band is
+delta_switch = 1e-4 max(1, |lam| + |mu|); the Airy band is that radius capped
+at 5e-3 / sqrt(max(1, |x|)), x the pair's mean modulus, and the Bessel band is
+|u - w| <= min(1e-4 (u + w), 1e-3) in u = sqrt(x) (_near). Ai and J vary on
+the scales |x|^(-1/2) and 1 in u, so a band that grew with the argument would
+let the expansion's h^4 error grow with it.
 
 The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
 whole Nystrom grid from one special-function call, and `kernel_eval` runs the
@@ -154,7 +158,8 @@ class IntervalSpec(_Record):
 
 
 def delta_switch(lam, mu):
-    """Near-diagonal switch radius for the Taylor branch (elementwise)."""
+    """Near-diagonal switch radius of the sine kernel's Taylor branch, and
+    the Airy radius below its cap 5e-3 / sqrt|x| (_near); elementwise."""
     return 1e-4 * np.maximum(1.0, np.abs(lam) + np.abs(mu))
 
 
@@ -192,7 +197,15 @@ def _near(spec, s, t):
         # and at most 1e-3: the kernel oscillates on a fixed scale in u, so
         # a band growing with u would let the h^4 error grow with it
         return np.abs(s - t) <= np.minimum(1e-4 * (s + t), 1e-3)
-    return np.abs(s - t) <= delta_switch(s, t)
+    radius = delta_switch(s, t)
+    if spec.family is Family.AIRY:
+        # Ai oscillates (x < 0) or decays (x > 0) on the scale |x|^(-1/2),
+        # so the h^4 error grows like (h^2 |x|)^2: at most 5e-3 / sqrt|x|,
+        # where it meets the exact form's cancellation just outside the
+        # band (both below 1e-13 of max(1, 100|K|) against mpmath to x = -40)
+        scale = np.sqrt(np.maximum(1.0, 0.5 * (np.abs(s) + np.abs(t))))
+        radius = np.minimum(radius, 5e-3 / scale)
+    return np.abs(s - t) <= radius
 
 
 # rows per block of kernel_matrix: 48 x n float64 temporaries are 115 KB at

@@ -53,6 +53,7 @@ __all__ = [
 _EPS_NEG = 1e-10
 _EPS_FLOOR = 1e-300
 _CLAMP_TOP = 1.0 - 1e-16
+_EPS = float(np.finfo(float).eps)
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -333,6 +334,7 @@ def _validate_spectrum(vals, d):
     top = vals > _CLAMP_TOP
     vals[bottom] = 0.0
     vals[top] = _CLAMP_TOP
+    floor = _floor(d.n)
     meta = {
         "family": d.spec.family.value,
         "a": d.spec.a,
@@ -342,8 +344,35 @@ def _validate_spectrum(vals, d):
         "clamped_zero": int(np.count_nonzero(bottom)),
         "clamped_top": int(np.count_nonzero(top)),
         "repaired_entries": d.repaired_entries,
+        "floor": floor,
+        "unresolved_top": int(np.count_nonzero(1.0 - vals < floor)),
     }
     return Spectrum(vals, d.n, meta)
+
+
+def _floor(n):
+    """The smallest 1 - lambda an n x n eigensolve resolves: n eps ||A||, the
+    solver's absolute error bound, with ||A|| <= 1. A factor below it may
+    carry no correct digit. At Airy s = -12, n = 160 the computed 1 - lambda_0
+    is 4.4e-16 = 0.0125 n eps against 5.2e-16 from the eigenvalue law, and
+    no eigenvalue is clamped; the default verify rows read 2.5e4 n eps or
+    more."""
+    return n * _EPS
+
+
+def _warn_unresolved(sp, gamma, caller, stacklevel=3):
+    """PrecisionWarning when the largest factor's 1 - gamma lambda_0 is below
+    the spectrum's floor: the result then rests on a factor with no
+    resolved digit. One comparison, on every call."""
+    factor = 1.0 - float(gamma) * float(sp.eigenvalues[0])
+    floor = _floor(sp.n)
+    if factor < floor:
+        warnings.warn(
+            f"{caller}: 1 - gamma*lambda_0 = {factor:.3e} is below the resolvable "
+            f"floor n*eps = {floor:.3e} (n = {sp.n}); the result is not accurate",
+            PrecisionWarning,
+            stacklevel=stacklevel,
+        )
 
 
 def fredholm_det(sp, gamma):
@@ -369,8 +398,10 @@ def _check_factors(sp, gamma, caller):
 
 
 def log_fredholm_det(sp, gamma):
-    """log D(J; gamma) via sum of log(1 - gamma lambda_i)."""
+    """log D(J; gamma) via sum of log(1 - gamma lambda_i); warns when
+    1 - gamma lambda_0 is below the resolution floor (_floor)."""
     _check_factors(sp, gamma, "log_fredholm_det")
+    _warn_unresolved(sp, gamma, "log_fredholm_det")
     return float(np.sum(np.log1p(-float(gamma) * np.asarray(sp.eigenvalues))))
 
 
@@ -441,6 +472,7 @@ def _counting(sp, n, least, gamma, times_det, name):
     if memo is None or not _same_float(memo[0], g):
         memo = (g, _mu_values(sp, g), np.ones(size + 1), [1.0])
     _, mu, row, e = memo
+    _warn_unresolved(sp, g, name, stacklevel=4)
     det = fredholm_det(sp, gamma) if times_det else None
     kmax = min(top, size)
     if kmax >= len(e):
@@ -465,7 +497,8 @@ def counting_prob(sp, n, gamma=1.0):
     on one spectrum and gamma, in any order, cost one array pass per degree
     in all, and each value is the one a fresh call gives. D(J; gamma) and
     the gamma lambda < 1 check (DegeneracyError) run on every call, so its
-    PrecisionWarning is issued by every call whose D underflows."""
+    PrecisionWarning is issued by every call whose D underflows; so is the
+    one for 1 - gamma lambda_0 below the resolution floor (_floor)."""
     return _counting(sp, n, 0, gamma, True, "counting_prob")
 
 
@@ -498,7 +531,10 @@ def d_ds_log_det(spec, s, gamma, n=80):
     s = float(s)
     gamma = float(gamma)
     d = build_discretization(spec, IntervalSpec(spec.family, s), n)
-    _check_factors(compute_spectrum(d), gamma, "d_ds_log_det")
+    sp = compute_spectrum(d)
+    _check_factors(sp, gamma, "d_ds_log_det")
+    # the solve's condition number is about 1 / (1 - gamma lambda_0)
+    _warn_unresolved(sp, gamma, "d_ds_log_det")
     k_s = np.sqrt(d.weights) * kernels.kernel_eval(spec, d.nodes, s)
     x = np.linalg.solve(np.eye(d.n) - gamma * d.matrix, k_s)
     r = gamma * kernels.kernel_diag(spec, s) + gamma * gamma * float(k_s @ x)

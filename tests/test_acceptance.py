@@ -5,6 +5,8 @@ routine behind `gapspec verify`) and asserted individually here so the pytest
 report shows one line per criterion.
 """
 
+import warnings
+
 import pytest
 
 from gapspec.verify import _spectrum, run_acceptance
@@ -28,7 +30,11 @@ CRITERIA = (
 
 @pytest.fixture(scope="module")
 def results():
-    return {name: (ok, detail) for name, ok, detail in run_acceptance()}
+    # as `python -W error -m gapspec.cli verify`: no row reads a factor
+    # below the resolution floor, or warns for any other reason
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return {name: (ok, detail) for name, ok, detail in run_acceptance()}
 
 
 def test_all_criteria_reported(results):

@@ -9,11 +9,13 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from gapspec import cli
+from gapspec.errors import PrecisionWarning
 from gapspec.kernels import AIRY, SINE, Family, IntervalSpec
 from gapspec.operator import build_discretization, compute_spectrum
 
@@ -112,9 +114,23 @@ class TestDet:
     @pytest.mark.parametrize("a, s, n", [("300", "2.5e5", "300"), ("1000", "1.2e6", "200")])
     def test_large_order_bessel(self, capsys, a, s, n):
         argv = ["det", "--kernel", "bessel", "--a", a, "--s", s, "--n", n]
-        code, out, err = run_cli(argv, capsys)
+        # at gamma = 1 these are deep gaps: 1 - lambda_0 is clamped at 1e-16
+        with pytest.warns(PrecisionWarning, match="resolvable floor"):
+            code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == ""
         assert math.isfinite(float(out.splitlines()[1].split(",")[0]))
+
+    def test_unresolved_factor_warns_and_keeps_stdout(self, capsys):
+        # Airy s = -12, n = 160: 1 - lambda_0 = 4.4e-16 is below n eps
+        argv = ["det", "--kernel", "airy", "--s", "-12", "--n", "160"]
+        with pytest.warns(PrecisionWarning, match="resolvable floor"):
+            code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("log_det,det,n,truncation\n-144.578038331688")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("gapspec: numerical failure: log_fredholm_det: ")
 
     def test_pole_exits_numerical(self, capsys):
         code, _, err = run_cli(
@@ -401,6 +417,8 @@ class TestOptionTables:
         assert code == 2 and out == ""
         assert err.startswith(f"gapspec: config key {key!r} is not an option of {command}")
 
+    # under -W error, as CI runs them: no example warns
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
     def test_readme_examples_run(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)

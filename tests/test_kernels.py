@@ -251,6 +251,43 @@ class TestBesselBand:
             assert abs(got - ref) <= 1e-13 * max(1.0, 100.0 * abs(ref)), (u, g, got, ref)
 
 
+def _mp_airy_kernel(x, y):
+    """Airy kernel at 40 digits: the difference quotient, and on the diagonal
+    Ai'(x)^2 - x Ai(x)^2."""
+    x, y = mp.mpf(x), mp.mpf(y)
+    if x == y:
+        return mp.airyai(x, 1) ** 2 - x * mp.airyai(x) ** 2
+    return (mp.airyai(x) * mp.airyai(y, 1) - mp.airyai(x, 1) * mp.airyai(y)) / (x - y)
+
+
+class TestAiryBand:
+    """The Taylor band |x - y| <= min(1e-4 max(1, |x| + |y|), 5e-3 / sqrt|x|).
+    Without the cap its h^4 error grew with |x| while Ai's wavelength
+    shrinks: 3.3e-11 relative at x = -12 and 4.4e-8 at x = -39.9 on pairs
+    at the band's edge. At c = 5e-3 the expansion at the edge and the exact
+    form just outside it are both within the bound out to x = -40; c = 6e-3
+    fails inside, and 4e-3 comes to the bound outside."""
+
+    # gaps y - x as multiples of the band's half-width at x: the diagonal and
+    # band pairs, and pairs just outside
+    RATIOS = (0.0, 0.5, 0.99, 1.01, 2.0)
+
+    @pytest.mark.parametrize("x", [-40.0, -25.0, -12.0, -5.0, 0.0, 5.0, 20.0])
+    def test_against_mpmath(self, x):
+        width = min(1e-4 * max(1.0, 2.0 * abs(x)), 5e-3 / max(1.0, math.sqrt(abs(x))))
+        # ... and a pair at the uncapped edge, inside the band only where
+        # the cap does not bind (|x| below about 8.5)
+        gaps = [r * width for r in self.RATIOS] + [0.99e-4 * max(1.0, 2.0 * abs(x))]
+        for g in gaps:
+            y = x + g
+            near = kernels._near(AIRY, np.array([y]), np.array([x]))[0]
+            assert near == (g < width), (x, g)
+            got = kernel_eval(AIRY, x, y)
+            ref = float(_mp_airy_kernel(x, y))
+            # test_specfun's measure |err| / max(1, 100 |K|)
+            assert abs(got - ref) <= 1e-13 * max(1.0, 100.0 * abs(ref)), (x, g, got, ref)
+
+
 class TestDeltaSwitch:
     def test_scales_with_magnitude(self):
         assert delta_switch(0.0, 0.0) == 1e-4

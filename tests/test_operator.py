@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapspec.operator as operator_module
-from gapspec import kernels
+from gapspec import kernels, verify
 from gapspec.errors import (
     ArgumentError,
     DegeneracyError,
@@ -478,6 +478,77 @@ class TestBesselBandSpectra:
                                  0.5)
                 for n in (300, 500, 700)]
         assert max(vals) - min(vals) <= 1e-12, vals
+
+
+def _deep(spec, s, n):
+    return compute_spectrum(build_discretization(spec, IntervalSpec(spec.family, s), n))
+
+
+class TestResolutionFloor:
+    """A factor 1 - gamma lambda_0 below n eps, the eigensolver's absolute
+    error bound, carries no resolved digit; every public reader of such a
+    factor warns, and Spectrum.meta records the floor and the count below it."""
+
+    # the deep-gap rows of the ROADMAP table: log D at gamma = 1 is wrong in
+    # each, by 0.1 (Airy s = -12, n = 160) to 1232 (Airy s = -30)
+    DEEP = [
+        (AIRY, -12.0, 80),
+        (AIRY, -12.0, 160),
+        (AIRY, -20.0, 200),
+        (AIRY, -30.0, 200),
+        (SINE, 25.0, 80),
+        (SINE, 25.0, 160),
+        (SINE, 25.0, 240),
+        (bessel_spec(0.0), 900.0, 200),
+    ]
+
+    @pytest.mark.parametrize("spec, s, n", DEEP)
+    def test_deep_gap_rows_warn(self, spec, s, n):
+        sp = _deep(spec, s, n)
+        assert sp.meta["floor"] == n * np.finfo(float).eps
+        assert sp.meta["unresolved_top"] >= 1
+        with pytest.warns(PrecisionWarning, match="below the resolvable floor"):
+            log_fredholm_det(sp, 1.0)
+
+    def test_unresolved_top_counts_factors_below_floor(self):
+        sp = _deep(AIRY, -20.0, 200)
+        lam = np.asarray(sp.eigenvalues)
+        assert sp.meta["unresolved_top"] == int(np.count_nonzero(1.0 - lam < sp.meta["floor"]))
+        # the clamp misses the Airy s = -12, n = 160 factor; the floor does not
+        sp = _deep(AIRY, -12.0, 160)
+        assert sp.meta["clamped_top"] == 0 and sp.meta["unresolved_top"] == 1
+
+    def test_every_reader_warns_on_every_call(self):
+        sp = _deep(AIRY, -12.0, 160)
+        for _ in range(2):
+            # the second round reads the counting memo
+            for call in (
+                lambda: log_fredholm_det(sp, 1.0),
+                lambda: counting_prob(sp, 3),
+                lambda: counting_prob(sp, np.arange(4)),
+                lambda: counting_ratio(sp, 2),
+                lambda: verify.lidskii_split(sp, 3.0, 2),
+            ):
+                with pytest.warns(PrecisionWarning, match="below the resolvable floor"):
+                    call()
+        with pytest.warns(PrecisionWarning, match="d_ds_log_det"):
+            d_ds_log_det(AIRY, -12.0, 1.0, n=160)
+
+    def test_silent_when_gamma_keeps_factors_away_from_one(self):
+        sp = _deep(AIRY, -30.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_fredholm_det(sp, 0.5)
+            counting_prob(sp, 4, gamma=1.0 - 1e-9)
+            d_ds_log_det(AIRY, -12.0, 0.9, n=160)
+
+    def test_resolved_spectrum_silent(self):
+        sp = _deep(AIRY, -6.0, 200)
+        assert sp.meta["unresolved_top"] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_fredholm_det(sp, 1.0)
+            counting_ratio(sp, 3)
 
 
 class TestSineParity:

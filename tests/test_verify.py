@@ -418,6 +418,56 @@ class TestSpectrumMemo:
         assert list(builds.values()) == [1]
         assert _spectrum.cache_info().hits == 1
 
+    def test_unresolved_top_factor_warns_on_cache_hit(self, builds, monkeypatch):
+        # 1 - lambda_0 below the floor n eps warns, though lambda_1 is read
+        def deep(d):
+            return Spectrum(np.array([1.0 - 2e-16, 0.5]), 160, {})
+
+        monkeypatch.setattr(verify, "compute_spectrum", deep)
+        for _ in range(2):
+            with pytest.warns(PrecisionWarning, match="eig_ratio_scan: .* resolvable floor"):
+                r = eig_ratio_scan(Family.SINE, 1, [3.0], n=160)
+            assert r.numeric == (0.5,)
+        assert list(builds.values()) == [1]
+
+
+class TestFixedInputs:
+    """The acceptance suite's inputs are literal tables, so a verify process
+    never imports numpy.random; they are the draws the suite once made."""
+
+    def test_lidskii_table_is_the_seed_1234_draws(self):
+        rng = np.random.default_rng(1234)
+        drawn = []
+        for _ in range(20):
+            n = int(rng.integers(50, 120))
+            v = float(rng.uniform(0.1, 8.0))
+            p = int(rng.integers(0, 6))
+            drawn.append((n, v, p))
+        assert tuple(drawn) == verify._LIDSKII_CASES
+
+    def test_convolution_table_is_the_default_seed_draws(self):
+        rng = np.random.default_rng(20260826)
+        drawn = []
+        for j in range(25):
+            drawn.append(float(rng.random()))
+            if j % 5 != 0:
+                drawn.append(float(rng.random()))
+        assert tuple(drawn) == verify._CONVOLUTION_UNITS
+
+    def test_convolution_row_is_convolution_check(self, monkeypatch):
+        seen = []
+        deviation = verify._convolution_deviation
+
+        def recorded(*args):
+            seen.append(deviation(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(verify, "_convolution_deviation", recorded)
+        ok, detail = verify._acc_convolution()
+        worst = convolution_check(-3.0)
+        assert ok and detail == f"max deviation = {worst:.3e}"
+        assert seen[0].hex() == worst.hex()
+
 
 class TestTrendHelper:
     def test_all_good(self):
@@ -432,6 +482,30 @@ class TestTrendHelper:
 
 
 class TestImportFootprint:
+    def test_verify_process_leaves_numpy_random_unloaded(self):
+        # the acceptance suite reads its fixed inputs from literal tables;
+        # numpy.random (19 modules, with hashlib and OpenSSL) used to be
+        # imported to draw them
+        import gapspec
+
+        src = os.path.dirname(os.path.dirname(gapspec.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import io, sys, contextlib; from gapspec import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(['verify'])\n"
+                "print(code, 'numpy.random' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
+
     def test_import_leaves_thread_pool_and_fractions_unloaded(self):
         # the exact zeta/Bernoulli tables are set up on first use, so a plain
         # import loads neither concurrent.futures (with logging, queue) nor
@@ -468,7 +542,6 @@ _RECORDS = {
     "Discretization": _sine_discretization,
     "Spectrum": lambda: compute_spectrum(_sine_discretization()),
     "_Law": lambda: asymptotics._LAWS[Family.AIRY],
-    "StokesPoint": lambda: asymptotics.StokesPoint.from_chi(Family.AIRY, 10.0, 0.5),
     "TransitionExpansion": lambda: asymptotics.TransitionExpansion(0.0, (1.5,), 1),
     "ScanResult": lambda: ScanResult((1.0,), (2.0,), (2.5,), (0.2,)),
     "RunConfig": cli.RunConfig,
