@@ -18,7 +18,6 @@ from .kernels import (
     KernelSpec,
     airy_convolution,
     bessel_spec,
-    kernel_diag,
     kernel_eval,
 )
 from .operator import (

@@ -2,16 +2,20 @@
 
 Each kernel has the form K(lam, mu) = (phi(lam) psi(mu) - psi(lam) phi(mu))
 / (lam - mu) (times 1/2 for Bessel).  The difference quotient cancels
-catastrophically near the diagonal, so inside |lam - mu| <= delta_switch the
-kernel is evaluated by a 3-term Taylor expansion about the midpoint, with
-all derivatives reduced through the defining ODEs. The sine band is
-delta_switch = 1e-4 max(1, |lam| + |mu|); the Airy band is that radius capped
-at 5e-3 / sqrt(max(1, |x|)), x the pair's mean modulus, and the Bessel band is
-|u - w| <= min(1e-4 (u + w), 1e-3) in u = sqrt(x) (_near). Ai and J vary on
-the scales |x|^(-1/2) and 1 in u, so a band that grew with the argument would
-let the expansion's h^4 error grow with it.
+catastrophically near the diagonal, so a pair inside the band of _near, the
+one switch-radius rule, is evaluated by a 3-term Taylor expansion about the
+midpoint, each coefficient one closed form reduced through the defining ODE.
+The sine band is |lam - mu| <= 1e-4 max(1, |lam| + |mu|); the Airy band is
+that radius capped at 5e-3 / sqrt(max(1, |x|)), x the pair's mean modulus,
+and the Bessel band is |u - w| <= min(1e-4 (u + w), 1e-3) in u = sqrt(x).
+Ai and J vary on the scales |x|^(-1/2) and 1 in u, so a band that grew with
+the argument would let the expansion's h^4 error grow with it.
 
-The exact, Taylor and diagonal forms work on arrays: `kernel_matrix` fills a
+The diagonal K(x, x) is kernel_eval(spec, x, x): the band form at h = 0.
+At the origin the Bessel kernel takes its series limit, 1/4 for a = 0 and
+0 for a > 0; it diverges for a < 0.
+
+The exact and Taylor forms work on arrays: `kernel_matrix` fills a
 whole Nystrom grid from one special-function call, and `kernel_eval` runs the
 same forms on any batch of pairs, also from one call.
 
@@ -40,9 +44,8 @@ __all__ = [
     "IntervalSpec",
     "SINE",
     "AIRY",
-    "delta_switch",
+    "bessel_spec",
     "kernel_eval",
-    "kernel_diag",
     "kernel_matrix",
     "airy_convolution",
 ]
@@ -157,12 +160,6 @@ class IntervalSpec(_Record):
         self._set(family=fam, s=s, lo=lo, hi=hi, t=t)
 
 
-def delta_switch(lam, mu):
-    """Near-diagonal switch radius of the sine kernel's Taylor branch, and
-    the Airy radius below its cap 5e-3 / sqrt|x| (_near); elementwise."""
-    return 1e-4 * np.maximum(1.0, np.abs(lam) + np.abs(mu))
-
-
 def _check_domain(spec, x):
     if spec.family is Family.BESSEL:
         x = np.asarray(x)
@@ -191,13 +188,14 @@ def _edge_values(spec, t):
 
 
 def _near(spec, s, t):
-    """Mask of the pairs that take the Taylor branch."""
+    """Mask of the pairs that take the Taylor branch: the one switch-radius
+    rule, for every family."""
     if spec.family is Family.BESSEL:
         # relative in u, where the expansion parameter is (u - w)/(u + w),
         # and at most 1e-3: the kernel oscillates on a fixed scale in u, so
         # a band growing with u would let the h^4 error grow with it
         return np.abs(s - t) <= np.minimum(1e-4 * (s + t), 1e-3)
-    radius = delta_switch(s, t)
+    radius = 1e-4 * np.maximum(1.0, np.abs(s) + np.abs(t))
     if spec.family is Family.AIRY:
         # Ai oscillates (x < 0) or decays (x > 0) on the scale |x|^(-1/2),
         # so the h^4 error grows like (h^2 |x|)^2: at most 5e-3 / sqrt|x|,
@@ -252,27 +250,21 @@ def _taylor(spec, s, t, vm):
         #   (1/3)(phi''' psi - phi psi''') + (phi' psi'' - phi'' psi')
         s3 = a * b + 2.0 * m * b * b - 2.0 * m * m * a * a
         return s1 + h * h / 3.0 * s3
-    # Bessel: derivatives of p, q follow from the Bessel equation:
-    # q' = -(u - a^2/u) p, p' = q/u.
+    # Bessel, with p = J_a(m), q = m J_a'(m) = a J_a(m) - m J_{a+1}(m)
     a = spec.a
     ja, ja1 = vm
     p = ja
     q = a * ja - m * ja1
     a2 = a * a
     m2 = m * m
-    m3 = m2 * m
-    p1 = q / m
-    q1 = -(m - a2 / m) * p
-    p2 = -(1.0 - a2 / m2) * p - q / m2
-    q2 = -(1.0 + a2 / m2) * p - (1.0 - a2 / m2) * q
-    p3 = p * (1.0 / m - 3.0 * a2 / m3) + q * (-1.0 / m + (a2 + 2.0) / m3)
-    q3 = p * (m - 2.0 * a2 / m + (a2 * a2 + 2.0 * a2) / m3) - q * (
-        1.0 / m + 3.0 * a2 / m3
-    )
     # s1 = p'q - pq' = (q^2 - a^2 p^2)/m + m p^2; the first part is written
     # through q - ap = -m J_{a+1} so the a^2 p^2 pieces never meet head-on
     s1 = m * p * p - ja1 * (2.0 * a * p - m * ja1)
-    bracket = (p3 * q - p * q3) / 3.0 + (p1 * q2 - p2 * q1)
+    # h^2 coefficient from the Bessel equation p' = q/m, q' = -(m - a^2/m) p:
+    #   (1/3)(p''' q - p q''') + (p' q'' - p'' q')
+    bracket = -(2.0 / 3.0) * (
+        2.0 * m2 * p * q + (2.0 * (a2 - m2) ** 2 + a2) * p * p + (2.0 * (m2 - a2) - 1.0) * q * q
+    ) / (m2 * m)
     return (s1 + 0.5 * h * h * bracket) / (2.0 * (s + t))
 
 
@@ -301,7 +293,9 @@ def kernel_eval(spec, lam, mu):
     k[far] = _exact(spec, sf, [v[:nf] for v in values], tf, [v[nf : 2 * nf] for v in values])
     k[near] = _taylor(spec, sn, tn, [v[2 * nf :] for v in values])
     if origin.any():
-        k[origin] = kernel_diag(spec, 0.0)
+        if spec.a < 0.0:
+            raise DomainError("Bessel kernel diagonal diverges at 0 for a < 0")
+        k[origin] = 0.25 if spec.a == 0.0 else 0.0
     return k.reshape(shape) if shape else float(k[0])
 
 
@@ -402,30 +396,6 @@ def kernel_matrix(spec, x, sw):
         out[h, :h] = out[h, k:][::-1]
     # each block stands for itself and its reflection; the centre entry once
     return out, 2 * repaired - c
-
-
-def kernel_diag(spec, lam):
-    """Closed-form diagonal K(lam, lam), elementwise for an array lam."""
-    x = np.asarray(lam, dtype=float)
-    _check_domain(spec, x)
-    fam = spec.family
-    if fam is Family.SINE:
-        out = np.full(x.shape, 1.0 / math.pi)
-    elif fam is Family.AIRY:
-        a, b = specfun.airy_pair(x)
-        out = b * b - x * a * a
-    else:
-        a = spec.a
-        zero = x == 0.0
-        if a < 0.0 and zero.any():
-            raise DomainError("Bessel kernel diagonal diverges at 0 for a < 0")
-        # (J_a^2 - J_{a+1} J_{a-1})/4 off the origin; at the origin its
-        # series limit: 1/4 for a = 0, 0 for a > 0
-        u = np.sqrt(np.where(zero, 1.0, x))
-        ja, ja1 = bessel_j_pair(a, u)
-        jam1 = (2.0 * a / u) * ja - ja1
-        out = np.where(zero, 0.25 if a == 0.0 else 0.0, (ja * ja - ja1 * jam1) / 4.0)
-    return out if out.ndim else float(out)
 
 
 def airy_convolution(lam, mu, upper=None, n=60):

@@ -42,6 +42,7 @@ __all__ = [
     "airy_truncation",
     "build_discretization",
     "compute_spectrum",
+    "compute_spectrum_with_vectors",
     "fredholm_det",
     "log_fredholm_det",
     "counting_prob",
@@ -513,7 +514,7 @@ def trace_norm(spec, interval, n=60):
     if n < 20:
         raise ArgumentError(f"trace_norm requires n >= 20, got {n}")
     nodes, weights, _ = discretization_grid(spec, interval, n)
-    return float(np.sum(weights * kernels.kernel_diag(spec, nodes)))
+    return float(np.sum(weights * kernels.kernel_eval(spec, nodes, nodes)))
 
 
 def d_ds_log_det(spec, s, gamma, n=80):
@@ -537,6 +538,6 @@ def d_ds_log_det(spec, s, gamma, n=80):
     _warn_unresolved(sp, gamma, "d_ds_log_det")
     k_s = np.sqrt(d.weights) * kernels.kernel_eval(spec, d.nodes, s)
     x = np.linalg.solve(np.eye(d.n) - gamma * d.matrix, k_s)
-    r = gamma * kernels.kernel_diag(spec, s) + gamma * gamma * float(k_s @ x)
+    r = gamma * kernels.kernel_eval(spec, s, s) + gamma * gamma * float(k_s @ x)
     sign = {Family.AIRY: 1.0, Family.BESSEL: -1.0, Family.SINE: -2.0}[spec.family]
     return sign * r

@@ -33,6 +33,7 @@ from .kernels import (
     family_spec,
 )
 from .operator import (
+    _floor,
     _is_even_integer,
     _warn_unresolved,
     build_discretization,
@@ -98,8 +99,9 @@ def _rows_and_notes(results):
 
 def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     """Numeric 1 - lambda_i against the closed-form eigenvalue law. A point
-    whose 1 - lambda_0 is below the resolution floor warns; one whose
-    1 - lambda_i is below 1e-13 warns and is skipped."""
+    whose 1 - lambda_0 is below the resolution floor n eps (operator._floor)
+    warns; one whose 1 - lambda_i is below max(1e-13, n eps) warns and is
+    skipped, so no unresolved point is compared with the law."""
     fam = _coerce_family(family)
     i = int(i)
     n = int(n)
@@ -120,7 +122,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
         sp = _spectrum(spec, IntervalSpec(fam, s), n)
         _warn_unresolved(sp, 1.0, "eig_ratio_scan", stacklevel=4)
         num = 1.0 - float(sp.eigenvalues[i])
-        if num < 1e-13:
+        if num < max(1e-13, _floor(sp.n)):
             warnings.warn(
                 f"1 - lambda_{i} = {num:.3e} at t={t} is below resolvable "
                 "precision; point skipped",
@@ -281,7 +283,7 @@ def _barycentric_eval(nodes, bw, values, x):
     return out
 
 
-def _sturm_liouville(fam, a, s, hi):
+def _sturm_liouville(fam, a, s):
     # L u = (P u')' + Q u, written so that P vanishes at the natural
     # singular endpoints and no boundary conditions are needed
     if fam is Family.SINE:
@@ -319,18 +321,13 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     y = vecs[:, i]
     u_nodes = y / np.sqrt(w)
     u_nodes = u_nodes / math.sqrt(float(np.sum(w * u_nodes * u_nodes)))
-    if fam is Family.AIRY:
-        lo, hi = d.interval.s, d.truncation
-    elif fam is Family.BESSEL:
-        lo, hi = 0.0, d.interval.s
-    else:
-        lo, hi = -d.interval.s, d.interval.s
+    lo, hi = d.interval.lo, d.truncation
     q = gauss_legendre(d.n)
     bw = _barycentric_weights(np.asarray(q.nodes), np.asarray(q.weights))
     # the Bessel quadrature grid is affine in sqrt(x), so interpolate there
     in_sqrt = fam is Family.BESSEL and not _is_even_integer(a)
     interp_nodes = np.sqrt(np.asarray(d.nodes)) if in_sqrt else np.asarray(d.nodes)
-    P, Q = _sturm_liouville(fam, a, float(s), hi)
+    P, Q = _sturm_liouville(fam, a, float(s))
 
     def residual(size):
         # interpolate to size uniform interior points

@@ -20,10 +20,9 @@ from gapspec.kernels import (
     KernelSpec,
     airy_convolution,
     bessel_spec,
-    delta_switch,
-    kernel_diag,
     kernel_eval,
 )
+from gapspec.operator import build_discretization
 
 mp.mp.dps = 40
 
@@ -122,7 +121,7 @@ class TestSineKernel:
             assert abs(got - float(mp_sine(1.0, 1.0 + d))) < 1e-15
 
     def test_diag(self):
-        assert abs(kernel_diag(SINE, 3.7) - 1.0 / math.pi) < 1e-16
+        assert abs(kernel_eval(SINE, 3.7, 3.7) - 1.0 / math.pi) < 1e-16
 
 
 class TestAiryKernel:
@@ -145,7 +144,7 @@ class TestAiryKernel:
 
     def test_diag_formula(self):
         for x in (-5.0, -0.5, 1.5):
-            assert abs(kernel_diag(AIRY, x) - float(mp_airy(x, x))) < 1e-13
+            assert abs(kernel_eval(AIRY, x, x) - float(mp_airy(x, x))) < 1e-13
 
 
 class TestBesselKernel:
@@ -170,10 +169,20 @@ class TestBesselKernel:
                 assert abs(got - ref) < 1e-10 * max(1.0, abs(ref)), (a, x, rel_d)
 
     def test_diag_origin_limits(self):
-        assert abs(kernel_diag(bessel_spec(0.0), 0.0) - 0.25) < 1e-16
-        assert kernel_diag(bessel_spec(1.5), 0.0) == 0.0
-        with pytest.raises(DomainError):
-            kernel_diag(bessel_spec(-0.5), 0.0)
+        assert abs(kernel_eval(bessel_spec(0.0), 0.0, 0.0) - 0.25) < 1e-16
+        assert kernel_eval(bessel_spec(1.5), 0.0, 0.0) == 0.0
+        with pytest.raises(DomainError, match="diverges at 0 for a < 0"):
+            kernel_eval(bessel_spec(-0.5), 0.0, 0.0)
+
+    @pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 0.5, 1.0, 3.7])
+    def test_diag_against_mpmath(self, a):
+        # the diagonal is the band form at h = 0; the worst error measured
+        # over this grid is 2.2e-14 relative
+        spec = bessel_spec(a)
+        for x in (1e-8, 1e-4, 0.5, 9.0, 100.0, 1e4):
+            got = kernel_eval(spec, x, x)
+            ref = float(mp_bessel(a, x, x))
+            assert abs(got - ref) <= 1e-13 * abs(ref), (a, x, got, ref)
 
     @given(
         st.floats(min_value=-0.9, max_value=4.0),
@@ -288,20 +297,28 @@ class TestAiryBand:
             assert abs(got - ref) <= 1e-13 * max(1.0, 100.0 * abs(ref)), (x, g, got, ref)
 
 
-class TestDeltaSwitch:
-    def test_scales_with_magnitude(self):
-        assert delta_switch(0.0, 0.0) == 1e-4
-        assert delta_switch(100.0, 100.0) == pytest.approx(2e-2)
+class TestNear:
+    """_near, the one switch-radius rule."""
 
+    @staticmethod
+    def _near(spec, lam, mu):
+        return bool(kernels._near(spec, np.array([lam]), np.array([mu]))[0])
+
+    def test_sine_radius_scales_with_magnitude(self):
+        # 1e-4 max(1, |lam| + |mu|): 1e-4 at 0, about 2e-2 at 100
+        assert self._near(SINE, 0.99e-4, 0.0)
+        assert not self._near(SINE, 1.01e-4, 0.0)
+        assert self._near(SINE, 100.0199, 100.0)
+        assert not self._near(SINE, 100.0201, 100.0)
+
+    @pytest.mark.parametrize("spec", [SINE, AIRY], ids=["sine", "airy"])
     @given(
         st.floats(min_value=-50.0, max_value=50.0),
         st.floats(min_value=-50.0, max_value=50.0),
     )
     @settings(max_examples=50, deadline=None)
-    def test_positive_and_symmetric(self, lam, mu):
-        d = delta_switch(lam, mu)
-        assert d > 0.0
-        assert d == delta_switch(mu, lam)
+    def test_symmetric(self, spec, lam, mu):
+        assert self._near(spec, lam, mu) == self._near(spec, mu, lam)
 
 
 class TestAiryConvolution:
@@ -327,7 +344,10 @@ def _kernel_eval_one_pair(spec, lam, mu):
     if mu > lam:  # evaluate on the sorted pair for exact symmetry
         lam, mu = mu, lam
     if spec.family is Family.BESSEL and lam == 0.0:
-        return kernel_diag(spec, 0.0)
+        # the diagonal's series limit at the origin, written out
+        if spec.a < 0.0:
+            raise DomainError("Bessel kernel diagonal diverges at 0 for a < 0")
+        return 0.25 if spec.a == 0.0 else 0.0
     s = kernels._variable(spec, np.array([lam]))
     t = kernels._variable(spec, np.array([mu]))
     if kernels._near(spec, s, t)[0]:
@@ -449,3 +469,66 @@ class TestArrayPairs:
             got = airy_convolution(x, y, n=n)
             assert type(got) is float
             assert got.hex() == _airy_convolution_one_pair(x, y, n=n).hex()
+
+
+def _taylor_bessel_former(spec, s, t, vm):
+    # the former Bessel branch of kernels._taylor, kept verbatim as the
+    # reference for its closed-form h^2 coefficient
+    m = 0.5 * (s + t)
+    h = 0.5 * (s - t)
+    # Bessel: derivatives of p, q follow from the Bessel equation:
+    # q' = -(u - a^2/u) p, p' = q/u.
+    a = spec.a
+    ja, ja1 = vm
+    p = ja
+    q = a * ja - m * ja1
+    a2 = a * a
+    m2 = m * m
+    m3 = m2 * m
+    p1 = q / m
+    q1 = -(m - a2 / m) * p
+    p2 = -(1.0 - a2 / m2) * p - q / m2
+    q2 = -(1.0 + a2 / m2) * p - (1.0 - a2 / m2) * q
+    p3 = p * (1.0 / m - 3.0 * a2 / m3) + q * (-1.0 / m + (a2 + 2.0) / m3)
+    q3 = p * (m - 2.0 * a2 / m + (a2 * a2 + 2.0 * a2) / m3) - q * (
+        1.0 / m + 3.0 * a2 / m3
+    )
+    # s1 = p'q - pq' = (q^2 - a^2 p^2)/m + m p^2; the first part is written
+    # through q - ap = -m J_{a+1} so the a^2 p^2 pieces never meet head-on
+    s1 = m * p * p - ja1 * (2.0 * a * p - m * ja1)
+    bracket = (p3 * q - p * q3) / 3.0 + (p1 * q2 - p2 * q1)
+    return (s1 + 0.5 * h * h * bracket) / (2.0 * (s + t))
+
+
+# (a, s, n): four orders on small and mid grids, and the large-order and
+# wide grids the band cap was measured on
+_BESSEL_GRIDS = [
+    (a, s, n) for a in (-0.5, 0.0, 0.5, 1.0) for s in (16.0, 100.0, 256.0) for n in (160, 300)
+] + [(300.0, 2.5e5, 300), (1000.0, 1.2e6, 300), (0.0, 1e4, 300), (0.0, 1e4, 700), (0.5, 1e6, 300)]
+
+
+class TestBesselTaylorClosedForm:
+    """The Bessel h^2 coefficient in closed form gives every Nystrom matrix
+    the bits of the former hand-expanded p1 ... q3 form."""
+
+    @pytest.mark.parametrize("a, s, n", _BESSEL_GRIDS)
+    def test_matrix_matches_former_coefficient(self, a, s, n, monkeypatch):
+        spec, interval = bessel_spec(a), IntervalSpec(Family.BESSEL, s)
+        d = build_discretization(spec, interval, n)
+        monkeypatch.setattr(kernels, "_taylor", _taylor_bessel_former)
+        ref = build_discretization(spec, interval, n)
+        assert np.array_equal(d.matrix, ref.matrix)
+
+    @pytest.mark.parametrize("a", [-0.9, -0.5, 0.0, 0.5, 1.0, 3.7, 300.0, 1000.0])
+    def test_band_pairs_match_former_coefficient(self, a):
+        # most grids above hold only the diagonal, where h = 0; pairs up to
+        # the band's edge carry the h^2 term. The two forms round apart only
+        # where K is below 1e-30 (a = 3.7, u near 1e-3), by 2e-15 relative.
+        spec = bessel_spec(a)
+        u = np.geomspace(1e-3, 1e4, 400)
+        for frac in (0.3, 0.7, 0.999):
+            w = u - frac * np.minimum(2e-4 * u, 1e-3)
+            vm = kernels._edge_values(spec, 0.5 * (u + w))
+            got = kernels._taylor(spec, u, w, vm)
+            ref = _taylor_bessel_former(spec, u, w, vm)
+            assert np.all(np.abs(got - ref) <= 4e-15 * np.abs(ref)), (a, frac)

@@ -26,8 +26,6 @@ from gapspec.kernels import (
     Family,
     IntervalSpec,
     bessel_spec,
-    delta_switch,
-    kernel_diag,
     kernel_eval,
 )
 from gapspec.operator import (
@@ -203,7 +201,7 @@ class TestGrid:
     @pytest.mark.parametrize("spec, s", [(AIRY, -40.0), (AIRY, 190.0), (bessel_spec(0.5), 1e8)])
     def test_range_ends_are_inside(self, spec, s):
         nodes, _, _ = discretization_grid(spec, IntervalSpec(spec.family, s), 40)
-        assert np.all(np.isfinite(kernel_diag(spec, nodes)))
+        assert np.all(np.isfinite(kernel_eval(spec, nodes, nodes)))
 
 
 class TestAssembly:
@@ -218,13 +216,9 @@ class TestAssembly:
         d = build_discretization(spec, IntervalSpec(spec.family, s), n)
         x = np.asarray(d.nodes)
         sw = np.sqrt(np.asarray(d.weights))
-        if spec.family is Family.BESSEL:
-            u = np.sqrt(x)
-            band = [(i, j) for i in range(n) for j in range(i, min(n, i + 4))
-                    if u[j] - u[i] <= 1e-4 * (u[i] + u[j])]
-        else:
-            band = [(i, j) for i in range(n) for j in range(i, min(n, i + 4))
-                    if x[j] - x[i] <= delta_switch(x[i], x[j])]
+        t = kernels._variable(spec, x)
+        band = [(i, j) for i in range(n) for j in range(i, min(n, i + 4))
+                if kernels._near(spec, t[j], t[i])]
         assert any(i != j for i, j in band)
         rng = np.random.default_rng(3)
         off = [tuple(p) for p in rng.integers(0, n, size=(150, 2))]

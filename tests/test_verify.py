@@ -87,6 +87,19 @@ class TestEigRatioScan:
         assert len(r.grid) == 3
         assert min(r.numeric) > 1e-13
 
+    def test_skip_threshold_follows_the_floor(self, monkeypatch):
+        # at n = 1000 the floor n eps = 2.2e-13 passes 1e-13: a 1 - lambda_0
+        # between the two has no resolved digit and is skipped, not compared
+        def between(spec, interval, n):
+            return Spectrum(np.array([1.0 - 1.5e-13, 0.5]), 1000, {})
+
+        monkeypatch.setattr(verify, "_spectrum", between)
+        # lambda_0 is also below the floor, which warns on its own
+        with pytest.warns(PrecisionWarning, match="resolvable floor"):
+            with pytest.warns(PrecisionWarning, match="point skipped"):
+                r = eig_ratio_scan(Family.SINE, 0, [3.0], n=1000)
+        assert r.grid == ()
+
 
 class TestDetRatioScan:
     def test_metadata_and_fit(self):
@@ -238,7 +251,7 @@ class TestCommutingResidual:
             interp_nodes = np.asarray(d.nodes)
             eval_points = grid
         u = verify._barycentric_eval(interp_nodes, bw, u_nodes, eval_points)
-        P, Q = verify._sturm_liouville(fam, a, float(s), hi)
+        P, Q = verify._sturm_liouville(fam, a, float(s))
         xp = grid[:-1] + 0.5 * h
         ph = P(xp)
         flux = ph * (u[1:] - u[:-1]) / h
