@@ -37,16 +37,13 @@ from .operator import (
 )
 from .asymptotics import (
     TransitionExpansion,
-    airy_gap,
-    airy_logderiv_asymp,
-    bessel_gap,
-    bessel_logderiv_asymp,
     chi_decompose,
     d_coeff,
     eig_law,
+    gap,
+    logderiv,
     p_of_chi,
     sigma_pm,
-    sine_det_crit,
     sine_det_sub,
     stokes_chi,
     stokes_v,

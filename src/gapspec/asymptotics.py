@@ -12,9 +12,12 @@ Each family has one eigenvalue law, in its scaling variable t:
                                       d_i(a) = i! Gamma(1+a+i) / (pi 2^(4i+2a+3))
 
 The order a enters for Bessel only (a = 0 elsewhere). Each quantity has one
-public function that takes the family: eig_law gives 1 - lambda_i and
-transition the transition determinant. Everything else is derived from that
-table:
+public function that takes the family and reads its closed form from the
+family's row of _LAWS: eig_law gives 1 - lambda_i, gap the gap expansion
+log D(J; 1) (row fields gap and gap_s, its domain in s), transition the
+transition determinant (at least p_min factors, error order from error_cap
+and error_floor) and logderiv d/ds log D along a Stokes curve. Everything
+else is derived from that table:
 
 - the Stokes curve of parameter chi is v = kappa t - (m chi + a) log t;
 - the transition determinant is the gap expansion times the factors
@@ -28,6 +31,8 @@ prefactors like exp(s^3/12) underflow long before the regimes of interest.
 """
 
 import math
+import numbers
+import operator
 
 from .errors import ArgumentError, DomainError
 from .kernels import Family, IntervalSpec, _coerce_family, _Record
@@ -41,14 +46,11 @@ __all__ = [
     "stokes_chi",
     "eig_law",
     "d_coeff",
-    "airy_gap",
-    "bessel_gap",
+    "gap",
     "sine_det_sub",
-    "sine_det_crit",
     "transition",
     "sigma_pm",
-    "airy_logderiv_asymp",
-    "bessel_logderiv_asymp",
+    "logderiv",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -73,15 +75,18 @@ class _Law(_Record):
         "m",
         "uses_a",  # whether the order a enters the formulas
         "log_const",  # (i, a) -> L_i(a)
-        "gap",  # (s, a) -> log D(J; 1), the transition prefactor
+        "gap",  # (s, a) -> log D(J; 1), the transition prefactor, for s in gap_s
+        "gap_s",  # (lo, hi), one end infinite: the s the gap expansion takes
+        "p_min",  # fewest transition factors: sine always carries its leading one
         "sigma_c",  # c of sigma+-; nan where no log-derivative expansion exists
+        "error_cap",  # largest transition error exponent
+        "error_floor",  # t -> least transition error order, whatever the exponent
         "t_min",  # smallest t the expansions are evaluated at
         "t_of_s",  # t as a function of s, for messages
     )
 
-    def __init__(self, kappa, m, uses_a, log_const, gap, sigma_c, t_min, t_of_s):
-        self._set(kappa=kappa, m=m, uses_a=uses_a, log_const=log_const, gap=gap,
-                  sigma_c=sigma_c, t_min=t_min, t_of_s=t_of_s)
+    def __init__(self, *values):
+        self._set(**dict(zip(self._fields, values, strict=True)))
 
 
 _LAWS = {
@@ -90,8 +95,12 @@ _LAWS = {
         1,
         False,
         lambda i, a: 0.5 * _LOG_PI - _log_factorial(i) + (3 * i + 2) * _LN2,
-        lambda s, a: sine_det_crit(s),
+        lambda s, a: -0.5 * s * s - 0.25 * math.log(s) + _log_c0_crit(),
+        (2.0, math.inf),
+        1,
         math.nan,
+        1.0,
+        lambda t: 0.0,
         2.0,
         "s",
     ),
@@ -100,8 +109,12 @@ _LAWS = {
         1,
         False,
         lambda i, a: 0.5 * _LOG_PI - _log_factorial(i) + (3.5 * i + 2.25) * _LN2,
-        lambda s, a: airy_gap(s),
+        lambda s, a: s**3 / 12.0 - 0.125 * math.log(-s) + _log_c0(),
+        (-math.inf, -2.0),
+        0,
         1.0,
+        0.5,
+        lambda t: 0.0,
         5.0,
         "(-s)^(3/2)",
     ),
@@ -110,8 +123,12 @@ _LAWS = {
         2,
         True,
         lambda i, a: -_log_d(i, a),
-        lambda s, a: bessel_gap(s, a),
+        lambda s, a: -0.25 * s + a * math.sqrt(s) - 0.25 * a * a * math.log(s) + _log_tau(a),
+        (4.0, math.inf),
+        0,
         -2.0,
+        math.inf,
+        lambda t: math.log(t) / t,
         4.0,
         "sqrt(s)",
     ),
@@ -168,16 +185,11 @@ def chi_decompose(chi):
 
 
 def p_of_chi(chi, family):
-    """Number of transition factors prescribed for curve parameter chi."""
-    fam = _coerce_family(family)
+    """Number of transition factors prescribed for curve parameter chi: the
+    unique integer in (chi + 1/2, chi + 3/2], and never below p_min."""
+    p_min = _LAWS[_coerce_family(family)].p_min
     chi = _real(chi, "p_of_chi", "chi")
-    if fam is Family.SINE:
-        if chi < 0.5:
-            return 1
-    elif chi < -0.5:
-        return 0
-    # unique integer in (chi + 1/2, chi + 3/2]
-    return math.floor(chi + 1.5)
+    return p_min if chi < p_min - 0.5 else math.floor(chi + 1.5)
 
 
 def stokes_v(family, t, chi, a=0.0):
@@ -232,18 +244,26 @@ class TransitionExpansion(_Record):
 def eig_law(family, i, s, a=0.0):
     """Predicted 1 - lambda_i of the family's operator at interval parameter s."""
     fam = _coerce_family(family)
-    i = _check_index(i)
+    name = f"{fam.value} eig_law"
+    i = _check_index(i, name)
     a = _order(fam, a)
-    return math.exp(_log_eig(fam, i, _scale(fam, s, f"{fam.value} eig_law"), a))
+    return math.exp(_log_eig(fam, i, _scale(fam, s, name), a))
 
 
 def d_coeff(i, a):
     """d_i(a) = i! Gamma(1+a+i) / (pi 2^{4i+2a+3}), via log-gamma."""
-    return math.exp(_log_d(_check_index(i), _check_order(a)))
+    return math.exp(_log_d(_check_index(i, "d_coeff"), _check_order(a)))
 
 
-def _check_index(i):
-    i = int(i)
+def _integer(x, name):
+    """x as an int; a bool, a float or any other non-integer is refused, not truncated."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return operator.index(x)
+    raise ArgumentError(f"{name} takes an integer index, got {x!r}")
+
+
+def _check_index(x, name):
+    i = _integer(x, name)
     if i < 0:
         raise ArgumentError(f"index must be >= 0, got {i}")
     return i
@@ -271,21 +291,17 @@ def _log_tau(a):
     return log_barnes_g(1.0 + a).real - 0.5 * a * math.log(2.0 * math.pi)
 
 
-def airy_gap(s):
-    """log D(J_Ai; 1) expansion: s^3/12 - (1/8) ln|s| + ln c0."""
+def gap(family, s, a=0.0):
+    """log D(J; 1), the family's gap expansion, for s in its gap_s."""
+    fam = _coerce_family(family)
+    law = _LAWS[fam]
     s = float(s)
-    if not -math.inf < s <= -2.0:
-        raise ArgumentError(f"airy_gap requires a finite s <= -2, got {s}")
-    return s**3 / 12.0 - 0.125 * math.log(-s) + _log_c0()
-
-
-def bessel_gap(s, a):
-    """log D(J_Bess; 1) expansion: -s/4 + a sqrt(s) - (a^2/4) ln s + ln tau_a."""
-    s = float(s)
-    a = _check_order(a)
-    if not 4.0 <= s < math.inf:
-        raise ArgumentError(f"bessel_gap requires a finite s >= 4, got {s}")
-    return -0.25 * s + a * math.sqrt(s) - 0.25 * a * a * math.log(s) + _log_tau(a)
+    a = _order(fam, a)
+    lo, hi = law.gap_s
+    if not (lo <= s <= hi and math.isfinite(s)):
+        bound = f"s <= {hi:g}" if lo == -math.inf else f"s >= {lo:g}"
+        raise ArgumentError(f"{fam.value} gap requires a finite {bound}, got {s}")
+    return law.gap(s, a)
 
 
 def sine_det_sub(s, v):
@@ -303,54 +319,38 @@ def sine_det_sub(s, v):
     )
 
 
-def sine_det_crit(s):
-    """Critical log D(J_sin; 1): -s^2/2 - (1/4) ln s + ln c0'."""
-    s = float(s)
-    if not 2.0 <= s < math.inf:
-        raise ArgumentError(f"sine_det_crit requires a finite s >= 2, got {s}")
-    return -0.5 * s * s - 0.25 * math.log(s) + _log_c0_crit()
-
-
 def _error_exponent(family, p, chi):
+    """e = min(m (p - chi - 1/2), error_cap) of the transition error t^{-e}
+    with p factors on the curve chi; nan without chi."""
     if chi is None:
         return math.nan
-    gap = p - chi - 0.5
-    if family is Family.SINE:
-        return min(gap, 1.0)
-    if family is Family.AIRY:
-        return min(gap, 0.5)
-    # Bessel: the bound is max(t^{-2 gap}, ln t / t) (_error_bound); report
-    # the power part
-    return 2.0 * gap
+    law = _LAWS[family]
+    return min(law.m * (p - chi - 0.5), law.error_cap)
 
 
 def _error_bound(family, t, exponent):
     """The order of a transition expansion's error at scale t, from the
-    exponent e it reports: t^{-e}, and max(t^{-e}, ln t / t) for Bessel."""
-    power = t**-exponent
-    if family is Family.BESSEL:
-        return max(power, math.log(t) / t)
-    return power
+    exponent e it reports: t^{-e}, and never below the row's error_floor."""
+    return max(t**-exponent, _LAWS[family].error_floor(t))
 
 
 def transition(family, s, v, p, a=0.0, chi=None):
     """Transition determinant with p explicit factors: the gap expansion
     times 1 + E_i, E_i = e^{-v} / (1 - lambda_i) from the eigenvalue law."""
     fam = _coerce_family(family)
+    law = _LAWS[fam]
     name = f"{fam.value}_transition"
     a = _order(fam, a)
-    p = int(p)
-    # the sine expansion always carries its leading factor
-    p_min = 1 if fam is Family.SINE else 0
-    if p < p_min:
-        raise ArgumentError(f"{name} requires p >= {p_min}, got {p}")
+    p = _integer(p, name)
+    if p < law.p_min:
+        raise ArgumentError(f"{name} requires p >= {law.p_min}, got {p}")
     t = _scale(fam, s, name)
     v = float(v)
     if not v > 0.0:
         raise ArgumentError(f"{name} requires v > 0, got {v}")
     exc = tuple(math.exp(_log_excess(fam, i, t, v, a)) for i in range(p))
     return TransitionExpansion(
-        _LAWS[fam].gap(s, a),
+        law.gap(float(s), a),
         tuple(1.0 + e for e in exc),
         p,
         _error_exponent(fam, p, chi),
@@ -374,8 +374,8 @@ def sigma_pm(family, sign, k, alpha, t, a=0.0):
     at k = 0. L_i is the law constant, c = 1 (Airy) or -2 (Bessel).
     """
     fam = _coerce_family(family)
-    k = _check_index(k)
-    alpha = float(alpha)
+    k = _check_index(k, "sigma_pm")
+    alpha = _real(alpha, "sigma_pm", "alpha")
     t = float(t)
     if not t > 0.0:
         raise ArgumentError(f"sigma_pm requires t > 0, got {t}")
@@ -394,47 +394,29 @@ def sigma_pm(family, sign, k, alpha, t, a=0.0):
     return _logistic(law.sigma_c, lz)
 
 
-def _sigma_on_curve(fam, k, alpha, t, v, a):
-    """sigma on the curve through (t, v): c E_k/(1+E_k) for alpha >= 0, else
+def logderiv(family, s, v, chi, a=0.0):
+    """d/ds log D(J; gamma) along the Stokes curve chi = k + alpha, gamma =
+    1 - e^{-v}; Airy and Bessel. sigma on the curve through (t, v) enters with
+    sign +1 as c E_k/(1+E_k) for alpha >= 0, else with sign -1 as
     c/(1+E_{k-1}), which is 0 at k = 0. At v = inf (gamma = 1) every E_i is 0."""
+    fam = _coerce_family(family)
+    if fam is Family.SINE:
+        raise ArgumentError("logderiv is defined for the Airy and Bessel families")
+    name = f"{fam.value} logderiv"
+    s = float(s)
+    v = _real(v, name, "v", inf_ok=True)
+    a = _order(fam, a)
+    t = _scale(fam, s, name)
+    k, alpha = chi_decompose(chi)
     c = _LAWS[fam].sigma_c
     if alpha >= 0.0:
-        return _logistic(c, _log_excess(fam, k, t, v, a))
-    if k == 0:
-        return 0.0
-    return _logistic(c, -_log_excess(fam, k - 1, t, v, a))
-
-
-def airy_logderiv_asymp(s, v, chi):
-    """d/ds log D(J_Ai; gamma) along the curve, gamma = 1 - e^{-v}."""
-    s = float(s)
-    v = _real(v, "airy_logderiv_asymp", "v", inf_ok=True)
-    t = _scale(Family.AIRY, s, "airy_logderiv_asymp")
-    k, alpha = chi_decompose(chi)
-    # -d(kappa t)/ds
-    root = 1.5 * _LAWS[Family.AIRY].kappa * math.sqrt(-s)
-    base = s * s / 4.0 - 1.0 / (8.0 * s) - root * k - 2.0 * k * k / s
-    sig = _sigma_on_curve(Family.AIRY, k, alpha, t, v, 0.0)
-    if alpha >= 0.0:
-        return base - root * sig + (7.0 * k / (12.0 * s)) * (k + 1.0)
-    return base + root * sig + (7.0 * k / (12.0 * s)) * (k - 1.0)
-
-
-def bessel_logderiv_asymp(s, v, chi, a):
-    """d/ds log D(J_Bess; gamma) along the curve, gamma = 1 - e^{-v}."""
-    s = float(s)
-    v = _real(v, "bessel_logderiv_asymp", "v", inf_ok=True)
-    a = _check_order(a)
-    t = _scale(Family.BESSEL, s, "bessel_logderiv_asymp")
-    k, alpha = chi_decompose(chi)
-    base = (
-        -0.25
-        + a / (2.0 * t)
-        - a * a / (4.0 * s)
-        + k / t
-        - k * (k + a) / (2.0 * s)
-    )
-    sig = _sigma_on_curve(Family.BESSEL, k, alpha, t, v, a)
-    if alpha >= 0.0:
-        return base - sig / (2.0 * t)
-    return base + sig / (2.0 * t)
+        sign, sig = 1.0, _logistic(c, _log_excess(fam, k, t, v, a))
+    else:
+        sign, sig = -1.0, _logistic(c, -_log_excess(fam, k - 1, t, v, a)) if k else 0.0
+    if fam is Family.AIRY:
+        # -d(kappa t)/ds
+        root = 1.5 * _LAWS[fam].kappa * math.sqrt(-s)
+        base = s * s / 4.0 - 1.0 / (8.0 * s) - root * k - 2.0 * k * k / s
+        return base - sign * root * sig + (7.0 * k / (12.0 * s)) * (k + sign)
+    base = -0.25 + a / (2.0 * t) - a * a / (4.0 * s) + k / t - k * (k + a) / (2.0 * s)
+    return base - sign * sig / (2.0 * t)

@@ -188,10 +188,12 @@ _ASYMP_SELECTORS = (
 
 def cmd_asymp(cfg, args):
     sel = args.formula
+    fam = _coerce_family(sel.split("-")[0])
+    if fam is Family.BESSEL and cfg.a is None:
+        raise ArgumentError("--a is required for the bessel kernel")
     s, v, a = cfg.s, cfg.v, cfg.a or 0.0
     chi = cfg.chi
     if sel.endswith("transition"):
-        fam = _coerce_family(sel.split("-")[0])
         if v is None:
             if chi is None:
                 raise ArgumentError("transition formulas need --v or --chi")
@@ -214,16 +216,12 @@ def cmd_asymp(cfg, args):
             {"formula": sel, "v": _fmt(float(v))},
         )
         return EXIT_OK
-    if sel == "airy-gap":
-        value = asym.airy_gap(s)
-    elif sel == "bessel-gap":
-        value = asym.bessel_gap(s, a)
-    elif sel == "sine-crit":
-        value = asym.sine_det_crit(s)
-    else:
+    if sel == "sine-sub":
         if v is None:
             raise ArgumentError("sine-sub needs --v")
         value = asym.sine_det_sub(s, v)
+    else:
+        value = asym.gap(fam, s, a)
     _emit(cfg, ("log_value",), [(value,)], {"formula": sel})
     return EXIT_OK
 

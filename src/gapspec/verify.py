@@ -103,7 +103,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     warns; one whose 1 - lambda_i is below max(1e-13, n eps) warns and is
     skipped, so no unresolved point is compared with the law."""
     fam = _coerce_family(family)
-    i = int(i)
+    i = asym._integer(i, "eig_ratio_scan")
     n = int(n)
     if n < 60:
         raise ArgumentError(f"eig_ratio_scan requires n >= 60, got {n}")
@@ -202,7 +202,7 @@ def lidskii_split(sp, v, p):
     """Split D(J;gamma)/D(J;1) into p leading eigenvalue factors times the
     residual product over the remaining spectrum, gamma = 1 - e^{-v}.
     v = inf is gamma = 1."""
-    p = int(p)
+    p = asym._integer(p, "lidskii_split")
     v = float(v)
     if p < 0:
         raise ArgumentError(f"lidskii_split requires p >= 0, got {p}")
@@ -230,7 +230,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     is solved exactly from the numeric spectrum.
     """
     fam = _coerce_family(family)
-    q = int(q)
+    q = asym._integer(q, "stokes_crossing_scan")
     n = int(n)
     if not 1 <= q <= n:
         raise ArgumentError(f"stokes_crossing_scan requires 1 <= q <= n = {n}, got q = {q}")
@@ -300,7 +300,7 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     family. m may be a sequence of grid sizes: one eigendecomposition then
     gives the tuple of their residuals."""
     fam = _coerce_family(family)
-    i = int(i)
+    i = asym._integer(i, "commuting_residual")
     n = int(n)
     if not 0 <= i < n:
         raise ArgumentError(f"commuting_residual requires 0 <= i < n = {n}, got i = {i}")
@@ -385,12 +385,7 @@ def logderiv_check(family, s, chi, a=0.0, n=120):
             "logderiv_check requires -1/2 <= chi < 1/2 (gamma = 1 is the k = 0 "
             f"curve), got chi={chi}"
         )
-    if fam is Family.AIRY:
-        pred = asym.airy_logderiv_asymp(s, math.inf, chi)
-    elif fam is Family.BESSEL:
-        pred = asym.bessel_logderiv_asymp(s, math.inf, chi, a)
-    else:
-        raise ArgumentError("logderiv_check is defined for Airy and Bessel")
+    pred = asym.logderiv(fam, s, math.inf, chi, a)
     num = d_ds_log_det(family_spec(fam, a), s, 1.0, n=n)
     return abs(num - pred) / abs(pred)
 
@@ -463,13 +458,13 @@ def _acc_gap_constants():
     errs = []
     for s in (-4.0, -5.0, -6.0):
         sp = _spectrum(AIRY, IntervalSpec(Family.AIRY, s), 200)
-        errs.append(abs(math.exp(log_fredholm_det(sp, 1.0) - asym.airy_gap(s)) - 1.0))
+        errs.append(abs(math.exp(log_fredholm_det(sp, 1.0) - asym.gap(Family.AIRY, s)) - 1.0))
     ok = ok and errs[-1] <= 0.02 and errs[-1] <= errs[0]
     details.append("airy c0 errs=" + "/".join(f"{e:.4f}" for e in errs))
     for a in (0.0, 1.0):
         s = 144.0
         sp = _spectrum(bessel_spec(a), IntervalSpec(Family.BESSEL, s), 300)
-        err = abs(math.exp(log_fredholm_det(sp, 1.0) - asym.bessel_gap(s, a)) - 1.0)
+        err = abs(math.exp(log_fredholm_det(sp, 1.0) - asym.gap(Family.BESSEL, s, a)) - 1.0)
         ok = ok and err <= 0.02
         details.append(f"bessel tau_{a:g} err={err:.4f}")
     return ok, "; ".join(details)

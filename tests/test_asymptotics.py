@@ -6,6 +6,7 @@ import math
 import pathlib
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,23 +14,20 @@ from hypothesis import strategies as st
 from gapspec import asymptotics
 from gapspec.asymptotics import (
     TransitionExpansion,
-    airy_gap,
-    airy_logderiv_asymp,
-    bessel_gap,
-    bessel_logderiv_asymp,
     chi_decompose,
     d_coeff,
     eig_law,
+    gap,
+    logderiv,
     p_of_chi,
     sigma_pm,
-    sine_det_crit,
     sine_det_sub,
     stokes_chi,
     stokes_v,
     transition,
 )
 from gapspec.errors import ArgumentError, DomainError
-from gapspec.kernels import Family
+from gapspec.kernels import Family, IntervalSpec
 
 mp.mp.dps = 35
 
@@ -185,7 +183,7 @@ class TestGapExpansions:
         # c0 = 2^{1/24} exp(zeta'(-1)); zeta'(-1) = 1/12 - ln(Glaisher)
         zp = mp.mpf(1) / 12 - mp.log(mp.glaisher)
         ref = float(mp.mpf(2) ** (mp.mpf(1) / 24) * mp.exp(zp))
-        got = math.exp(airy_gap(-2.0) - ((-2.0) ** 3 / 12.0 - 0.125 * math.log(2.0)))
+        got = math.exp(gap(Family.AIRY, -2.0) - ((-2.0) ** 3 / 12.0 - 0.125 * math.log(2.0)))
         assert got == pytest.approx(ref, rel=1e-13)
         assert ref == pytest.approx(0.8723714, rel=1e-7)
 
@@ -195,7 +193,7 @@ class TestGapExpansions:
             ref = float(
                 mp.mpf(s) ** 3 / 12 - mp.log(-mp.mpf(s)) / 8 + mp.log(2) / 24 + zp
             )
-            assert airy_gap(s) == pytest.approx(ref, rel=1e-13)
+            assert gap(Family.AIRY, s) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.5])
     def test_bessel_gap_formula(self, a):
@@ -207,19 +205,19 @@ class TestGapExpansions:
                 + mp.log(mp.barnesg(1 + mp.mpf(a)))
                 - mp.mpf(a) / 2 * mp.log(2 * mp.pi)
             )
-            assert bessel_gap(s, a) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            assert gap(Family.BESSEL, s, a) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_tau_special_values(self):
         # tau_0 = 1 and tau_1 = (2 pi)^{-1/2}
-        assert bessel_gap(16.0, 0.0) == pytest.approx(-4.0, rel=1e-14)
-        got = bessel_gap(16.0, 1.0) - (-4.0 + 4.0 - 0.25 * math.log(16.0))
+        assert gap(Family.BESSEL, 16.0, 0.0) == pytest.approx(-4.0, rel=1e-14)
+        got = gap(Family.BESSEL, 16.0, 1.0) - (-4.0 + 4.0 - 0.25 * math.log(16.0))
         assert math.exp(got) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-13)
 
     def test_sine_det_crit_formula(self):
         zp = mp.mpf(1) / 12 - mp.log(mp.glaisher)
         for s in (2.0, 8.0, 40.0):
             ref = float(-mp.mpf(s) ** 2 / 2 - mp.log(s) / 4 + mp.log(2) / 12 + 3 * zp)
-            assert sine_det_crit(s) == pytest.approx(ref, rel=1e-13)
+            assert gap(Family.SINE, s) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("v", [0.3, 2.0, 11.0])
     def test_sine_det_sub_formula(self, v):
@@ -234,11 +232,11 @@ class TestGapExpansions:
 
     def test_domains(self):
         with pytest.raises(ArgumentError):
-            airy_gap(-1.0)
+            gap(Family.AIRY, -1.0)
         with pytest.raises(ArgumentError):
-            bessel_gap(1.0, 0.0)
+            gap(Family.BESSEL, 1.0, 0.0)
         with pytest.raises(ArgumentError):
-            sine_det_crit(1.0)
+            gap(Family.SINE, 1.0)
         with pytest.raises(ArgumentError):
             sine_det_sub(5.0, 0.0)
         for bad in (math.nan, math.inf):
@@ -247,11 +245,11 @@ class TestGapExpansions:
             with pytest.raises(ArgumentError, match="finite"):
                 sine_det_sub(bad, 1.0)
             with pytest.raises(ArgumentError, match="finite"):
-                sine_det_crit(bad)
+                gap(Family.SINE, bad)
             with pytest.raises(ArgumentError, match="finite"):
-                airy_gap(-bad)
+                gap(Family.AIRY, -bad)
             with pytest.raises(ArgumentError, match="finite"):
-                bessel_gap(bad, 0.0)
+                gap(Family.BESSEL, bad, 0.0)
 
 
 class TestTransitions:
@@ -268,18 +266,18 @@ class TestTransitions:
 
     def test_prefactor_matches_gap(self):
         assert transition(Family.AIRY, -4.0, 3.0, 0).log_prefactor == pytest.approx(
-            airy_gap(-4.0)
+            gap(Family.AIRY, -4.0)
         )
         assert transition(Family.BESSEL, 25.0, 3.0, 0, 0.5).log_prefactor == pytest.approx(
-            bessel_gap(25.0, 0.5)
+            gap(Family.BESSEL, 25.0, 0.5)
         )
         assert transition(Family.SINE, 4.0, 3.0, 1).log_prefactor == pytest.approx(
-            sine_det_crit(4.0)
+            gap(Family.SINE, 4.0)
         )
 
     def test_zero_factors_reduce_to_gap(self):
         te = transition(Family.AIRY, -4.0, 2.0, 0)
-        assert te.log_value == pytest.approx(airy_gap(-4.0))
+        assert te.log_value == pytest.approx(gap(Family.AIRY, -4.0))
 
     @given(
         st.floats(min_value=-10.0, max_value=-3.0),
@@ -350,6 +348,7 @@ class TestErrorBound:
         assert asymptotics._error_bound(Family.AIRY, 10, 3.0) == 10**-3.0
         assert asymptotics._error_bound(Family.BESSEL, 10, 0.5) == 10**-0.5
         assert asymptotics._error_bound(Family.BESSEL, 10, 3.0) == math.log(10) / 10
+        assert asymptotics._error_bound(Family.SINE, 10, 3.0) == 10**-3.0
 
 
 class TestSigma:
@@ -419,40 +418,83 @@ class TestSigma:
         with pytest.raises(ArgumentError):
             sigma_pm(Family.SINE, "+", 0, 0.0, 5.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_non_finite_alpha_refused(self, sign, alpha):
+        # no sigma exists there: refused, not returned as nan or as a limit
+        with pytest.raises(ArgumentError, match="sigma_pm requires a finite alpha"):
+            sigma_pm(Family.AIRY, sign, 1, alpha, 10.0)
+
+
+class TestIndexArguments:
+    """An index is a Python or numpy integer: a float or a bool is refused,
+    never truncated to the integer below it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: eig_law(Family.SINE, x, 3.0),
+            lambda x: d_coeff(x, 0.0),
+            lambda x: sigma_pm(Family.AIRY, "+", x, 0.2, 10.0),
+            lambda x: transition(Family.AIRY, -6.0, 2.0, x),
+        ],
+        ids=["eig_law-i", "d_coeff-i", "sigma_pm-k", "transition-p"],
+    )
+    def test_float_and_bool_refused(self, call):
+        for x in (2.5, 1.9, 2.0, True, np.float64(2.0), np.True_, "2"):
+            with pytest.raises(ArgumentError, match="takes an integer index, got"):
+                call(x)
+        for x in (np.int64(2), np.uint8(2), np.int32(2)):
+            assert call(x) == call(2)
+
+    def test_negative_messages_kept(self):
+        with pytest.raises(ArgumentError, match="index must be >= 0, got -1"):
+            eig_law(Family.SINE, -1, 3.0)
+        with pytest.raises(ArgumentError, match="airy_transition requires p >= 0, got -1"):
+            transition(Family.AIRY, -6.0, 2.0, -1)
+        with pytest.raises(ArgumentError, match="sine_transition requires p >= 1, got 0"):
+            transition(Family.SINE, 4.0, 2.0, 0)
+
 
 class TestLogDeriv:
     def test_airy_gamma_one_matches_gap_derivative(self):
         # at v = inf (gamma = 1, chi = 0) the expansion reduces to the
         # derivative of the gap expansion s^3/12 - ln|s|/8
         for s in (-4.0, -8.0):
-            got = airy_logderiv_asymp(s, math.inf, 0.0)
+            got = logderiv(Family.AIRY, s, math.inf, 0.0)
             assert got == pytest.approx(s * s / 4.0 - 1.0 / (8.0 * s), rel=1e-14)
 
     def test_bessel_gamma_one_matches_gap_derivative(self):
         for s, a in ((36.0, 0.0), (100.0, 1.5)):
-            got = bessel_logderiv_asymp(s, math.inf, 0.0, a)
+            got = logderiv(Family.BESSEL, s, math.inf, 0.0, a)
             ref = -0.25 + a / (2.0 * math.sqrt(s)) - a * a / (4.0 * s)
             assert got == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("chi", [-0.5, -0.3])
     def test_gamma_one_below_alpha_zero(self, chi):
         # k = 0 with alpha < 0 has no sigma- term at any v, v = inf included
-        assert airy_logderiv_asymp(-6.0, math.inf, chi) == airy_logderiv_asymp(-6.0, math.inf, 0.0)
-        assert airy_logderiv_asymp(-6.0, math.inf, chi) == airy_logderiv_asymp(-6.0, 1e300, chi)
-        assert bessel_logderiv_asymp(100.0, math.inf, chi, 0.5) == bessel_logderiv_asymp(
-            100.0, math.inf, 0.0, 0.5
+        airy, bessel = Family.AIRY, Family.BESSEL
+        assert logderiv(airy, -6.0, math.inf, chi) == logderiv(airy, -6.0, math.inf, 0.0)
+        assert logderiv(airy, -6.0, math.inf, chi) == logderiv(airy, -6.0, 1e300, chi)
+        assert logderiv(bessel, 100.0, math.inf, chi, 0.5) == logderiv(
+            bessel, 100.0, math.inf, 0.0, 0.5
         )
 
     def test_large_v_approaches_gamma_one(self):
-        assert airy_logderiv_asymp(-5.0, 900.0, 0.0) == pytest.approx(
-            airy_logderiv_asymp(-5.0, math.inf, 0.0), rel=1e-12
+        assert logderiv(Family.AIRY, -5.0, 900.0, 0.0) == pytest.approx(
+            logderiv(Family.AIRY, -5.0, math.inf, 0.0), rel=1e-12
         )
 
     def test_domains(self):
         with pytest.raises(ArgumentError):
-            airy_logderiv_asymp(-1.0, 1.0, 0.0)
+            logderiv(Family.AIRY, -1.0, 1.0, 0.0)
         with pytest.raises(ArgumentError):
-            bessel_logderiv_asymp(4.0, 1.0, 0.0, 0.0)
+            logderiv(Family.BESSEL, 4.0, 1.0, 0.0, 0.0)
+
+    def test_sine_refused(self):
+        # the sine kernel has no log-derivative expansion (sigma_c is nan)
+        with pytest.raises(ArgumentError, match="logderiv is defined for the Airy and Bessel"):
+            logderiv(Family.SINE, 5.0, 1.0, 0.0)
 
 
 def _h(k):
@@ -501,10 +543,10 @@ _CURVE_CALLS = {
     "stokes_v-chi": lambda x: stokes_v(Family.AIRY, 9.0, x),
     "stokes_chi-t": lambda x: stokes_chi(Family.SINE, x, 20.0),
     "stokes_chi-v": lambda x: stokes_chi(Family.AIRY, 9.0, x),
-    "airy_logderiv-v": lambda x: airy_logderiv_asymp(-6.0, x, 0.0),
-    "airy_logderiv-chi": lambda x: airy_logderiv_asymp(-6.0, 20.0, x),
-    "bessel_logderiv-v": lambda x: bessel_logderiv_asymp(100.0, x, 0.0, 0.5),
-    "bessel_logderiv-chi": lambda x: bessel_logderiv_asymp(100.0, 20.0, x, 0.5),
+    "airy_logderiv-v": lambda x: logderiv(Family.AIRY, -6.0, x, 0.0),
+    "airy_logderiv-chi": lambda x: logderiv(Family.AIRY, -6.0, 20.0, x),
+    "bessel_logderiv-v": lambda x: logderiv(Family.BESSEL, 100.0, x, 0.0, 0.5),
+    "bessel_logderiv-chi": lambda x: logderiv(Family.BESSEL, 100.0, 20.0, x, 0.5),
 }
 
 
@@ -543,7 +585,7 @@ class TestLogDerivFiniteV:
         t = (-s) ** 1.5
         v = stokes_v(Family.AIRY, t, k + alpha) + dv
         ref = float(mp_airy_logderiv(s, v, k, alpha))
-        assert airy_logderiv_asymp(s, v, k + alpha) == pytest.approx(ref, rel=1e-12)
+        assert logderiv(Family.AIRY, s, v, k + alpha) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("dv", [0.0, 1.5])
     @pytest.mark.parametrize("alpha", [-0.3, 0.3])
@@ -552,7 +594,7 @@ class TestLogDerivFiniteV:
     def test_bessel_vs_oracle(self, s, a, k, alpha, dv):
         v = stokes_v(Family.BESSEL, math.sqrt(s), k + alpha, a) + dv
         ref = float(mp_bessel_logderiv(s, v, k, alpha, a))
-        assert bessel_logderiv_asymp(s, v, k + alpha, a) == pytest.approx(ref, rel=1e-12)
+        assert logderiv(Family.BESSEL, s, v, k + alpha, a) == pytest.approx(ref, rel=1e-12)
 
 
 # Values held to the bit across rewrites of this module, recorded as
@@ -614,8 +656,11 @@ def _hexed(x):
 
 
 # The pins keep the keys of the per-family functions they were recorded
-# with; each such name now stands for its call of eig_law or transition.
+# with; each such name now stands for its call of eig_law, gap or transition.
 _PIN_CALLS = {
+    "airy_gap": lambda s: gap(Family.AIRY, s),
+    "bessel_gap": lambda s, a: gap(Family.BESSEL, s, a),
+    "sine_det_crit": lambda s: gap(Family.SINE, s),
     "sine_eig": lambda i, s: eig_law(Family.SINE, i, s),
     "airy_eig": lambda i, s: eig_law(Family.AIRY, i, s),
     "bessel_eig": lambda i, s, a: eig_law(Family.BESSEL, i, s, a),
@@ -646,3 +691,247 @@ class TestPinnedValues:
     def test_bessel_eig_close(self):
         for key, value in pinned_values(_CLOSE_PINNED).items():
             assert float.fromhex(value) == pytest.approx(float.fromhex(_PINS[key]), rel=1e-14), key
+
+
+# The former per-family functions and family ladders, kept verbatim as the
+# reference: gap, logderiv, p_of_chi, transition and the error order now
+# read the _LAWS rows, and every value keeps its bits. Only the names of
+# the module helpers they call are qualified.
+_check_order, _real, _scale = asymptotics._check_order, asymptotics._real, asymptotics._scale
+_log_c0, _log_c0_crit, _log_tau = asymptotics._log_c0, asymptotics._log_c0_crit, asymptotics._log_tau
+_LAWS, _logistic, _log_excess = asymptotics._LAWS, asymptotics._logistic, asymptotics._log_excess
+
+
+def airy_gap_former(s):
+    """log D(J_Ai; 1) expansion: s^3/12 - (1/8) ln|s| + ln c0."""
+    s = float(s)
+    if not -math.inf < s <= -2.0:
+        raise ArgumentError(f"airy_gap requires a finite s <= -2, got {s}")
+    return s**3 / 12.0 - 0.125 * math.log(-s) + _log_c0()
+
+
+def bessel_gap_former(s, a):
+    """log D(J_Bess; 1) expansion: -s/4 + a sqrt(s) - (a^2/4) ln s + ln tau_a."""
+    s = float(s)
+    a = _check_order(a)
+    if not 4.0 <= s < math.inf:
+        raise ArgumentError(f"bessel_gap requires a finite s >= 4, got {s}")
+    return -0.25 * s + a * math.sqrt(s) - 0.25 * a * a * math.log(s) + _log_tau(a)
+
+
+def sine_det_crit_former(s):
+    """Critical log D(J_sin; 1): -s^2/2 - (1/4) ln s + ln c0'."""
+    s = float(s)
+    if not 2.0 <= s < math.inf:
+        raise ArgumentError(f"sine_det_crit requires a finite s >= 2, got {s}")
+    return -0.5 * s * s - 0.25 * math.log(s) + _log_c0_crit()
+
+
+def _sigma_on_curve_former(fam, k, alpha, t, v, a):
+    """sigma on the curve through (t, v): c E_k/(1+E_k) for alpha >= 0, else
+    c/(1+E_{k-1}), which is 0 at k = 0. At v = inf (gamma = 1) every E_i is 0."""
+    c = _LAWS[fam].sigma_c
+    if alpha >= 0.0:
+        return _logistic(c, _log_excess(fam, k, t, v, a))
+    if k == 0:
+        return 0.0
+    return _logistic(c, -_log_excess(fam, k - 1, t, v, a))
+
+
+def airy_logderiv_asymp_former(s, v, chi):
+    """d/ds log D(J_Ai; gamma) along the curve, gamma = 1 - e^{-v}."""
+    s = float(s)
+    v = _real(v, "airy_logderiv_asymp", "v", inf_ok=True)
+    t = _scale(Family.AIRY, s, "airy_logderiv_asymp")
+    k, alpha = chi_decompose(chi)
+    # -d(kappa t)/ds
+    root = 1.5 * _LAWS[Family.AIRY].kappa * math.sqrt(-s)
+    base = s * s / 4.0 - 1.0 / (8.0 * s) - root * k - 2.0 * k * k / s
+    sig = _sigma_on_curve_former(Family.AIRY, k, alpha, t, v, 0.0)
+    if alpha >= 0.0:
+        return base - root * sig + (7.0 * k / (12.0 * s)) * (k + 1.0)
+    return base + root * sig + (7.0 * k / (12.0 * s)) * (k - 1.0)
+
+
+def bessel_logderiv_asymp_former(s, v, chi, a):
+    """d/ds log D(J_Bess; gamma) along the curve, gamma = 1 - e^{-v}."""
+    s = float(s)
+    v = _real(v, "bessel_logderiv_asymp", "v", inf_ok=True)
+    a = _check_order(a)
+    t = _scale(Family.BESSEL, s, "bessel_logderiv_asymp")
+    k, alpha = chi_decompose(chi)
+    base = (
+        -0.25
+        + a / (2.0 * t)
+        - a * a / (4.0 * s)
+        + k / t
+        - k * (k + a) / (2.0 * s)
+    )
+    sig = _sigma_on_curve_former(Family.BESSEL, k, alpha, t, v, a)
+    if alpha >= 0.0:
+        return base - sig / (2.0 * t)
+    return base + sig / (2.0 * t)
+
+
+def p_of_chi_former(chi, family):
+    """Number of transition factors prescribed for curve parameter chi."""
+    fam = asymptotics._coerce_family(family)
+    chi = _real(chi, "p_of_chi", "chi")
+    if fam is Family.SINE:
+        if chi < 0.5:
+            return 1
+    elif chi < -0.5:
+        return 0
+    # unique integer in (chi + 1/2, chi + 3/2]
+    return math.floor(chi + 1.5)
+
+
+def _error_exponent_former(family, p, chi):
+    if chi is None:
+        return math.nan
+    gap = p - chi - 0.5
+    if family is Family.SINE:
+        return min(gap, 1.0)
+    if family is Family.AIRY:
+        return min(gap, 0.5)
+    # Bessel: the bound is max(t^{-2 gap}, ln t / t) (_error_bound); report
+    # the power part
+    return 2.0 * gap
+
+
+def _error_bound_former(family, t, exponent):
+    """The order of a transition expansion's error at scale t, from the
+    exponent e it reports: t^{-e}, and max(t^{-e}, ln t / t) for Bessel."""
+    power = t**-exponent
+    if family is Family.BESSEL:
+        return max(power, math.log(t) / t)
+    return power
+
+
+_GAP_FORMER = {
+    Family.SINE: lambda s, a: sine_det_crit_former(s),
+    Family.AIRY: lambda s, a: airy_gap_former(s),
+    Family.BESSEL: lambda s, a: bessel_gap_former(s, a),
+}
+
+
+def transition_former(family, s, v, p, a=0.0, chi=None):
+    """Transition determinant with p explicit factors: the gap expansion
+    times 1 + E_i, E_i = e^{-v} / (1 - lambda_i) from the eigenvalue law."""
+    fam = asymptotics._coerce_family(family)
+    name = f"{fam.value}_transition"
+    a = asymptotics._order(fam, a)
+    p = int(p)
+    # the sine expansion always carries its leading factor
+    p_min = 1 if fam is Family.SINE else 0
+    if p < p_min:
+        raise ArgumentError(f"{name} requires p >= {p_min}, got {p}")
+    t = _scale(fam, s, name)
+    v = float(v)
+    if not v > 0.0:
+        raise ArgumentError(f"{name} requires v > 0, got {v}")
+    exc = tuple(math.exp(_log_excess(fam, i, t, v, a)) for i in range(p))
+    return TransitionExpansion(
+        _GAP_FORMER[fam](s, a),
+        tuple(1.0 + e for e in exc),
+        p,
+        _error_exponent_former(fam, p, chi),
+        exc,
+    )
+
+
+_FAMILIES = (Family.SINE, Family.AIRY, Family.BESSEL)
+_ORDERS = (-0.9, -0.5, 0.0, 0.3, 1.0, 1.3, 2.5, 5.0, 30.0)
+
+
+def _around(x):
+    """x and its two neighbouring floats."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# chi from -1/2 to 2.6 in steps of 0.1, and the floats around each half
+# integer, where p_of_chi and chi_decompose change step
+_CHIS = sorted({round(-0.5 + 0.1 * j, 10) for j in range(32)}
+               | {x for h in (-0.5, 0.5, 1.5, 2.5) for x in _around(h)})
+
+
+class TestFormerImplementations:
+    """gap, logderiv, p_of_chi, transition, _error_exponent and _error_bound
+    give the bits of the former per-family functions and ladders above."""
+
+    def test_gap(self):
+        cases = (
+            [(Family.AIRY, -2.0 - 0.5 * j, 0.0) for j in range(120)]
+            + [(Family.SINE, 2.0 + 0.37 * j, 0.0) for j in range(120)]
+            + [(Family.BESSEL, 4.0 + 1.7 * j * j, a) for j in range(120) for a in _ORDERS]
+            + [(Family.AIRY, -2.0, 0.0), (Family.SINE, 2.0, 0.0), (Family.AIRY, -1e5, 0.0)]
+            + [(Family.BESSEL, 1e8, a) for a in _ORDERS]
+            + [(Family.SINE, 1e4, 0.0)]
+        )
+        assert len(cases) == 1333
+        for fam, s, a in cases:
+            assert gap(fam, s, a).hex() == _GAP_FORMER[fam](s, a).hex(), (fam, s, a)
+
+    @pytest.mark.parametrize(
+        "fam, s, a, former",
+        [(Family.AIRY, s, 0.0, lambda s, v, chi, a: airy_logderiv_asymp_former(s, v, chi))
+         for s in (-3.0, -4.0, -6.5, -9.0, -20.0, -40.0)]
+        + [(Family.BESSEL, s, a, bessel_logderiv_asymp_former)
+           for s in (16.0, 36.0, 144.0, 1e4) for a in (-0.5, 0.0, 1.5)],
+    )
+    def test_logderiv(self, fam, s, a, former):
+        # v off the curve, up to inf (gamma = 1), and on and beside the curve
+        t = IntervalSpec(fam, s).t
+        for chi in (chi for chi in _CHIS if chi >= -0.5):
+            curve = stokes_v(fam, t, chi, a)
+            for v in (0.5, 2.0, 9.0, 50.0, 300.0, math.inf, curve - 1.0, curve, curve + 1.0):
+                if v > 0.0:
+                    got, ref = logderiv(fam, s, v, chi, a), former(s, v, chi, a)
+                    assert got.hex() == ref.hex(), (s, v, chi, a)
+
+    def test_transition(self):
+        count = 0
+        for fam, s_values, a_values in (
+            (Family.SINE, (2.0, 5.5, 30.0), (0.0,)),
+            (Family.AIRY, (-3.0, -7.0, -20.0), (0.0,)),
+            (Family.BESSEL, (16.0, 49.5, 400.0), (-0.5, 1.3)),
+        ):
+            for s in s_values:
+                for a in a_values:
+                    for v in (0.5, 9.0, 40.0):
+                        for p in range(_LAWS[fam].p_min, 5):
+                            for chi in (None, -0.5, 0.3, 1.7, 2.6):
+                                got = transition(fam, s, v, p, a, chi)
+                                assert repr(got) == repr(transition_former(fam, s, v, p, a, chi))
+                                count += 1
+        assert count == 855
+
+    def test_p_and_error_order(self):
+        chis = _CHIS + [-1.0, -0.6, 3.2, 7.9, 40.0]
+        for fam in _FAMILIES:
+            for chi in chis:
+                assert p_of_chi(chi, fam) == p_of_chi_former(chi, fam), (fam, chi)
+                for p in range(6):
+                    got = asymptotics._error_exponent(fam, p, chi)
+                    assert got.hex() == _error_exponent_former(fam, p, chi).hex(), (fam, p, chi)
+            for t in (1.5, 2.0, 5.0, 10, 100.0, 1e4):
+                for e in (math.nan, -0.5, 0.0, 0.25, 0.5, 1.0, 2.2, 3.0, 40.0):
+                    got = asymptotics._error_bound(fam, t, e)
+                    assert got.hex() == _error_bound_former(fam, t, e).hex(), (fam, t, e)
+
+    @pytest.mark.parametrize(
+        "fam, s, message",
+        [
+            (Family.AIRY, -1.0, "airy gap requires a finite s <= -2, got -1.0"),
+            (Family.AIRY, -math.inf, "airy gap requires a finite s <= -2, got -inf"),
+            (Family.BESSEL, 1.0, "bessel gap requires a finite s >= 4, got 1.0"),
+            (Family.BESSEL, math.inf, "bessel gap requires a finite s >= 4, got inf"),
+            (Family.SINE, 1.0, "sine gap requires a finite s >= 2, got 1.0"),
+            (Family.SINE, math.nan, "sine gap requires a finite s >= 2, got nan"),
+        ],
+    )
+    def test_gap_domain_messages(self, fam, s, message):
+        # the former messages, with the function named by its family
+        with pytest.raises(ArgumentError) as exc:
+            gap(fam, s, 0.0)
+        assert str(exc.value) == message

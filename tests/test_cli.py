@@ -142,13 +142,13 @@ class TestDet:
 
 class TestAsymp:
     def test_gap_value_matches_library(self, capsys):
-        from gapspec.asymptotics import airy_gap
+        from gapspec.asymptotics import gap
 
         code, out, _ = run_cli(
             ["asymp", "--formula", "airy-gap", "--s", "-4.0"], capsys
         )
         assert code == 0
-        assert float(out.splitlines()[1]) == pytest.approx(airy_gap(-4.0), rel=1e-15)
+        assert float(out.splitlines()[1]) == pytest.approx(gap(Family.AIRY, -4.0), rel=1e-15)
 
     def test_transition_row(self, capsys):
         code, out, _ = run_cli(
@@ -168,6 +168,21 @@ class TestAsymp:
         )
         assert code == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize(
+        "formula, rest",
+        [("bessel-gap", []), ("bessel-transition", ["--chi", "0.3"]),
+         ("bessel-transition", ["--v", "2"])],
+    )
+    def test_bessel_formulas_require_order(self, capsys, formula, rest):
+        # a missing --a is refused as det, spectrum and scan refuse it, not read as 0
+        code, out, err = run_cli(["asymp", "--formula", formula, "--s", "144"] + rest, capsys)
+        assert code == 2 and out == ""
+        assert err == "gapspec: --a is required for the bessel kernel\n"
+        code, out, _ = run_cli(
+            ["asymp", "--formula", formula, "--s", "144", "--a", "0"] + rest, capsys
+        )
+        assert code == 0 and out
 
     def test_sine_sub_needs_v(self, capsys):
         code, _, _ = run_cli(["asymp", "--formula", "sine-sub", "--s", "4.0"], capsys)
@@ -258,7 +273,7 @@ class TestUsageErrors:
             (["asymp", "--formula", "airy-transition", "--s", "0", "--chi", "0"], "s < 0"),
             # t = sqrt(s) is undefined for s <= 0
             (["det", "--kernel", "bessel", "--a", "0", "--s", "-1", "--chi", "0"], "s > 0"),
-            (["asymp", "--formula", "bessel-transition", "--s", "-1", "--chi", "0"], "s > 0"),
+            (["asymp", "--formula", "bessel-transition", "--a", "0", "--s", "-1", "--chi", "0"], "s > 0"),
         ],
     )
     def test_chi_outside_domain(self, capsys, argv, hint):

@@ -153,6 +153,34 @@ class TestLidskii:
             lidskii_split(sp, 1.0, -1)
 
 
+class TestIndexArguments:
+    """i, p and q are Python or numpy integers: a float or a bool is refused
+    before any matrix is built, never truncated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: eig_ratio_scan(Family.SINE, x, [2.5, 3.0], n=80),
+            lambda x: lidskii_split(Spectrum(np.array([0.5, 0.2, 0.1]), 3, {}), 1.0, x),
+            lambda x: stokes_crossing_scan(Family.AIRY, x, [6.0], n=80),
+            lambda x: commuting_residual(Family.SINE, x, 3.0),
+        ],
+        ids=["eig_ratio_scan-i", "lidskii_split-p", "stokes_crossing_scan-q", "commuting_residual-i"],
+    )
+    def test_float_and_bool_refused(self, call, monkeypatch):
+        monkeypatch.setattr(verify, "build_discretization", _no_build)
+        for x in (1.5, 1.0, True, np.float64(1.0), np.True_):
+            with pytest.raises(ArgumentError, match="takes an integer index, got"):
+                call(x)
+
+    def test_numpy_integers_accepted(self):
+        sp = Spectrum(np.array([0.5, 0.2, 0.1]), 3, {})
+        assert lidskii_split(sp, 1.0, np.int64(2)) == lidskii_split(sp, 1.0, 2)
+        assert commuting_residual(Family.SINE, np.uint8(1), 2.0, n=40, m=400) == (
+            commuting_residual(Family.SINE, 1, 2.0, n=40, m=400)
+        )
+
+
 class TestStokesCrossing:
     def test_airy_first_factor(self):
         r = stokes_crossing_scan(Family.AIRY, 1, [8.0, 12.0], n=100)
