@@ -176,12 +176,10 @@ def chi_decompose(chi):
     if not chi >= -0.5:
         raise ArgumentError(f"chi_decompose requires chi >= -1/2, got {chi}")
     k = math.floor(chi + 0.5)
-    alpha = chi - k
-    # guard rounding at the upper edge so alpha stays in [-1/2, 1/2)
-    if alpha >= 0.5:
-        k += 1
-        alpha = chi - k
-    return k, alpha
+    # chi + 1/2 rounds up to k just below a half integer (k - 1/2 is exact)
+    if k - 0.5 > chi:
+        k -= 1
+    return k, chi - k
 
 
 def p_of_chi(chi, family):
@@ -189,7 +187,7 @@ def p_of_chi(chi, family):
     unique integer in (chi + 1/2, chi + 3/2], and never below p_min."""
     p_min = _LAWS[_coerce_family(family)].p_min
     chi = _real(chi, "p_of_chi", "chi")
-    return p_min if chi < p_min - 0.5 else math.floor(chi + 1.5)
+    return p_min if chi < p_min - 0.5 else chi_decompose(chi)[0] + 1
 
 
 def stokes_v(family, t, chi, a=0.0):

@@ -189,8 +189,7 @@ _ASYMP_SELECTORS = (
 def cmd_asymp(cfg, args):
     sel = args.formula
     fam = _coerce_family(sel.split("-")[0])
-    if fam is Family.BESSEL and cfg.a is None:
-        raise ArgumentError("--a is required for the bessel kernel")
+    _check_order(fam, cfg.a)
     s, v, a = cfg.s, cfg.v, cfg.a or 0.0
     chi = cfg.chi
     if sel.endswith("transition"):
@@ -362,9 +361,16 @@ def _load_config(args):
         attr = "family" if key == "kernel" else key
         if getattr(cfg, attr) is None:
             raise ArgumentError(f"--{key} is required for this command")
-    if cfg.family is Family.BESSEL and cfg.a is None:
-        raise ArgumentError("--a is required for the bessel kernel")
+    _check_order(cfg.family, cfg.a)
     return cfg
+
+
+def _check_order(fam, a):
+    """--a, the Bessel order, is required for that kernel and refused for others."""
+    if fam is Family.BESSEL and a is None:
+        raise ArgumentError("--a is required for the bessel kernel")
+    if fam not in (None, Family.BESSEL) and a is not None:
+        raise ArgumentError(f"--a is the order of the bessel kernel; the {fam.value} kernel has none")
 
 
 def main(argv=None):

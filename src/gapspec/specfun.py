@@ -9,11 +9,13 @@ by Horner in x^3 to degree 15 (at |x| = 3), Airy on [2, 15.5] and [-13, -3]
 by one Clenshaw pass over the stacked tables of _coeffs.py, Bessel on x <= 9
 by 26 series terms (at x = 9, relative to the terms' moduli, for any a > -1)
 and below 30 + a^2 by backward recurrence, normalized in logs at a point
-whose weights pass the largest double (orders above about 150).
-Only the asymptotic expansions stop at their smallest term, element by
-element. Every sum is elementwise, so no value depends on the rest of the
-batch. The scalar functions `airy_ai`, `airy_ai_prime`, `bessel_j` and
-`bessel_j_prime` are one-element calls of the same code.
+whose weights pass the largest double (orders above about 150). Airy for
+x < -13 and x > 15.5 and Bessel from 30 + a^2 read one Hankel series,
+sum a_k(nu) z^{-k} at nu = 1/3, 2/3 and nu = a, a + 1, cut element by
+element below 1e-18 (or at the smallest term), with the oscillatory phase
+taken exactly. Every sum is elementwise, so no value depends on the rest
+of the batch. The scalar functions `airy_ai`, `airy_ai_prime`, `bessel_j`
+and `bessel_j_prime` are one-element calls of the same code.
 """
 
 import cmath
@@ -55,6 +57,33 @@ def _check_range(name, x, lo, hi):
     bad = ~((x >= lo) & (x <= hi))
     if bad.any():
         raise DomainError(f"{name}: x={x[bad].flat[0]} outside [{lo}, {hi}]")
+
+
+# ---------------------------------------------------------------------------
+# Hankel's asymptotic series, read by the three asymptotic zones: Airy at
+# nu = 1/3 and 2/3 (DLMF 9.7), Bessel at nu = a and a + 1 (DLMF 10.17)
+
+
+def _hankel_sums(mu, z, osc):
+    """Even and odd parts of sum_k a_k(nu) z^{-k}, one row per mu = 4 nu^2,
+    a_k(nu) = prod_{j<=k} (mu - (2j - 1)^2) / (8j). Each element stops at its
+    smallest term or once a term is below 1e-18. With osc (the oscillatory
+    zones), term k carries the sign (-1)^{floor(k/2)}."""
+    ak = np.ones(np.broadcast_shapes(mu.shape, z.shape))
+    even, odd, prev = ak.copy(), np.zeros_like(ak), ak
+    live = np.ones(ak.shape, dtype=bool)
+    for k in range(1, 60):
+        ak = ak * ((mu - (2 * k - 1) ** 2) / (8.0 * k * z))
+        t = np.abs(ak)
+        live &= ~(t > prev)  # divergence onset: stop at the smallest term
+        prev = t
+        sgn = -1.0 if osc and (k // 2) % 2 else 1.0
+        acc = odd if k % 2 else even
+        np.add(acc, sgn * ak, out=acc, where=live)
+        live &= ~(t < 1e-18)
+        if not live.any():
+            break
+    return even, odd
 
 
 # ---------------------------------------------------------------------------
@@ -112,36 +141,13 @@ def _airy_maclaurin(x):
     return _AI_C1 * f - _AI_C2 * (x * g), _AI_C1 * (x * x * fp) - _AI_C2 * gp
 
 
-def _airy_u_next(u, k):
-    """u_k of the Airy asymptotic series from u_{k-1}."""
-    return u * ((6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k))
-
-
-def _airy_uk_sums(zeta):
-    """Optimally truncated sums S_u = sum (-1)^k u_k zeta^{-k} and likewise S_v."""
-    su = np.ones_like(zeta)
-    sv = np.ones_like(zeta)
-    prev = np.ones_like(zeta)
-    live = np.ones(zeta.shape, dtype=bool)
-    u = 1.0
-    sign = 1.0
-    for k in range(1, 61):
-        u = _airy_u_next(u, k)
-        term = u / zeta**k
-        live &= ~(term > prev)  # divergence onset: stop at the smallest term
-        prev = term
-        sign = -sign
-        np.add(su, sign * term, out=su, where=live)
-        np.add(sv, sign * term * (6 * k + 1) / (1 - 6 * k), out=sv, where=live)
-        live &= ~(term < 1e-18)
-        if not live.any():
-            break
-    return su, sv
+_AIRY_MU = np.array([[4.0 / 9.0], [16.0 / 9.0]])  # mu = 4 nu^2 at nu = 1/3 (Ai), 2/3 (Ai')
 
 
 def _airy_pos_asym(x):
     zeta = _TWO_THIRDS * x * np.sqrt(x)
-    su, sv = _airy_uk_sums(zeta)
+    even, odd = _hankel_sums(_AIRY_MU, zeta, False)
+    su, sv = even + odd
     pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
     x4 = x**0.25
     ai = pre / x4 * su
@@ -158,39 +164,36 @@ def _airy_pos_asym(x):
     return ai, aip
 
 
+def _two_prod(a, b):
+    """(p, e) with p = fl(ab) and p + e = ab exactly: Dekker's product, each
+    factor split into halves of 26 bits through a product with 2^27 + 1."""
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+_TWO_THIRDS_LO = 3.700743415417188e-17  # 2/3 less the double nearest it
+
+
 def _airy_neg_asym(y):
-    zeta = _TWO_THIRDS * y * np.sqrt(y)
-    zp = zeta + 0.25 * math.pi
-    c, s = np.cos(zp), np.sin(zp)
-    # even/odd splits of the u_k and v_k series
-    sp = np.ones_like(y)
-    sq = np.zeros_like(y)
-    sr = np.ones_like(y)
-    ssum = np.zeros_like(y)
-    prev = np.ones_like(y)
-    zk = np.ones_like(y)
-    live = np.ones(y.shape, dtype=bool)
-    u = 1.0
-    for k in range(1, 60):
-        u = _airy_u_next(u, k)
-        v = u * (6 * k + 1) / (1 - 6 * k)
-        zk = zk / zeta
-        term = u * zk
-        live &= ~(term > prev)
-        prev = term
-        sgn = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 1:
-            np.add(sq, sgn * term, out=sq, where=live)
-            np.subtract(ssum, sgn * v * zk, out=ssum, where=live)
-        else:
-            np.add(sp, sgn * term, out=sp, where=live)
-            np.add(sr, sgn * v * zk, out=sr, where=live)
-        live &= ~(term < 1e-18)
-        if not live.any():
-            break
+    """(Ai, Ai') at x = -y < -13. The phase zeta + pi/4, zeta = (2/3) y^{3/2},
+    is taken in double-double as ph + lo (zeta reaches 169, where one
+    rounding moves it by 1.4e-14), and lo enters cos and sin to first order."""
+    r = np.sqrt(y)
+    p, e = _two_prod(r, r)
+    h, lo = _two_prod(y, r)
+    lo += y * ((y - p) - e) / (2.0 * r)  # y sqrt(y) = y (r + (y - r^2) / 2r) = h + lo
+    zeta, e = _two_prod(_TWO_THIRDS, h)
+    ph = zeta + 0.25 * math.pi
+    lo = e + _TWO_THIRDS * lo + _TWO_THIRDS_LO * h + (0.25 * math.pi - (ph - zeta))
+    c, s = np.cos(ph), np.sin(ph)
+    c, s = c - lo * s, s + lo * c
+    even, odd = _hankel_sums(_AIRY_MU, zeta, True)
     y4 = y**0.25
-    ai = (s * sp - c * sq) / (_SQRT_PI * y4)
-    aip = -(c * sr - s * ssum) * y4 / _SQRT_PI
+    ai = (s * even[0] + c * odd[0]) / (_SQRT_PI * y4)
+    aip = -(c * even[1] - s * odd[1]) * y4 / _SQRT_PI
     return ai, aip
 
 
@@ -286,27 +289,15 @@ def _bessel_series(a, x):
 
 
 def _bessel_hankel(a, x):
-    """Large-x expansion with the P and Q sums optimally truncated."""
+    """Large-x expansion: Hankel's P and Q sums at the orders a and a + 1."""
     order = np.array([[a], [a + 1.0]])
-    mu = 4.0 * order * order
-    p = np.ones((2, len(x)))
-    q = np.zeros((2, len(x)))
-    ak = np.ones((2, len(x)))
-    prev = np.full((2, len(x)), math.inf)
-    live = np.ones(p.shape, dtype=bool)
-    for k in range(1, 60):
-        ak = ak * ((mu - (2 * k - 1) ** 2) / (8.0 * k * x))
-        t = np.abs(ak)
-        live &= ~(t > prev)
-        prev = t
-        sgn = -1.0 if (k // 2) % 2 else 1.0
-        acc = q if k % 2 == 1 else p
-        np.add(acc, sgn * ak, out=acc, where=live)
-        live &= ~(t < 1e-18)
-        if not live.any():
-            break
-    om = x - (0.5 * order + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (np.cos(om) * p - np.sin(om) * q)
+    p, q = _hankel_sums(4.0 * order * order, x, True)
+    # the phase x - theta by angle addition, theta = (order/2 + 1/4) pi mod 2 pi:
+    # x - theta itself would round by up to 9e-13 at x = 1e4
+    theta = np.fmod(0.5 * order + 0.25, 2.0) * math.pi
+    ct, st = np.cos(theta), np.sin(theta)
+    cx, sx = np.cos(x), np.sin(x)
+    return np.sqrt(2.0 / (math.pi * x)) * ((cx * ct + sx * st) * p - (sx * ct - cx * st) * q)
 
 
 def _bessel_miller(a, x):

@@ -4,11 +4,12 @@ mpmath at 30+ digits, and structural identities are property-tested."""
 import json
 import math
 import pathlib
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapspec import asymptotics
@@ -34,6 +35,17 @@ mp.mp.dps = 35
 SQRT2 = math.sqrt(2.0)
 
 
+# chi = j + 1/2 and the float below it, j = 0 ... 3
+_EDGE_CHIS = [x for j in range(4) for x in (math.nextafter(j + 0.5, -math.inf), j + 0.5)]
+
+
+def _with_edge_examples(test):
+    """The _EDGE_CHIS as hypothesis examples of a test of chi."""
+    for chi in _EDGE_CHIS:
+        test = example(chi)(test)
+    return test
+
+
 class TestChiDecompose:
     @pytest.mark.parametrize(
         "chi,k,alpha",
@@ -52,6 +64,13 @@ class TestChiDecompose:
         assert -0.5 <= alpha < 0.5
         assert k + alpha == pytest.approx(chi, abs=1e-12)
 
+    @pytest.mark.parametrize("chi", _EDGE_CHIS)
+    def test_half_integer_edges(self, chi):
+        # alpha in [-1/2, 1/2) and k + alpha = chi, both in exact arithmetic
+        k, alpha = chi_decompose(chi)
+        assert -0.5 <= alpha < 0.5
+        assert Fraction(k) + Fraction(alpha) == Fraction(chi)
+
     def test_domain(self):
         with pytest.raises(ArgumentError):
             chi_decompose(-0.6)
@@ -68,12 +87,25 @@ class TestPOfChi:
         assert p_of_chi(-0.6, Family.BESSEL) == 0
 
     @given(st.floats(min_value=-0.49, max_value=20.0))
+    @_with_edge_examples
     @settings(max_examples=100, deadline=None)
     def test_p_brackets_chi(self, chi):
-        # the returned p is the unique integer in (chi + 1/2, chi + 3/2]
+        # the returned p is the unique integer in (chi + 1/2, chi + 3/2], in
+        # exact arithmetic: chi + 3/2 rounds to p just below a half integer
         for fam in (Family.AIRY, Family.BESSEL):
             p = p_of_chi(chi, fam)
-            assert chi + 0.5 < p <= chi + 1.5
+            assert Fraction(chi) + Fraction(1, 2) < p <= Fraction(chi) + Fraction(3, 2)
+
+    @pytest.mark.parametrize("chi", _EDGE_CHIS)
+    def test_half_integer_edges(self, chi):
+        # chi + 3/2 rounds up to an integer just below a half integer; p is
+        # the integer in (chi + 1/2, chi + 3/2] in exact arithmetic, and the
+        # curve index k of chi_decompose plus one
+        k, _ = chi_decompose(chi)
+        for fam in (Family.SINE, Family.AIRY, Family.BESSEL):
+            p = p_of_chi(chi, fam)
+            assert Fraction(chi) + Fraction(1, 2) < p <= Fraction(chi) + Fraction(3, 2), fam
+            assert p == k + 1, fam
 
 
 class TestStokesCurve:
@@ -910,7 +942,12 @@ class TestFormerImplementations:
         chis = _CHIS + [-1.0, -0.6, 3.2, 7.9, 40.0]
         for fam in _FAMILIES:
             for chi in chis:
-                assert p_of_chi(chi, fam) == p_of_chi_former(chi, fam), (fam, chi)
+                # the former rule, less the step its chi + 3/2 took by rounding
+                # up just below a half integer (TestPOfChi::test_half_integer_edges)
+                want = p_of_chi_former(chi, fam)
+                if want > _LAWS[fam].p_min and want - 1.5 > chi:
+                    want -= 1
+                assert p_of_chi(chi, fam) == want, (fam, chi)
                 for p in range(6):
                     got = asymptotics._error_exponent(fam, p, chi)
                     assert got.hex() == _error_exponent_former(fam, p, chi).hex(), (fam, p, chi)

@@ -346,6 +346,26 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("gapspec: config key ") and hint in err
 
+    @pytest.mark.parametrize(
+        "argv, family",
+        [
+            (["spectrum", "--kernel", "sine", "--s", "2"], "sine"),
+            (["det", "--kernel", "airy", "--s", "-4"], "airy"),
+            (["asymp", "--formula", "airy-gap", "--s", "-6"], "airy"),
+            (["asymp", "--formula", "sine-transition", "--s", "5", "--v", "1"], "sine"),
+            (["scan", "--kind", "eig", "--kernel", "airy", "--grid", "6"], "airy"),
+        ],
+    )
+    def test_order_refused_outside_bessel(self, capsys, tmp_path, argv, family):
+        # only the Bessel kernel has an order; elsewhere a given --a would be ignored
+        want = f"gapspec: --a is the order of the bessel kernel; the {family} kernel has none\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": 3}))
+        for extra in (["--a", "3"], ["--config", str(cfg)]):
+            assert run_cli(argv + extra, capsys) == (2, "", want)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out
+
     def test_config_numbers_may_be_ints(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"kernel": "sine", "s": 2, "gamma": 1, "n": 60}))

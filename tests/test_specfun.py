@@ -1,6 +1,8 @@
 """Special-function layer against independent high-precision oracles."""
 
+import functools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -339,36 +341,65 @@ class TestBatchIndependence:
         _assert_batch_independent(lambda x: specfun.bessel_j_pair(a, x), _bessel_batch(a))
 
 
-# every zone the array core sums to a fixed degree, as (lo, hi); each gets
-# 200 points inside, and the central zone also 11 points within 1e-3 of each
-# zero of Ai and of Ai' in it
-_AIRY_ZONES = {"maclaurin": (-3.0, 2.0), "pos_cheb": (2.0, 15.5), "neg_cheb": (-13.0, -3.0)}
-_BESSEL_ZONES = {"series": lambda a: (0.0, 9.0), "miller": lambda a: (9.0, 30.0 + a * a)}
+# every zone of the array core, as (lo, hi); each gets 200 points inside (an
+# asymptotic zone 100, as mpmath is slow there), and the central zone also
+# 11 points within 1e-3 of each zero of Ai and of Ai' in it
+_AIRY_ZONES = {
+    "maclaurin": (-3.0, 2.0),
+    "pos_cheb": (2.0, 15.5),
+    "neg_cheb": (-13.0, -3.0),
+    "pos_asym": (15.5, 100.0),
+    "neg_asym": (-40.0, -13.0),
+}
+_BESSEL_ZONES = {
+    "series": lambda a: (0.0, 9.0),
+    "miller": lambda a: (9.0, 30.0 + a * a),
+    "hankel": lambda a: (30.0 + a * a, 1e4),
+}
+_POINTS = {"pos_asym": 100, "neg_asym": 100, "hankel": 100}
+
+
+def _airy_zero(k, derivative):
+    """The k-th zero of Ai (derivative 0) or Ai' (1), from mpmath; below -13,
+    where mpmath is slow, from the zeros' expansion in
+    t = 3 pi (4k - 1 - 2 derivative) / 8 (DLMF 9.9.6, 9.9.18-19), within 1e-9."""
+    t = 3.0 * math.pi * (4 * k - 1 - 2 * derivative) / 8.0
+    c2, c4 = ((5 / 48, -5 / 36), (-7 / 48, 35 / 288))[derivative]
+    z = -(t ** (2 / 3)) * (1.0 + c2 / t**2 + c4 / t**4)
+    return z if z < -13.0 else float(mp.airyaizero(k, derivative=derivative))
 
 
 def _airy_zeros(lo, hi, derivative):
     """Zeros of Ai (derivative 0) or Ai' (1) inside (lo, hi), hi <= 0."""
     zeros, k = [], 1
-    while (z := float(mp.airyaizero(k, derivative=derivative))) > lo:
+    while (z := _airy_zero(k, derivative)) > lo:
         if z < hi:
             zeros.append(z)
         k += 1
     return zeros
 
 
+@functools.cache
+def _airy_zone_reference(zone):
+    """The zone's points, mpmath's Ai and Ai' there, and the zeros of each."""
+    lo, hi = _AIRY_ZONES[zone]
+    zeros = [_airy_zeros(lo, min(hi, 0.0), d) for d in (0, 1)]
+    x = np.linspace(lo, hi, _POINTS.get(zone, 200) + 2)[1:-1]
+    if zone == "maclaurin":
+        x = np.concatenate([x] + [z + np.linspace(-1e-3, 1e-3, 11) for z in zeros[0] + zeros[1]])
+    refs = [np.array([float(mp.airyai(mp.mpf(xi), d)) for xi in x]) for d in (0, 1)]
+    return x, refs, zeros
+
+
 def _airy_zone_errors(zone):
     """Worst errors of Ai and Ai' on the zone against mpmath: relative, but
     within 1e-3 of a zero of the function, the absolute error over the
     function's largest modulus on the zone."""
-    lo, hi = _AIRY_ZONES[zone]
-    zeros = [_airy_zeros(lo, min(hi, 0.0), d) for d in (0, 1)]
-    x = np.linspace(lo, hi, 202)[1:-1]
-    if zone == "maclaurin":
-        x = np.concatenate([x] + [z + np.linspace(-1e-3, 1e-3, 11) for z in zeros[0] + zeros[1]])
+    x, refs, zeros = _airy_zone_reference(zone)
     got = specfun.airy_pair(x)
     worst = []
     for d in (0, 1):
-        ref = np.array([float(mp.airyai(mp.mpf(xi), d)) for xi in x])
+        ref = refs[d]
         scale = np.abs(ref)
         for z in zeros[d]:
             scale[np.abs(x - z) <= 1e-3] = np.abs(ref).max()
@@ -376,17 +407,23 @@ def _airy_zone_errors(zone):
     return worst
 
 
+@functools.cache
+def _bessel_zone_reference(zone, a):
+    """The zone's points and mpmath's J_a and J_{a+1} there."""
+    lo, hi = _BESSEL_ZONES[zone](a)
+    x = np.linspace(lo, hi, _POINTS.get(zone, 200) + 2)[1:-1]
+    return x, [np.array([float(mp.besselj(a + d, mp.mpf(xi))) for xi in x]) for d in (0, 1)]
+
+
 def _bessel_zone_errors(zone, a):
     """Worst errors of J_a and J_{a+1} on the zone against mpmath, in the
     measure of the Bessel tests: |error| / max(1, 100 |J|)."""
-    lo, hi = _BESSEL_ZONES[zone](a)
-    x = np.linspace(lo, hi, 202)[1:-1]
+    x, refs = _bessel_zone_reference(zone, a)
     got = specfun.bessel_j_pair(a, x)
-    worst = []
-    for d in (0, 1):
-        ref = np.array([float(mp.besselj(a + d, mp.mpf(xi))) for xi in x])
-        worst.append(float(np.max(np.abs(got[d] - ref) / np.maximum(1.0, 100.0 * np.abs(ref)))))
-    return worst
+    return [
+        float(np.max(np.abs(got[d] - ref) / np.maximum(1.0, 100.0 * np.abs(ref))))
+        for d, ref in enumerate(refs)
+    ]
 
 
 class TestZoneAccuracy:
@@ -398,6 +435,57 @@ class TestZoneAccuracy:
     @pytest.mark.parametrize("a", _ORDERS)
     def test_bessel(self, zone, a):
         assert max(_bessel_zone_errors(zone, a)) < 2e-11
+
+
+class TestAsymptoticPhase:
+    """The oscillatory asymptotic zones take their phase exactly, so their
+    error, |error| over the amplitude against mpmath, is at the level of the
+    series: under 2e-15 (at most 5.7e-16 for Airy and 4.4e-16 for J on these
+    points; with the phase rounded in double it was 3.2e-14 and 8.7e-13)."""
+
+    def test_airy(self):
+        x, refs, _ = _airy_zone_reference("neg_asym")
+        got = specfun.airy_pair(x)
+        y4 = (-x) ** 0.25
+        for d, amp in ((0, 1.0 / (math.sqrt(math.pi) * y4)), (1, y4 / math.sqrt(math.pi))):
+            assert np.max(np.abs(got[d] - refs[d]) / amp) < 2e-15, d
+
+    @pytest.mark.parametrize("a", _ORDERS)
+    def test_bessel(self, a):
+        x, refs = _bessel_zone_reference("hankel", a)
+        got = specfun.bessel_j_pair(a, x)
+        amp = np.sqrt(2.0 / (math.pi * x))
+        for d in (0, 1):
+            assert np.max(np.abs(got[d] - refs[d]) / amp) < 2e-15, d
+
+
+# the seams where the asymptotic zones begin, as (mu = 4 nu^2 per row, z,
+# oscillatory): Ai and Ai' above x = 15.5 and below x = -13 at
+# zeta = (2/3)|x|^{3/2}, J_a and J_{a+1} from x = 30 + a^2
+_HANKEL_SEAMS = [
+    (specfun._AIRY_MU, specfun._TWO_THIRDS * y * math.sqrt(y), osc)
+    for y, osc in ((specfun._X_POS_ASYM, False), (specfun._Y_NEG_ASYM, True))
+] + [(4.0 * np.array([[a], [a + 1.0]]) ** 2, 30.0 + a * a, True) for a in _ORDERS]
+
+
+class TestHankelSeams:
+    @pytest.mark.parametrize("mu, z, osc", _HANKEL_SEAMS)
+    def test_sums_stop_below_1e18_before_the_terms_grow(self, mu, z, osc):
+        # each row's terms a_k z^{-k}, in exact arithmetic from the double
+        # mu and z, fall until one is below 1e-18; as they fall faster at a
+        # larger z, the smallest-term rule fires nowhere in the zone, and the
+        # engine's sums are the sums to that term
+        even, odd = specfun._hankel_sums(mu, np.array([z]), osc)
+        for row, m in enumerate(mu[:, 0]):
+            terms, k = [Fraction(1)], 0
+            while abs(terms[-1]) >= Fraction(1e-18):
+                k += 1
+                terms.append(terms[-1] * (Fraction(m) - (2 * k - 1) ** 2) / (8 * k * Fraction(z)))
+                assert abs(terms[-1]) < abs(terms[-2]), (row, k)
+            signs = [-1 if osc and (j // 2) % 2 else 1 for j in range(len(terms))]
+            for part, got in ((0, even), (1, odd)):
+                want = sum(s * t for s, t in zip(signs[part::2], terms[part::2]))
+                assert abs(got[row, 0] - float(want)) <= 4e-16, (row, part)
 
 
 class TestFixedDegrees:
