@@ -35,7 +35,7 @@ from .errors import (
     PrecisionWarning,
 )
 from .kernels import Family, IntervalSpec, _coerce_family, _Record, family_spec
-from .operator import build_discretization, compute_spectrum, log_fredholm_det
+from .operator import _gamma_lambda, build_discretization, compute_spectrum, log_fredholm_det
 
 SCHEMA_VERSION = 1
 
@@ -143,12 +143,8 @@ def cmd_spectrum(cfg, args):
         raise ArgumentError(f"--top must be >= 0, got {top}")
     d = build_discretization(cfg.spec, IntervalSpec(cfg.family, cfg.s), cfg.n)
     sp = compute_spectrum(d)
-    rows = []
-    for i in range(min(top, sp.n)):
-        lam = float(sp.eigenvalues[i])
-        one_minus = 1.0 - lam
-        mu = lam / one_minus if one_minus > 0.0 else math.inf
-        rows.append((i, lam, one_minus, mu))
+    lams = _gamma_lambda(sp, 1.0, "spectrum").tolist()[:top]
+    rows = [(i, lam, 1.0 - lam, lam / (1.0 - lam)) for i, lam in enumerate(lams)]
     _emit(
         cfg,
         ("index", "lambda", "one_minus_lambda", "mu"),
@@ -159,6 +155,8 @@ def cmd_spectrum(cfg, args):
             "repaired_entries": sp.meta["repaired_entries"],
             "clamped_zero": sp.meta["clamped_zero"],
             "clamped_top": sp.meta["clamped_top"],
+            "floor": _fmt(sp.meta["floor"]),
+            "unresolved_top": sp.meta["unresolved_top"],
         },
     )
     return EXIT_OK

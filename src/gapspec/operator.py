@@ -361,56 +361,53 @@ def _floor(n):
     return n * _EPS
 
 
-def _warn_unresolved(sp, gamma, caller, stacklevel=3):
-    """PrecisionWarning when the largest factor's 1 - gamma lambda_0 is below
-    the spectrum's floor: the result then rests on a factor with no
-    resolved digit. One comparison, on every call."""
-    factor = 1.0 - float(gamma) * float(sp.eigenvalues[0])
-    floor = _floor(sp.n)
-    if factor < floor:
+def _scaled(sp, gamma, caller, stacklevel=3):
+    """gamma lambda_i; a PrecisionWarning when 1 - gamma lambda_0 is positive
+    but below the floor, with no resolved digit. fredholm_det reads this alone."""
+    glam = float(gamma) * np.asarray(sp.eigenvalues)
+    factor, floor = 1.0 - glam[0], _floor(sp.n)
+    if 0.0 < factor < floor:
         warnings.warn(
             f"{caller}: 1 - gamma*lambda_0 = {factor:.3e} is below the resolvable "
             f"floor n*eps = {floor:.3e} (n = {sp.n}); the result is not accurate",
             PrecisionWarning,
             stacklevel=stacklevel,
         )
+    return glam
 
 
-def fredholm_det(sp, gamma):
-    """D(J; gamma) = prod(1 - gamma lambda_i); warns when it underflows."""
-    factors = 1.0 - float(gamma) * np.asarray(sp.eigenvalues)
-    det = float(np.prod(factors))
-    if det == 0.0 and np.all(factors != 0.0):
+def _gamma_lambda(sp, gamma, caller, stacklevel=3):
+    """_scaled, then PoleError unless every factor 1 - gamma lambda_i is
+    positive; read by every reader that takes a log of a factor or divides by one."""
+    glam = _scaled(sp, gamma, caller, stacklevel + 1)
+    if np.any(glam >= 1.0):
+        raise PoleError(f"{caller}: a factor 1 - gamma*lambda is nonpositive (gamma={gamma})")
+    return glam
+
+
+def _product(glam, stacklevel):
+    """prod(1 - gamma lambda_i); warns when it underflows."""
+    det = float(np.prod(1.0 - glam))
+    if det == 0.0 and np.all(glam != 1.0):
         warnings.warn(
             "fredholm_det underflowed to 0.0 although no factor "
             "1 - gamma*lambda is zero; use log_fredholm_det",
             PrecisionWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     return det
 
 
-def _check_factors(sp, gamma, caller):
-    """PoleError unless every factor 1 - gamma lambda_i is positive."""
-    if np.any(1.0 - float(gamma) * np.asarray(sp.eigenvalues) <= 0.0):
-        raise PoleError(
-            f"{caller}: a factor 1 - gamma*lambda is nonpositive (gamma={gamma})"
-        )
+def fredholm_det(sp, gamma):
+    """D(J; gamma) = prod(1 - gamma lambda_i), also at and past a pole; warns
+    when it underflows or when 1 - gamma lambda_0 is below the floor."""
+    return _product(_scaled(sp, gamma, "fredholm_det"), stacklevel=3)
 
 
 def log_fredholm_det(sp, gamma):
     """log D(J; gamma) via sum of log(1 - gamma lambda_i); warns when
     1 - gamma lambda_0 is below the resolution floor (_floor)."""
-    _check_factors(sp, gamma, "log_fredholm_det")
-    _warn_unresolved(sp, gamma, "log_fredholm_det")
-    return float(np.sum(np.log1p(-float(gamma) * np.asarray(sp.eigenvalues))))
-
-
-def _mu_values(sp, gamma=1.0):
-    lam = float(gamma) * np.asarray(sp.eigenvalues)
-    if np.any(lam >= 1.0):
-        raise DegeneracyError("counting statistics require gamma*lambda < 1")
-    return lam / (1.0 - lam)
+    return float(np.sum(np.log1p(-_gamma_lambda(sp, gamma, "log_fredholm_det"))))
 
 
 def _esp_extend(mu, row, e, kmax):
@@ -447,7 +444,7 @@ def _counting(sp, n, least, gamma, times_det, name):
     The ESP comes from sp's memo of the last gamma, extended to the largest
     degree asked for when it holds less; row k does not depend on where the
     recurrence stopped before, so each value is the one a call for degree k
-    alone gives. D and the gamma check run on every call, and the memo
+    alone gives. D and the factor check run on every call, and the memo
     takes nothing from a call that raised. A degree above N gives 0. A
     degree that is not of integer dtype (a float or a bool) is refused, not
     truncated; an empty list is accepted.
@@ -469,12 +466,12 @@ def _counting(sp, n, least, gamma, times_det, name):
     if low > size or top < 0:
         return np.zeros(deg.shape) if deg.ndim else 0.0
     g = float(gamma)
+    glam = _gamma_lambda(sp, g, name, stacklevel=4)
     memo = sp._esp_memo
     if memo is None or not _same_float(memo[0], g):
-        memo = (g, _mu_values(sp, g), np.ones(size + 1), [1.0])
+        memo = (g, glam / (1.0 - glam), np.ones(size + 1), [1.0])
     _, mu, row, e = memo
-    _warn_unresolved(sp, g, name, stacklevel=4)
-    det = fredholm_det(sp, gamma) if times_det else None
+    det = _product(glam, stacklevel=4) if times_det else None
     kmax = min(top, size)
     if kmax >= len(e):
         row, e = _esp_extend(mu, row, e, kmax)
@@ -497,9 +494,9 @@ def counting_prob(sp, n, gamma=1.0):
     is returned). The ESP rows are kept on sp for the last gamma, so calls
     on one spectrum and gamma, in any order, cost one array pass per degree
     in all, and each value is the one a fresh call gives. D(J; gamma) and
-    the gamma lambda < 1 check (DegeneracyError) run on every call, so its
-    PrecisionWarning is issued by every call whose D underflows; so is the
-    one for 1 - gamma lambda_0 below the resolution floor (_floor)."""
+    the factor check (PoleError at a nonpositive 1 - gamma lambda) run on
+    every call, so a PrecisionWarning is issued by every call whose D
+    underflows or whose 1 - gamma lambda_0 is below the floor (_floor)."""
     return _counting(sp, n, 0, gamma, True, "counting_prob")
 
 
@@ -532,10 +529,8 @@ def d_ds_log_det(spec, s, gamma, n=80):
     s = float(s)
     gamma = float(gamma)
     d = build_discretization(spec, IntervalSpec(spec.family, s), n)
-    sp = compute_spectrum(d)
-    _check_factors(sp, gamma, "d_ds_log_det")
     # the solve's condition number is about 1 / (1 - gamma lambda_0)
-    _warn_unresolved(sp, gamma, "d_ds_log_det")
+    _gamma_lambda(compute_spectrum(d), gamma, "d_ds_log_det")
     k_s = np.sqrt(d.weights) * kernels.kernel_eval(spec, d.nodes, s)
     x = np.linalg.solve(np.eye(d.n) - gamma * d.matrix, k_s)
     r = gamma * kernels.kernel_eval(spec, s, s) + gamma * gamma * float(k_s @ x)

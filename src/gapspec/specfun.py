@@ -13,9 +13,10 @@ whose weights pass the largest double (orders above about 150). Airy for
 x < -13 and x > 15.5 and Bessel from 30 + a^2 read one Hankel series,
 sum a_k(nu) z^{-k} at nu = 1/3, 2/3 and nu = a, a + 1, cut element by
 element below 1e-18 (or at the smallest term), with the oscillatory phase
-taken exactly. Every sum is elementwise, so no value depends on the rest
-of the batch. The scalar functions `airy_ai`, `airy_ai_prime`, `bessel_j`
-and `bessel_j_prime` are one-element calls of the same code.
+and Airy's e^{-zeta} taken exactly. Every sum is elementwise, so no value
+depends on the rest of the batch. The scalar functions `airy_ai`,
+`airy_ai_prime`, `bessel_j` and `bessel_j_prime` are one-element calls of
+the same code.
 """
 
 import cmath
@@ -144,26 +145,6 @@ def _airy_maclaurin(x):
 _AIRY_MU = np.array([[4.0 / 9.0], [16.0 / 9.0]])  # mu = 4 nu^2 at nu = 1/3 (Ai), 2/3 (Ai')
 
 
-def _airy_pos_asym(x):
-    zeta = _TWO_THIRDS * x * np.sqrt(x)
-    even, odd = _hankel_sums(_AIRY_MU, zeta, False)
-    su, sv = even + odd
-    pre = np.exp(-zeta) / (2.0 * _SQRT_PI)
-    x4 = x**0.25
-    ai = pre / x4 * su
-    aip = -pre * x4 * sv
-    far = zeta > 700.0
-    if far.any():
-        # e^{-zeta} underflows; split the exponent through the prefactor
-        xf = x[far]
-        lg = -zeta[far] - math.log(2.0 * _SQRT_PI) - 0.25 * np.log(xf)
-        under = lg < -745.0
-        pre = np.exp(lg)
-        ai[far] = np.where(under, 0.0, pre * su[far])
-        aip[far] = np.where(under, 0.0, -pre * xf**0.5 * sv[far])
-    return ai, aip
-
-
 def _two_prod(a, b):
     """(p, e) with p = fl(ab) and p + e = ab exactly: Dekker's product, each
     factor split into halves of 26 bits through a product with 2^27 + 1."""
@@ -177,17 +158,44 @@ def _two_prod(a, b):
 _TWO_THIRDS_LO = 3.700743415417188e-17  # 2/3 less the double nearest it
 
 
-def _airy_neg_asym(y):
-    """(Ai, Ai') at x = -y < -13. The phase zeta + pi/4, zeta = (2/3) y^{3/2},
-    is taken in double-double as ph + lo (zeta reaches 169, where one
-    rounding moves it by 1.4e-14), and lo enters cos and sin to first order."""
+def _zeta(y):
+    """zeta = (2/3) y^{3/2} in double-double, as (hi, lo). One rounding would
+    move it by up to 1.4e-14 at x = -40 and 1.1e-13 at x = 100."""
     r = np.sqrt(y)
     p, e = _two_prod(r, r)
     h, lo = _two_prod(y, r)
     lo += y * ((y - p) - e) / (2.0 * r)  # y sqrt(y) = y (r + (y - r^2) / 2r) = h + lo
     zeta, e = _two_prod(_TWO_THIRDS, h)
+    return zeta, e + _TWO_THIRDS * lo + _TWO_THIRDS_LO * h
+
+
+def _airy_pos_asym(x):
+    """(Ai, Ai') at x > 15.5, with e^{-zeta} taken as e^{-hi} (1 - lo)."""
+    zeta, lo = _zeta(x)
+    even, odd = _hankel_sums(_AIRY_MU, zeta, False)
+    su, sv = even + odd
+    pre = np.exp(-zeta) * (1.0 - lo) / (2.0 * _SQRT_PI)
+    x4 = x**0.25
+    ai = pre / x4 * su
+    aip = -pre * x4 * sv
+    far = zeta > 700.0
+    if far.any():
+        # e^{-zeta} underflows; split the exponent through the prefactor
+        xf = x[far]
+        lg = -zeta[far] - lo[far] - math.log(2.0 * _SQRT_PI) - 0.25 * np.log(xf)
+        under = lg < -745.0
+        pre = np.exp(lg)
+        ai[far] = np.where(under, 0.0, pre * su[far])
+        aip[far] = np.where(under, 0.0, -pre * xf**0.5 * sv[far])
+    return ai, aip
+
+
+def _airy_neg_asym(y):
+    """(Ai, Ai') at x = -y < -13. The phase zeta + pi/4 is taken in
+    double-double as ph + lo, and lo enters cos and sin to first order."""
+    zeta, lo = _zeta(y)
     ph = zeta + 0.25 * math.pi
-    lo = e + _TWO_THIRDS * lo + _TWO_THIRDS_LO * h + (0.25 * math.pi - (ph - zeta))
+    lo = lo + (0.25 * math.pi - (ph - zeta))
     c, s = np.cos(ph), np.sin(ph)
     c, s = c - lo * s, s + lo * c
     even, odd = _hankel_sums(_AIRY_MU, zeta, True)

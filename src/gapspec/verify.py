@@ -21,7 +21,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import kernels
-from .errors import ArgumentError, DegeneracyError, PrecisionWarning
+from .errors import ArgumentError, PrecisionWarning
 from .kernels import (
     AIRY,
     SINE,
@@ -34,8 +34,8 @@ from .kernels import (
 )
 from .operator import (
     _floor,
+    _gamma_lambda,
     _is_even_integer,
-    _warn_unresolved,
     build_discretization,
     compute_spectrum,
     compute_spectrum_with_vectors,
@@ -120,8 +120,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     def point(t):
         s = _s_of_t(fam, t)
         sp = _spectrum(spec, IntervalSpec(fam, s), n)
-        _warn_unresolved(sp, 1.0, "eig_ratio_scan", stacklevel=4)
-        num = 1.0 - float(sp.eigenvalues[i])
+        num = 1.0 - float(_gamma_lambda(sp, 1.0, "eig_ratio_scan", stacklevel=4)[i])
         if num < max(1e-13, _floor(sp.n)):
             warnings.warn(
                 f"1 - lambda_{i} = {num:.3e} at t={t} is below resolvable "
@@ -208,11 +207,8 @@ def lidskii_split(sp, v, p):
         raise ArgumentError(f"lidskii_split requires p >= 0, got {p}")
     if not v > -math.inf:
         raise ArgumentError(f"lidskii_split requires v > -inf, got {v}")
-    lam = np.asarray(sp.eigenvalues)
-    if np.any(lam >= 1.0):
-        raise DegeneracyError("lidskii_split requires all eigenvalues < 1")
     # every factor divides by 1 - lambda_i, whatever v is
-    _warn_unresolved(sp, 1.0, "lidskii_split")
+    lam = _gamma_lambda(sp, 1.0, "lidskii_split")
     ev = math.exp(-v)
     mu = ev * lam / (1.0 - lam)
     factors = tuple(1.0 + float(m) for m in mu[:p])
@@ -244,7 +240,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
         thr = t ** -0.5 if fam is Family.AIRY else 1.0 / t
         spec = family_spec(fam, a)
         sp = _spectrum(spec, IntervalSpec(fam, s), n)
-        lam = float(sp.eigenvalues[q - 1])
+        lam = float(_gamma_lambda(sp, 1.0, "stokes_crossing_scan", stacklevel=4)[q - 1])
         mu = lam / (1.0 - lam)
         pred = asym.stokes_v(fam, t, q - 0.5, a)
         if mu <= thr:

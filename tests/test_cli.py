@@ -63,9 +63,10 @@ class TestSpectrum:
         assert code == 0
         sp = compute_spectrum(build_discretization(SINE, IntervalSpec(Family.SINE, 2.0), 80))
         summary = json.loads(out)["summary"]
-        for key in ("repaired_entries", "clamped_zero", "clamped_top"):
+        for key in ("repaired_entries", "clamped_zero", "clamped_top", "unresolved_top"):
             assert summary[key] == sp.meta[key]
         assert summary["repaired_entries"] >= 80
+        assert float(summary["floor"]) == sp.meta["floor"] == 80 * sys.float_info.epsilon
 
     def test_csv_holds_only_the_rows(self, capsys):
         # the summary stays out of the default CSV: a header and one line

@@ -35,10 +35,11 @@ def mp_sine(x, y):
 
 
 def mp_airy(x, y):
-    # the numerator cancels to O(x - y): push oracle precision well past
-    # the digits lost so the reference stays trustworthy arbitrarily close
-    # to the diagonal
-    with mp.workdps(400):
+    # the numerator cancels to O(x - y), losing -log10|x - y| digits: work
+    # 40 digits past those lost (at most 400), so the reference stays
+    # trustworthy arbitrarily close to the diagonal
+    lost = 0.0 if x == y else max(0.0, -math.log10(abs(x - y)))
+    with mp.workdps(min(400, 40 + math.ceil(lost))):
         x, y = mp.mpf(x), mp.mpf(y)
         if x == y:
             return mp.airyai(x, 1) ** 2 - x * mp.airyai(x) ** 2

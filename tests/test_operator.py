@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapspec.operator as operator_module
-from gapspec import kernels, verify
+from gapspec import cli, kernels, verify
 from gapspec.errors import (
     ArgumentError,
     DegeneracyError,
@@ -32,7 +32,6 @@ from gapspec.operator import (
     _CLAMP_TOP,
     Spectrum,
     _esp_all,
-    _mu_values,
     _validate_spectrum,
     airy_truncation,
     build_discretization,
@@ -522,11 +521,24 @@ class TestResolutionFloor:
                 lambda: counting_prob(sp, np.arange(4)),
                 lambda: counting_ratio(sp, 2),
                 lambda: verify.lidskii_split(sp, 3.0, 2),
+                lambda: fredholm_det(sp, 1.0),
+                lambda: verify.stokes_crossing_scan(Family.AIRY, 1, [12.0**1.5], n=160),
+                lambda: cli.main(["spectrum", "--kernel", "airy", "--s", "-12", "--n", "160"]),
             ):
                 with pytest.warns(PrecisionWarning, match="below the resolvable floor"):
                     call()
         with pytest.warns(PrecisionWarning, match="d_ds_log_det"):
             d_ds_log_det(AIRY, -12.0, 1.0, n=160)
+
+    def test_counting_warns_once_per_call(self):
+        # counting_prob forms D from its own checked factors, so the floor
+        # warning is not issued a second time by fredholm_det
+        sp = _deep(AIRY, -12.0, 160)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            counting_prob(sp, 2)
+            counting_prob(sp, np.arange(3))
+        assert [w.category for w in caught] == [PrecisionWarning] * 2
 
     def test_silent_when_gamma_keeps_factors_away_from_one(self):
         sp = _deep(AIRY, -30.0, 200)
@@ -681,8 +693,14 @@ class TestCounting:
 
     def test_degenerate_gamma(self):
         sp = _fake_spectrum([1.0 - 1e-16])
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(PoleError):
             counting_prob(sp, 0, gamma=1.0 + 1e-5)
+
+    def test_ratio_pole(self):
+        # counting_ratio reads gamma = 1: an eigenvalue at 1 is a pole
+        sp = _fake_spectrum([1.0, 0.5])
+        with pytest.raises(PoleError, match="counting_ratio"):
+            counting_ratio(sp, 1)
 
     @staticmethod
     def _esp_loop(mu):
@@ -736,7 +754,8 @@ class TestCounting:
             raise ArgumentError("counting_prob requires n >= 0")
         if n > len(sp.eigenvalues):
             return 0.0
-        mu = _mu_values(sp, gamma)
+        lam = float(gamma) * np.asarray(sp.eigenvalues)
+        mu = lam / (1.0 - lam)
         return fredholm_det(sp, gamma) * float(_esp_all(mu, n)[n])
 
     @staticmethod
@@ -747,7 +766,8 @@ class TestCounting:
             raise ArgumentError("counting_ratio requires n >= 1")
         if n > len(sp.eigenvalues):
             return 0.0
-        mu = _mu_values(sp, 1.0)
+        lam = np.asarray(sp.eigenvalues)
+        mu = lam / (1.0 - lam)
         return float(_esp_all(mu, n)[n])
 
     @pytest.mark.parametrize("s, n", [(1.0, 40), (5.0, 120)])
@@ -813,7 +833,7 @@ class TestCounting:
         for _ in range(2):
             assert counting_prob(sp, 1, 0.5) > 0.0
             for n in (0, 1, 1, 2, np.arange(3)):
-                with pytest.raises(DegeneracyError):
+                with pytest.raises(PoleError):
                     counting_prob(sp, n, 1.2)  # 1.2 * 0.9 >= 1
         assert counting_prob(sp, 2, 0.5) == self._counting_prob_one_degree(sp, 2, 0.5)
 

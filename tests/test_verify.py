@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gapspec import asymptotics, cli, kernels, verify
-from gapspec.errors import ArgumentError, PrecisionWarning
+from gapspec.errors import ArgumentError, PoleError, PrecisionWarning
 from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, family_spec
 from gapspec.operator import (
     Spectrum,
@@ -151,6 +151,12 @@ class TestLidskii:
         sp = Spectrum(np.array([0.5]), 1, {})
         with pytest.raises(ArgumentError):
             lidskii_split(sp, 1.0, -1)
+
+    def test_pole(self):
+        # every factor divides by 1 - lambda_i: an eigenvalue at 1 is a pole
+        sp = Spectrum(np.array([1.0, 0.5]), 2, {})
+        with pytest.raises(PoleError, match="lidskii_split"):
+            lidskii_split(sp, 1.0, 1)
 
 
 class TestIndexArguments:
