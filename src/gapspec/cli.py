@@ -83,22 +83,20 @@ class RunConfig(_Record):
         if self.v is not None:
             return -math.expm1(-self.v)
         if self.chi is not None:
-            t = _stokes_t(self.family, self.s)
-            return -math.expm1(-asym.stokes_v(self.family, t, self.chi, self.a or 0.0))
+            return -math.expm1(-_chi_v(self.family, self.s, self.chi, self.a or 0.0))
         return 1.0
 
 
-def _stokes_t(fam, s):
-    """Scaling variable t of the Stokes curves at s, for --chi."""
+def _chi_v(fam, s, chi, a):
+    """v of the Stokes curve chi at s, for --chi."""
     t = IntervalSpec(fam, s).t
     if math.isnan(t):
         raise ArgumentError(f"--chi needs s < 0 for the {fam.value} kernel, got s = {s}")
-    return t
+    return asym.stokes_v(fam, t, chi, a)
 
 
-def _emit(cfg, header, rows, summary, out=None):
+def _emit(cfg, header, rows, summary):
     """Write rows in the configured format to the output path or stdout."""
-    stream = out or sys.stdout
     if cfg.fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
@@ -119,7 +117,7 @@ def _emit(cfg, header, rows, summary, out=None):
         with open(cfg.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
     else:
-        stream.write(text)
+        sys.stdout.write(text)
 
 
 def _config_echo(cfg):
@@ -194,7 +192,7 @@ def cmd_asymp(cfg, args):
         if v is None:
             if chi is None:
                 raise ArgumentError("transition formulas need --v or --chi")
-            v = asym.stokes_v(fam, _stokes_t(fam, s), chi, a)
+            v = _chi_v(fam, s, chi, a)
         p = args.p if args.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
         te = asym.transition(fam, s, v, p, a, chi)
         rows = [

@@ -3,8 +3,14 @@ extraction, Stokes-crossing detection, convolution and commuting-operator
 checks, and the acceptance suite shared with the CLI.
 
 Numeric spectra act as the oracle; the closed-form expansions are the
-formulas under test. Scans visit their grid points in order and return
-them in that order.
+formulas under test. The three scans (eig_ratio_scan, det_ratio_scan,
+stokes_crossing_scan) run one loop, _scan: it visits the grid in order,
+maps t to the endpoint s, and asks the scan's point function for a row
+(t, numeric, predicted, rel_error) or None, and a note or None. A point
+reads its spectrum through _spectrum, so scans over the same (kernel, s, n)
+share one eigensolve. The loop's wall time, metadata["seconds"], is the
+one timing a scan records; the CLI leaves it out, so its output stays
+byte-identical across runs.
 
 The acceptance suite's inputs are fixed: the Lidskii cases and the
 convolution samples are literal tables (_LIDSKII_CASES, _CONVOLUTION_UNITS)
@@ -84,17 +90,24 @@ def _spectrum(spec, interval, n):
     return compute_spectrum(build_discretization(spec, interval, n))
 
 
-def _s_of_t(fam, t):
-    if fam is Family.AIRY:
-        return -(t ** (2.0 / 3.0))
-    if fam is Family.BESSEL:
-        return t * t
-    return t
-
-
-def _rows_and_notes(results):
-    """Split (row, note) results into rows and the notes, both in grid order."""
-    return [r for r, _ in results], [note for _, note in results if note is not None]
+def _scan(fam, a, n, t_grid, point, meta):
+    """ScanResult of point(t, s, spectrum) over t_grid; spectrum() builds
+    or reuses the (kernel, s, n) spectrum when called. A None row is
+    dropped, notes go to meta["notes"], and meta gains n, family, a and
+    seconds. point runs at a fixed depth: its warnings take stacklevel=4
+    to reach the scan's caller (5 through _gamma_lambda)."""
+    spec = family_spec(fam, a)
+    rows = []
+    t0 = time.perf_counter()
+    for t in t_grid:
+        s = -(t ** (2.0 / 3.0)) if fam is Family.AIRY else t * t if fam is Family.BESSEL else t
+        row, note = point(t, s, lambda: _spectrum(spec, IntervalSpec(fam, s), n))
+        if row is not None:
+            rows.append(row)
+        if note is not None:
+            meta["notes"].append(note)
+    meta.update(n=n, family=fam.value, a=a, seconds=time.perf_counter() - t0)
+    return ScanResult(*(tuple(r[k] for r in rows) for k in range(4)), meta)
 
 
 def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
@@ -114,36 +127,22 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     for t in t_grid:
         if not lo <= t <= hi:
             raise ArgumentError(f"t = {t} outside the desk-scale window [{lo}, {hi}]")
-    spec = family_spec(fam, a)
-    t0 = time.perf_counter()
 
-    def point(t):
-        s = _s_of_t(fam, t)
-        sp = _spectrum(spec, IntervalSpec(fam, s), n)
-        num = 1.0 - float(_gamma_lambda(sp, 1.0, "eig_ratio_scan", stacklevel=4)[i])
+    def point(t, s, spectrum):
+        sp = spectrum()
+        num = 1.0 - float(_gamma_lambda(sp, 1.0, "eig_ratio_scan", stacklevel=5)[i])
         if num < max(1e-13, _floor(sp.n)):
             warnings.warn(
                 f"1 - lambda_{i} = {num:.3e} at t={t} is below resolvable "
                 "precision; point skipped",
                 PrecisionWarning,
+                stacklevel=4,
             )
-            return None
+            return None, None
         pred = asym.eig_law(fam, i, s, a)
-        return (t, num, pred, abs(num - pred) / abs(pred))
+        return (t, num, pred, abs(num - pred) / abs(pred)), None
 
-    rows = [r for r in map(point, t_grid) if r is not None]
-    meta = {"n": n, "family": fam.value, "i": i, "a": a, "seconds": time.perf_counter() - t0}
-    return _scan_from_rows(rows, meta)
-
-
-def _scan_from_rows(rows, meta):
-    return ScanResult(
-        tuple(r[0] for r in rows),
-        tuple(r[1] for r in rows),
-        tuple(r[2] for r in rows),
-        tuple(r[3] for r in rows),
-        meta,
-    )
+    return _scan(fam, a, n, t_grid, point, {"i": i})
 
 
 def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
@@ -154,10 +153,8 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
     n = int(n)
     p = asym.p_of_chi(chi, fam)
     t_grid = [float(t) for t in t_grid]
-    t0 = time.perf_counter()
 
-    def point(t):
-        s = _s_of_t(fam, t)
+    def point(t, s, spectrum):
         v = asym.stokes_v(fam, t, chi, a)
         note = None
         if v > 700.0:
@@ -166,35 +163,20 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
             note = f"t={t}: v={v:.1f} > 700, computed with gamma=1"
         else:
             gamma = -math.expm1(-v)
-        spec = family_spec(fam, a)
-        sp = _spectrum(spec, IntervalSpec(fam, s), n)
-        num = log_fredholm_det(sp, gamma)
+        num = log_fredholm_det(spectrum(), gamma)
         pred = asym.transition(fam, s, v, p, a, chi).log_value
         return (t, num, pred, abs(num - pred) / abs(pred)), note
 
-    rows, notes = _rows_and_notes([point(t) for t in t_grid])
+    meta = {"chi": chi, "p": p, "error_exponent": asym._error_exponent(fam, p, chi), "notes": []}
+    res = _scan(fam, a, n, t_grid, point, meta)
     # fitted decay exponent of the log-space gap |num - pred| ~ C t^{-e}
-    gaps = np.array([abs(r[1] - r[2]) for r in rows])
-    ts = np.array([r[0] for r in rows])
-    fitted_exp = math.nan
-    fitted_const = math.nan
-    if len(rows) >= 2 and np.all(gaps > 0):
-        slope, intercept = np.polyfit(np.log(ts), np.log(gaps), 1)
-        fitted_exp = -float(slope)
-        fitted_const = float(math.exp(intercept))
-    meta = {
-        "n": n,
-        "family": fam.value,
-        "chi": chi,
-        "a": a,
-        "p": p,
-        "error_exponent": asym._error_exponent(fam, p, chi),
-        "fitted_exponent": fitted_exp,
-        "fitted_constant": fitted_const,
-        "notes": notes,
-        "seconds": time.perf_counter() - t0,
-    }
-    return _scan_from_rows(rows, meta)
+    gaps = np.array([abs(nm - pr) for nm, pr in zip(res.numeric, res.predicted)])
+    meta["fitted_exponent"] = meta["fitted_constant"] = math.nan
+    if len(gaps) >= 2 and np.all(gaps > 0):
+        slope, intercept = np.polyfit(np.log(res.grid), np.log(gaps), 1)
+        meta["fitted_exponent"] = -float(slope)
+        meta["fitted_constant"] = float(math.exp(intercept))
+    return res
 
 
 def lidskii_split(sp, v, p):
@@ -233,14 +215,10 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     if fam is Family.SINE:
         raise ArgumentError("stokes_crossing_scan is defined for Airy and Bessel")
     t_grid = [float(t) for t in t_grid]
-    t0 = time.perf_counter()
 
-    def point(t):
-        s = _s_of_t(fam, t)
+    def point(t, s, spectrum):
         thr = t ** -0.5 if fam is Family.AIRY else 1.0 / t
-        spec = family_spec(fam, a)
-        sp = _spectrum(spec, IntervalSpec(fam, s), n)
-        lam = float(_gamma_lambda(sp, 1.0, "stokes_crossing_scan", stacklevel=4)[q - 1])
+        lam = float(_gamma_lambda(spectrum(), 1.0, "stokes_crossing_scan", stacklevel=5)[q - 1])
         mu = lam / (1.0 - lam)
         pred = asym.stokes_v(fam, t, q - 0.5, a)
         if mu <= thr:
@@ -250,16 +228,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
         detected = math.log(mu / thr)
         return (t, detected, pred, abs(detected - pred) / abs(pred)), None
 
-    rows, notes = _rows_and_notes([point(t) for t in t_grid])
-    meta = {
-        "n": n,
-        "family": fam.value,
-        "q": q,
-        "a": a,
-        "notes": notes,
-        "seconds": time.perf_counter() - t0,
-    }
-    return _scan_from_rows(rows, meta)
+    return _scan(fam, a, n, t_grid, point, {"q": q, "notes": []})
 
 
 def _barycentric_weights(xi, wq):

@@ -227,6 +227,46 @@ class TestStokesCrossing:
         ]
 
 
+class TestScanDriver:
+    """The three scans share one loop (verify._scan); what each records and
+    where its warnings point must not depend on which scan it is."""
+
+    @pytest.mark.parametrize(
+        "scan, keys",
+        [
+            (lambda: eig_ratio_scan(Family.AIRY, 0, [6.0, 9.0], n=80), {"a", "family", "i", "n", "seconds"}),
+            (
+                lambda: det_ratio_scan(Family.AIRY, 0.5, [6.0, 9.0], n=80),
+                {"a", "chi", "error_exponent", "family", "fitted_constant", "fitted_exponent", "n",
+                 "notes", "p", "seconds"},
+            ),
+            (
+                lambda: stokes_crossing_scan(Family.BESSEL, 1, [6.0, 9.0], n=80),
+                {"a", "family", "n", "notes", "q", "seconds"},
+            ),
+        ],
+        ids=["eig", "det", "stokes"],
+    )
+    def test_metadata_key_sets(self, scan, keys):
+        # gapspec scan --format json prints every key but seconds
+        assert set(scan().metadata) == keys
+
+    def test_warnings_point_at_the_caller(self, monkeypatch):
+        # 1 - lambda_0 = 1.5e-13 is under the floor n eps at n = 1000: both
+        # scans warn for the floor, and eig_ratio_scan skips the point too
+        def deep(spec, interval, n):
+            return Spectrum(np.array([1.0 - 1.5e-13, 0.5]), 1000, {})
+
+        monkeypatch.setattr(verify, "_spectrum", deep)
+        with pytest.warns(PrecisionWarning) as rec:
+            eig_ratio_scan(Family.SINE, 0, [3.0], n=1000)
+            stokes_crossing_scan(Family.AIRY, 1, [6.0], n=1000)
+        messages = sorted(str(w.message).split(":")[0] for w in rec)
+        assert messages == ["1 - lambda_0 = 1.500e-13 at t=3.0 is below resolvable precision; point skipped",
+                            "eig_ratio_scan", "stokes_crossing_scan"]
+        assert [w.filename for w in rec] == [__file__] * 3
+
+
 class TestCommutingResidual:
     def test_sine_ground_state(self):
         assert commuting_residual(Family.SINE, 0, 3.0, n=100, m=600) < 1e-6
