@@ -15,10 +15,20 @@ like the prolate spheroidal functions. The assembly evaluates only the two
 blocks of A that this solve reads; both take the split from
 kernels._parity_layout. Airy and Bessel intervals have no such symmetry
 and take one full solve.
+
+Gauss-Legendre rules come from a batched Newton on P_n, and the 64 most
+recently read rules are cached. The rules of one batch share each sweep's
+single pass of the Legendre recurrence. A step of that pass costs numpy
+call dispatch more than arithmetic, so the 25 rules of a verify run take
+about a quarter of their time one by one. Every node goes through the
+same float operations in the same order in any batch: a rule's bits do
+not depend on its batch.
 """
 
-import functools
+import collections
+import itertools
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -73,19 +83,33 @@ def _frozen(arr):
     return arr
 
 
-def _legendre_top(x, n):
+def _legendre_tops(x, sizes, counts):
     """(P_{n-1}(x), P_n(x)) by the three-term recurrence, written as
     P_m = x P_{m-1} + (1 - 1/m)(x P_{m-1} - P_{m-2}) so that x enters
-    unrounded: Newton then rounds more nodes to the nearest double."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for m in range(2, n + 1):
-        t = x * p1
-        p = t - p0
-        p *= (m - 1.0) / m
-        p += t
-        p0, p1 = p1, p
-    return p0, p1
+    unrounded: Newton then rounds more nodes to the nearest double.
+
+    x concatenates the nodes of rules of descending sizes, counts[r] of them
+    for sizes[r], and each element takes P for its own rule's n. One
+    recurrence up to sizes[0] serves every rule: the active prefix drops a
+    rule's elements once m reaches its n, so each element goes through the
+    same operations as in a recurrence of its own. P_m overwrites P_{m-2}
+    in place and the two buffers swap names, so no step allocates."""
+    mul, sub = np.multiply, np.subtract
+    p0, p1, t = np.ones_like(x), x.copy(), np.empty_like(x)
+    top0, top1 = np.empty_like(x), np.empty_like(x)
+    end, m = len(x), 1
+    for n, count in zip(sizes[::-1], counts[::-1]):
+        xs, p0, p1, ts = x[:end], p0[:end], p1[:end], t[:end]
+        for m in range(m + 1, n + 1):
+            mul(xs, p1, ts)
+            sub(ts, p0, p0)
+            p0 *= (m - 1.0) / m
+            p0 += ts
+            p0, p1 = p1, p0
+        m, start = n, end - count
+        top0[start:end], top1[start:end] = p0[start:], p1[start:]
+        end = start
+    return top0, top1
 
 
 # j_{0,1..10}, the first zeros of J_0; McMahon's expansion gives the rest
@@ -117,28 +141,62 @@ def _legendre_root_guesses(n):
     return x
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre_cached(n):
-    # Newton on P_n over the non-negative half of the rule
-    x = _legendre_root_guesses(n)
+def _solve_rules(sizes):
+    """{n: (nodes, weights)} for the distinct descending sizes, by one
+    batched Newton on P_n over the non-negative half of each rule.
+
+    Every sweep takes one _legendre_tops pass over the rules not yet
+    converged; each rule keeps its own |dx| < 1e-15 test, weights, final
+    step and mirroring, so its bits do not depend on the batch."""
+    x = np.concatenate([_legendre_root_guesses(n) for n in sizes])
+    rules = {}
     for _ in range(100):
-        p0, p1 = _legendre_top(x, n)
+        counts = [(n + 1) // 2 for n in sizes]
+        starts = list(itertools.accumulate(counts, initial=0))
+        p0, p1 = _legendre_tops(x, sizes, counts)
         one_minus_x2 = (1.0 - x) * (1.0 + x)
-        dp = n * (p0 - x * p1) / one_minus_x2
+        dp = np.repeat(sizes, counts) * (p0 - x * p1) / one_minus_x2
         dx = p1 / dp
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-        x = x - dx
-    else:
-        raise NumericalError("gauss_legendre Newton iteration did not converge")
-    # 2 / ((1 - r^2) P_n'(r)^2) at the root r = x - dx, to first order in dx
-    # by Legendre's equation: at r rounded to a double, an outer weight
-    # would carry that rounding amplified by 2 / (1 - r^2)
-    w = 2.0 / (one_minus_x2 * dp * dp - 2.0 * x * p1 * dp)
-    x = x - dx
-    m = n // 2  # mirror the half, whose last node is an odd rule's centre
-    return (_frozen(np.concatenate((-x[:m], x[::-1]))),
-            _frozen(np.concatenate((w[:m], w[::-1]))))
+        done = (np.maximum.reduceat(np.abs(dx), starts[:-1]) < 1e-15).tolist()
+        r = x - dx
+        if any(done):
+            # 2 / ((1 - r^2) P_n'(r)^2) at the root r = x - dx, to first order
+            # in dx by Legendre's equation: at r rounded to a double, an outer
+            # weight would carry that rounding amplified by 2 / (1 - r^2)
+            w = 2.0 / (one_minus_x2 * dp * dp - 2.0 * x * p1 * dp)
+            for n, lo, hi, d in zip(sizes, starts, starts[1:], done):
+                if d:
+                    h = n // 2  # mirror the half, whose last node is an odd rule's centre
+                    rules[n] = (_frozen(np.concatenate((-r[lo:lo + h], r[lo:hi][::-1]))),
+                                _frozen(np.concatenate((w[lo:lo + h], w[lo:hi][::-1]))))
+            if all(done):
+                return rules
+            r = r[np.repeat(np.logical_not(done), counts)]
+            sizes = [n for n, d in zip(sizes, done) if not d]
+        x = r
+    raise NumericalError("gauss_legendre Newton iteration did not converge")
+
+
+_RULES = collections.OrderedDict()  # n -> (nodes, weights), least recent first
+_RULES_LOCK = threading.Lock()
+_MAX_RULES = 64
+
+
+def _gauss_legendre_rules(sizes):
+    """[(nodes, weights)] of the rule of each size, read from a cache of
+    the _MAX_RULES most recently read rules; the sizes it lacks are solved
+    together, in one batch."""
+    with _RULES_LOCK:
+        new = sorted({n for n in sizes if n not in _RULES}, reverse=True)
+        if new:
+            _RULES.update(_solve_rules(new))
+        rules = []
+        for n in sizes:
+            _RULES.move_to_end(n)
+            rules.append(_RULES[n])
+        while len(_RULES) > _MAX_RULES:
+            _RULES.popitem(last=False)
+        return rules
 
 
 def gauss_legendre(n):
@@ -150,11 +208,18 @@ def gauss_legendre(n):
     Sci. Comput. 35, 2013); for n >= 22 it takes two sweeps of the Legendre
     recurrence: one step, and one that certifies |dx| < 1e-15 and gives
     P_n' for the weights.
+
+    The 64 most recently read rules are cached. A rule not in the cache is
+    solved as a batch of one. A caller that knows its sizes in advance
+    solves them in one batch (_gauss_legendre_rules), whose sweeps run one
+    recurrence over the nodes of every rule. Each node takes the same float
+    operations in the same order either way, so a rule's bits do not depend
+    on its batch.
     """
     n = int(n)
     if not 1 <= n <= 2000:
         raise ArgumentError(f"gauss_legendre requires 1 <= n <= 2000, got {n}")
-    x, w = _gauss_legendre_cached(n)
+    (x, w), = _gauss_legendre_rules((n,))
     return Quadrature(x, w, (-1.0, 1.0))
 
 

@@ -16,6 +16,10 @@ The acceptance suite's inputs are fixed: the Lidskii cases and the
 convolution samples are literal tables (_LIDSKII_CASES, _CONVOLUTION_UNITS)
 of the draws np.random once made for them, so a verify process never
 imports numpy.random. Only convolution_check draws, when it is called.
+Every Gauss-Legendre size the checks read is listed in the rule plan,
+_RULE_PLAN, and run_acceptance solves the plan in one batched Newton
+before its first check. A rule's bits do not depend on its batch, so the
+rows are those of rules solved one at a time.
 """
 
 import functools
@@ -41,6 +45,7 @@ from .kernels import (
 from .operator import (
     _floor,
     _gamma_lambda,
+    _gauss_legendre_rules,
     _is_even_integer,
     build_discretization,
     compute_spectrum,
@@ -217,10 +222,12 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     t_grid = [float(t) for t in t_grid]
 
     def point(t, s, spectrum):
+        # stokes_v refuses t <= 1 first: the threshold and the spectrum
+        # are not defined there
+        pred = asym.stokes_v(fam, t, q - 0.5, a)
         thr = t ** -0.5 if fam is Family.AIRY else 1.0 / t
         lam = float(_gamma_lambda(spectrum(), 1.0, "stokes_crossing_scan", stacklevel=5)[q - 1])
         mu = lam / (1.0 - lam)
-        pred = asym.stokes_v(fam, t, q - 0.5, a)
         if mu <= thr:
             # factor never reaches the threshold for any v > 0
             note = f"t={t}: factor {q} never crosses the threshold"
@@ -281,6 +288,7 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
             f"eigenvalue {i} = {sp.eigenvalues[i]:.3e} is below 1e-10; "
             "the eigenvector is not numerically trustworthy",
             PrecisionWarning,
+            stacklevel=2,
         )
     w = np.asarray(d.weights)
     y = vecs[:, i]
@@ -530,8 +538,18 @@ def _acc_commuting():
     return ok, f"residual m=400: {r400:.3e}, m=800: {r800:.3e}"
 
 
+# the rule plan: every Gauss-Legendre size the acceptance checks read.
+# 40 and 80 (quadrature), 60 (convolution), 100 (commuting), 120
+# (counting), 160 (laws, transitions, logderiv), 200 and 300 (gap
+# constants), and the sizes of the Lidskii cases.
+_RULE_PLAN = (40, 60, 80, 100, 120, 160, 200, 300) + tuple(
+    sorted({n for n, _, _ in _LIDSKII_CASES}))
+
+
 def run_acceptance():
-    """Run every acceptance criterion; returns a list of (name, ok, detail)."""
+    """Run every acceptance criterion; returns a list of (name, ok, detail).
+    The rules of _RULE_PLAN are solved together before the first check."""
+    _gauss_legendre_rules(_RULE_PLAN)
     checks = [
         ("quadrature_convergence", _acc_quadrature),
         (

@@ -218,6 +218,16 @@ class TestScan:
         assert code == 2 and out == ""
         assert err.startswith("gapspec: ") and hint in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kernel", "airy", "--grid", "0"], ["--kernel", "airy", "--grid", "-4"],
+         ["--kernel", "bessel", "--a", "0", "--grid", "0"]],
+    )
+    def test_stokes_scan_refuses_t_at_most_one(self, capsys, argv):
+        code, out, err = run_cli(["scan", "--kind", "stokes"] + argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("gapspec: ") and "stokes_v requires t > 1" in err
+
     def test_det_scan_needs_chi(self, capsys):
         code, _, err = run_cli(
             ["scan", "--kind", "det", "--kernel", "airy", "--grid", "6.0"], capsys

@@ -81,14 +81,66 @@ class TestGaussLegendre:
         # the asymptotic guesses leave one Newton step, then the sweep that
         # certifies it and gives P_n' for the weights
         calls = []
-        top = operator_module._legendre_top
-        monkeypatch.setattr(operator_module, "_legendre_top",
-                            lambda x, n: calls.append(n) or top(x, n))
+        tops = operator_module._legendre_tops
+        monkeypatch.setattr(operator_module, "_legendre_tops",
+                            lambda x, sizes, counts: calls.append(sizes) or tops(x, sizes, counts))
         for n in (*range(40, 301), 997, 1000, 1999, 2000):
-            operator_module._gauss_legendre_cached.cache_clear()
+            operator_module._RULES.clear()
             calls.clear()
             gauss_legendre(n)
-            assert len(calls) <= 2, n
+            assert calls == [[n]] * len(calls) and len(calls) <= 2, n
+
+    @staticmethod
+    def _one_size_rule(n):
+        # the former one-size Newton, kept verbatim as the reference
+        def legendre_top(x, n):
+            p0 = np.ones_like(x)
+            p1 = x.copy()
+            for m in range(2, n + 1):
+                t = x * p1
+                p = t - p0
+                p *= (m - 1.0) / m
+                p += t
+                p0, p1 = p1, p
+            return p0, p1
+
+        x = operator_module._legendre_root_guesses(n)
+        for _ in range(100):
+            p0, p1 = legendre_top(x, n)
+            one_minus_x2 = (1.0 - x) * (1.0 + x)
+            dp = n * (p0 - x * p1) / one_minus_x2
+            dx = p1 / dp
+            if np.max(np.abs(dx)) < 1e-15:
+                break
+            x = x - dx
+        w = 2.0 / (one_minus_x2 * dp * dp - 2.0 * x * p1 * dp)
+        x = x - dx
+        m = n // 2
+        return np.concatenate((-x[:m], x[::-1])), np.concatenate((w[:m], w[::-1]))
+
+    def test_bits_independent_of_batch(self):
+        # a rule solved alone, in one batch with all the others, and read
+        # through gauss_legendre from a cleared cache is the same bytes as
+        # the one-size Newton's
+        sizes = [2000, 300, *range(64, 0, -1)]
+        batch = operator_module._solve_rules(sizes)
+        assert sorted(batch) == sorted(sizes)
+        operator_module._RULES.clear()
+        for n in sizes:
+            x, w = self._one_size_rule(n)
+            q = gauss_legendre(n)
+            for nodes, weights in (*operator_module._solve_rules([n]).values(), batch[n],
+                                   (q.nodes, q.weights)):
+                assert nodes.tobytes() == x.tobytes() and weights.tobytes() == w.tobytes(), n
+
+    def test_cache_bounded(self):
+        operator_module._RULES.clear()
+        for n in range(1, 101):
+            gauss_legendre(n)
+        assert list(operator_module._RULES) == list(range(37, 101))
+        gauss_legendre(37)
+        gauss_legendre(1)
+        assert list(operator_module._RULES) == [*range(39, 101), 37, 1]
 
     def test_arguments(self):
         with pytest.raises(ArgumentError):

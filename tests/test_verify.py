@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gapspec import asymptotics, cli, kernels, verify
+from gapspec import operator as operator_module
 from gapspec.errors import ArgumentError, PoleError, PrecisionWarning
 from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, family_spec
 from gapspec.operator import (
@@ -209,6 +210,15 @@ class TestStokesCrossing:
         r = stokes_crossing_scan(Family.AIRY, 80, [6.0], n=80)
         assert r.metadata["q"] == 80 and math.isnan(r.numeric[0])
 
+    @pytest.mark.parametrize("fam", [Family.AIRY, Family.BESSEL])
+    @pytest.mark.parametrize("t", [0.0, -4.0, 0.5])
+    def test_t_at_most_one_refused(self, fam, t, monkeypatch):
+        # the Stokes curve is refused before t^(-1/2), 1/t or a spectrum
+        # is taken at t: t = 0 divided by zero and t = -4 gave a complex s
+        monkeypatch.setattr(verify, "build_discretization", _no_build)
+        with pytest.raises(ArgumentError, match=f"stokes_v requires t > 1, got {t}"):
+            stokes_crossing_scan(fam, 1, [t], n=80)
+
     def test_never_crossing_noted(self):
         # a deep factor at modest t sits below the threshold for all v > 0
         r = stokes_crossing_scan(Family.BESSEL, 12, [4.5], n=100)
@@ -261,10 +271,33 @@ class TestScanDriver:
         with pytest.warns(PrecisionWarning) as rec:
             eig_ratio_scan(Family.SINE, 0, [3.0], n=1000)
             stokes_crossing_scan(Family.AIRY, 1, [6.0], n=1000)
+            # lambda_12 of the n = 60 sine matrix at s = 1 is about 1e-17
+            commuting_residual(Family.SINE, 12, 1.0, n=60, m=400)
         messages = sorted(str(w.message).split(":")[0] for w in rec)
+        assert messages.pop(2).startswith("eigenvalue 12 = ")
         assert messages == ["1 - lambda_0 = 1.500e-13 at t=3.0 is below resolvable precision; point skipped",
                             "eig_ratio_scan", "stokes_crossing_scan"]
-        assert [w.filename for w in rec] == [__file__] * 3
+        assert [w.filename for w in rec] == [__file__] * 4
+
+
+def test_rule_plan_is_complete(monkeypatch):
+    # from cold caches, run_acceptance solves every Gauss-Legendre rule it
+    # reads in its one planned batch: a check reading an n outside
+    # _RULE_PLAN would solve a second batch, and a planned n that no check
+    # reads would be solved for nothing
+    batches, reads = [], []
+    solve = operator_module._solve_rules
+    monkeypatch.setattr(operator_module, "_solve_rules",
+                        lambda sizes: batches.append(sizes) or solve(sizes))
+    rules = operator_module._gauss_legendre_rules
+    monkeypatch.setattr(operator_module, "_gauss_legendre_rules",
+                        lambda sizes: reads.extend(sizes) or rules(sizes))
+    operator_module._RULES.clear()
+    _spectrum.cache_clear()
+    verify.run_acceptance()
+    assert batches == [sorted(verify._RULE_PLAN, reverse=True)]
+    assert len(set(verify._RULE_PLAN)) == len(verify._RULE_PLAN)
+    assert set(reads) == set(verify._RULE_PLAN)
 
 
 class TestCommutingResidual:
