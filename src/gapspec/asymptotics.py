@@ -28,13 +28,13 @@ else is derived from that table:
 
 All determinant expansions are computed and compared in log space: the
 prefactors like exp(s^3/12) underflow long before the regimes of interest.
+Indices, real parameters and the order a are read by errors._integer, _real
+and _bessel_order: a NaN or infinite order is a DomainError, never a nan.
 """
 
 import math
-import numbers
-import operator
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, _bessel_order, _integer, _real
 from .kernels import Family, IntervalSpec, _coerce_family, _Record
 from .specfun import log_barnes_g, log_gamma, zeta_prime_minus_one
 
@@ -146,19 +146,9 @@ def _log_excess(fam, i, t, v, a):
     return -_log_eig(fam, i, t, a) - v
 
 
-def _order(fam, a):
+def _order(fam, a, name):
     """The order a as the family's formulas read it: checked for Bessel, else 0."""
-    return _check_order(a) if _LAWS[fam].uses_a else 0.0
-
-
-def _real(x, name, what, inf_ok=False):
-    """x as a float, or ArgumentError for NaN, -inf, and +inf unless inf_ok
-    (v = +inf is the gamma = 1 curve)."""
-    x = float(x)
-    if not (-math.inf < x < math.inf or (inf_ok and x == math.inf)):
-        allowed = "finite or +inf" if inf_ok else "finite"
-        raise ArgumentError(f"{name} requires a {allowed} {what}, got {x}")
-    return x
+    return _bessel_order(a, name) if _LAWS[fam].uses_a else 0.0
 
 
 def _scale(fam, s, name):
@@ -198,7 +188,7 @@ def stokes_v(family, t, chi, a=0.0):
     if not t > 1.0:
         raise ArgumentError(f"stokes_v requires t > 1, got {t}")
     chi = _real(chi, "stokes_v", "chi")
-    a = _order(fam, a)
+    a = _order(fam, a, "stokes_v")
     return law.kappa * t - (law.m * chi + a) * math.log(t)
 
 
@@ -210,7 +200,7 @@ def stokes_chi(family, t, v, a=0.0):
     if not t > 1.0:
         raise ArgumentError(f"stokes_chi requires t > 1, got {t}")
     v = _real(v, "stokes_chi", "v", inf_ok=True)
-    a = _order(fam, a)
+    a = _order(fam, a, "stokes_chi")
     return ((law.kappa * t - v) / math.log(t) - a) / law.m
 
 
@@ -244,20 +234,13 @@ def eig_law(family, i, s, a=0.0):
     fam = _coerce_family(family)
     name = f"{fam.value} eig_law"
     i = _check_index(i, name)
-    a = _order(fam, a)
+    a = _order(fam, a, name)
     return math.exp(_log_eig(fam, i, _scale(fam, s, name), a))
 
 
 def d_coeff(i, a):
     """d_i(a) = i! Gamma(1+a+i) / (pi 2^{4i+2a+3}), via log-gamma."""
-    return math.exp(_log_d(_check_index(i, "d_coeff"), _check_order(a)))
-
-
-def _integer(x, name):
-    """x as an int; a bool, a float or any other non-integer is refused, not truncated."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return operator.index(x)
-    raise ArgumentError(f"{name} takes an integer index, got {x!r}")
+    return math.exp(_log_d(_check_index(i, "d_coeff"), _bessel_order(a, "d_coeff")))
 
 
 def _check_index(x, name):
@@ -265,13 +248,6 @@ def _check_index(x, name):
     if i < 0:
         raise ArgumentError(f"index must be >= 0, got {i}")
     return i
-
-
-def _check_order(a):
-    a = float(a)
-    if not a > -1.0:
-        raise DomainError(f"Bessel order must satisfy a > -1, got {a}")
-    return a
 
 
 def _log_c0():
@@ -294,7 +270,7 @@ def gap(family, s, a=0.0):
     fam = _coerce_family(family)
     law = _LAWS[fam]
     s = float(s)
-    a = _order(fam, a)
+    a = _order(fam, a, f"{fam.value} gap")
     lo, hi = law.gap_s
     if not (lo <= s <= hi and math.isfinite(s)):
         bound = f"s <= {hi:g}" if lo == -math.inf else f"s >= {lo:g}"
@@ -338,10 +314,8 @@ def transition(family, s, v, p, a=0.0, chi=None):
     fam = _coerce_family(family)
     law = _LAWS[fam]
     name = f"{fam.value}_transition"
-    a = _order(fam, a)
-    p = _integer(p, name)
-    if p < law.p_min:
-        raise ArgumentError(f"{name} requires p >= {law.p_min}, got {p}")
+    a = _order(fam, a, name)
+    p = _integer(p, name, law.p_min, "p")
     t = _scale(fam, s, name)
     v = float(v)
     if not v > 0.0:
@@ -382,7 +356,7 @@ def sigma_pm(family, sign, k, alpha, t, a=0.0):
     if fam is Family.SINE:
         raise ArgumentError("sigma_pm is defined for the Airy and Bessel families")
     law = _LAWS[fam]
-    a = _order(fam, a)
+    a = _order(fam, a, "sigma_pm")
     if sign == "+":
         lz = -law.log_const(k, a) + law.m * (alpha - 0.5) * math.log(t)
     elif k == 0:
@@ -403,7 +377,7 @@ def logderiv(family, s, v, chi, a=0.0):
     name = f"{fam.value} logderiv"
     s = float(s)
     v = _real(v, name, "v", inf_ok=True)
-    a = _order(fam, a)
+    a = _order(fam, a, name)
     t = _scale(fam, s, name)
     k, alpha = chi_decompose(chi)
     c = _LAWS[fam].sigma_c

@@ -2,9 +2,12 @@
 
 Subcommands: spectrum, det, asymp, scan, verify. Each registers only the
 options it reads (`gapspec <command> --help` lists them), declared once in
-_OPTIONS. A --config JSON object supplies the flags left unset; it may hold
-only keys of the command's own options, each of its flag's type, so a
-misspelt or foreign key is refused rather than silently ignored.
+_OPTIONS. asymp's --formula and scan's --kind select what runs; an option
+that only some formulas or kinds read (_ASYMP_READS, _SCAN_READS) is
+refused for the others. A --config JSON object supplies the flags left
+unset; it may hold only keys of the command's own options, each of its
+flag's type, so a misspelt or foreign key is refused rather than silently
+ignored, and the selector's refusals hold for its keys too.
 
 Output is deterministic CSV or JSON (schema_version 1); floats are
 emitted with 17 significant digits so files are byte-identical across runs.
@@ -33,6 +36,7 @@ from .errors import (
     NumericalError,
     PoleError,
     PrecisionWarning,
+    _real,
 )
 from .kernels import Family, IntervalSpec, _coerce_family, _Record, family_spec
 from .operator import _gamma_lambda, build_discretization, compute_spectrum, log_fredholm_det
@@ -55,19 +59,19 @@ def _fmt(x):
 class RunConfig(_Record):
     """Validated run parameters; seedless determinism is unconditional."""
 
-    _fields = ("family", "a", "s", "gamma", "v", "chi", "n", "fmt", "output")
+    _fields = ("family", "a", "s", "gamma", "v", "chi", "n", "fmt", "output", "p", "index", "q")
 
     def __init__(self, family=None, a=None, s=None, gamma=None, v=None, chi=None, n=80,
-                 fmt="csv", output=None):
+                 fmt="csv", output=None, p=None, index=None, q=None):
         for name, x in (("a", a), ("gamma", gamma), ("v", v), ("chi", chi)):
-            if x is not None and not math.isfinite(x):
-                raise ArgumentError(f"--{name} must be finite, got {x}")
+            if x is not None:
+                _real(x, f"--{name}", "value")
         if not 20 <= n <= 1000:
             raise ArgumentError(f"n must be in [20, 1000], got {n}")
         if fmt not in ("csv", "json"):
             raise ArgumentError(f"format must be csv or json, got {fmt}")
         self._set(family=family, a=a, s=s, gamma=gamma, v=v, chi=chi, n=n, fmt=fmt,
-                  output=output)
+                  output=output, p=p, index=index, q=q)
 
     @property
     def spec(self):
@@ -171,15 +175,16 @@ def cmd_det(cfg, args):
     return EXIT_OK
 
 
-_ASYMP_SELECTORS = (
-    "sine-transition",
-    "airy-transition",
-    "bessel-transition",
-    "airy-gap",
-    "bessel-gap",
-    "sine-crit",
-    "sine-sub",
-)
+# the options that only some asymp formulas read, by formula
+_ASYMP_READS = {
+    "sine-transition": ("v", "chi", "p"),
+    "airy-transition": ("v", "chi", "p"),
+    "bessel-transition": ("v", "chi", "p"),
+    "airy-gap": (),
+    "bessel-gap": (),
+    "sine-crit": (),
+    "sine-sub": ("v",),
+}
 
 
 def cmd_asymp(cfg, args):
@@ -189,11 +194,11 @@ def cmd_asymp(cfg, args):
     s, v, a = cfg.s, cfg.v, cfg.a or 0.0
     chi = cfg.chi
     if sel.endswith("transition"):
-        if v is None:
-            if chi is None:
-                raise ArgumentError("transition formulas need --v or --chi")
+        if (v is None) == (chi is None):
+            raise ArgumentError("transition formulas take exactly one of --v, --chi")
+        if chi is not None:
             v = _chi_v(fam, s, chi, a)
-        p = args.p if args.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
+        p = cfg.p if cfg.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
         te = asym.transition(fam, s, v, p, a, chi)
         rows = [
             (
@@ -231,17 +236,23 @@ def _parse_grid(text):
     return grid
 
 
+# the options that only some scan kinds read, by kind
+_SCAN_READS = {"eig": ("index",), "det": ("chi",), "stokes": ("q",)}
+
+
 def cmd_scan(cfg, args):
     grid = _parse_grid(args.grid)
     kind = args.kind
     if kind == "eig":
-        res = verify_mod.eig_ratio_scan(cfg.family, args.index, grid, n=cfg.n, a=cfg.a or 0.0)
+        index = 0 if cfg.index is None else cfg.index
+        res = verify_mod.eig_ratio_scan(cfg.family, index, grid, n=cfg.n, a=cfg.a or 0.0)
     elif kind == "det":
         if cfg.chi is None:
             raise ArgumentError("det scans need --chi")
         res = verify_mod.det_ratio_scan(cfg.family, cfg.chi, grid, a=cfg.a or 0.0, n=cfg.n)
     else:
-        res = verify_mod.stokes_crossing_scan(cfg.family, args.q, grid, a=cfg.a or 0.0, n=cfg.n)
+        q = 1 if cfg.q is None else cfg.q
+        res = verify_mod.stokes_crossing_scan(cfg.family, q, grid, a=cfg.a or 0.0, n=cfg.n)
     rows = list(zip(res.grid, res.numeric, res.predicted, res.rel_error))
     summary = {
         k: (_fmt(v) if isinstance(v, float) else v)
@@ -275,6 +286,9 @@ _OPTIONS = {
     "v": dict(type=float, help="v = -ln(1-gamma)"),
     "chi": dict(type=float, help="Stokes curve parameter"),
     "n": dict(type=int, help="quadrature size"),
+    "p": dict(type=int, help="transition factors (transition formulas)"),
+    "index": dict(type=int, help="eigenvalue index (eig scans; default 0)"),
+    "q": dict(type=int, help="factor index (stokes scans; default 1)"),
     "format": dict(type=str, choices=["csv", "json"]),
     "output": dict(type=str),
 }
@@ -289,15 +303,20 @@ def _build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, options, need):
+    def command(name, fn, help, options, need, select=None):
         """Subparser taking options (keys of _OPTIONS), format, output and
-        --config; the options in need must be set by a flag or the config."""
+        --config; the options in need must be set by a flag or the config.
+        select = (flag, reads) adds the required --flag, choosing a key of
+        reads; _load_config refuses an option that some value of reads
+        lists and the chosen one does not."""
         p = sub.add_parser(name, help=help)
         options += ("format", "output")
+        if select:
+            p.add_argument(f"--{select[0]}", choices=list(select[1]), required=True)
         for key in options:
             p.add_argument(f"--{key}", **_OPTIONS[key])
         p.add_argument("--config", help="optional JSON config file")
-        p.set_defaults(fn=fn, options=options, need=need)
+        p.set_defaults(fn=fn, options=options, need=need, select=select)
         return p
 
     p = command("spectrum", cmd_spectrum, "top eigenvalues of the discretized operator",
@@ -307,16 +326,13 @@ def _build_parser():
     command("det", cmd_det, "Fredholm determinant",
             ("kernel", "a", "s", "gamma", "v", "chi", "n"), need=("kernel", "s"))
 
-    p = command("asymp", cmd_asymp, "closed-form expansions", ("a", "s", "v", "chi"), need=("s",))
-    p.add_argument("--formula", choices=_ASYMP_SELECTORS, required=True)
-    p.add_argument("--p", type=int, default=None)
+    command("asymp", cmd_asymp, "closed-form expansions", ("a", "s", "v", "chi", "p"),
+            need=("s",), select=("formula", _ASYMP_READS))
 
-    p = command("scan", cmd_scan, "oracle-vs-formula scans", ("kernel", "a", "chi", "n"),
-                need=("kernel",))
-    p.add_argument("--kind", choices=["eig", "det", "stokes"], required=True)
+    p = command("scan", cmd_scan, "oracle-vs-formula scans",
+                ("kernel", "a", "chi", "n", "index", "q"), need=("kernel",),
+                select=("kind", _SCAN_READS))
     p.add_argument("--grid", required=True, help="comma-separated t values")
-    p.add_argument("--index", type=int, default=0, help="eigenvalue index (eig scans)")
-    p.add_argument("--q", type=int, default=1, help="factor index (stokes scans)")
 
     command("verify", cmd_verify, "run the full acceptance suite", (), need=())
     return ap
@@ -348,6 +364,12 @@ def _load_config(args):
                 raise ArgumentError(f"config key {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
         if val is not None:
             given[key] = val
+    if args.select:
+        flag, reads = args.select
+        choice = getattr(args, flag)
+        for key in given:
+            if key not in reads[choice] and any(key in r for r in reads.values()):
+                raise ArgumentError(f"--{key} is not read by --{flag} {choice}")
     kernel = given.pop("kernel", None)
     family = _coerce_family(kernel) if kernel else None
     if "format" in given:

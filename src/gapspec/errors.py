@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one reader
+of each argument kind, with its one rule and message: _integer (sizes and
+indices), _real (gamma and other real parameters) and _bessel_order (a)."""
+
+import math
+import numbers
+import operator
 
 __all__ = [
     "DomainError",
@@ -32,3 +38,32 @@ class DegeneracyError(NumericalError):
 
 class PrecisionWarning(UserWarning):
     """Result returned but with reduced confidence in its accuracy."""
+
+
+def _integer(x, name, least=-math.inf, what="n"):
+    """x as an int, refused below least; a bool, a float or any other
+    non-integer is refused, not truncated. numpy integers are accepted."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ArgumentError(f"{name} takes an integer index, got {x!r}")
+    x = operator.index(x)
+    if x < least:
+        raise ArgumentError(f"{name} requires {what} >= {least}, got {x}")
+    return x
+
+
+def _real(x, name, what, inf_ok=False):
+    """x as a float, or ArgumentError for NaN, -inf, and +inf unless inf_ok
+    (v = +inf is the gamma = 1 curve)."""
+    x = float(x)
+    if not (-math.inf < x < math.inf or (inf_ok and x == math.inf)):
+        allowed = "finite or +inf" if inf_ok else "finite"
+        raise ArgumentError(f"{name} requires a {allowed} {what}, got {x}")
+    return x
+
+
+def _bessel_order(a, name):
+    """a as a float that is finite and > -1, or DomainError."""
+    a = float(a)
+    if not -1.0 < a < math.inf:
+        raise DomainError(f"{name} requires a finite Bessel order a > -1, got {a}")
+    return a

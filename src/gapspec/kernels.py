@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, _bessel_order, _integer, _real
 from .specfun import bessel_j_pair
 
 __all__ = [
@@ -110,9 +110,8 @@ class KernelSpec(_Record):
     _fields = ("family", "a")
 
     def __init__(self, family, a=0.0):
-        self._set(family=_coerce_family(family), a=float(a))
-        if self.family is Family.BESSEL and self.a <= -1.0:
-            raise DomainError(f"Bessel order a={self.a} must exceed -1")
+        fam = _coerce_family(family)
+        self._set(family=fam, a=_bessel_order(a, "KernelSpec") if fam is Family.BESSEL else float(a))
 
 
 SINE = KernelSpec(Family.SINE)
@@ -143,9 +142,8 @@ class IntervalSpec(_Record):
     _fields = ("family", "s")
 
     def __init__(self, family, s):
-        fam, s = _coerce_family(family), float(s)
-        if not math.isfinite(s):
-            raise DomainError(f"{fam.value} interval requires a finite s, got {s}")
+        fam = _coerce_family(family)
+        s = _real(s, f"{fam.value} interval", "s")
         if fam is Family.SINE:
             if s <= 0:
                 raise DomainError(f"sine interval requires s > 0, got {s}")
@@ -161,11 +159,13 @@ class IntervalSpec(_Record):
 
 
 def _check_domain(spec, x):
+    x = np.asarray(x)
     if spec.family is Family.BESSEL:
-        x = np.asarray(x)
         bad = x < 0.0
         if bad.any():
             raise DomainError(f"Bessel kernel argument must be >= 0, got {x[bad].flat[0]}")
+    elif spec.family is Family.SINE and not np.isfinite(x).all():
+        _real(x[~np.isfinite(x)].flat[0], "sine kernel", "point")
 
 
 # The forms below take the kernel's working variable: u = sqrt(x) for
@@ -405,8 +405,7 @@ def airy_convolution(lam, mu, upper=None, n=60):
     lam, mu and upper may be arrays (broadcast together); one
     special-function call serves every pair.
     """
-    if n < 40:
-        raise ArgumentError(f"airy_convolution requires n >= 40, got {n}")
+    n = _integer(n, "airy_convolution", 40)
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     # sorted arguments keep (lam, mu) -> (mu, lam) bit-identical
     lo_arg = np.minimum(lam, mu)
@@ -418,7 +417,7 @@ def airy_convolution(lam, mu, upper=None, n=60):
     half = 0.5 * upper
     from .operator import gauss_legendre
 
-    quad = gauss_legendre(int(n))
+    quad = gauss_legendre(n)
     # one row of nodes per pair, so each row sum is the one-pair sum
     tt = np.multiply.outer(half, quad.nodes + 1.0)
     args = np.concatenate([(lo_arg[..., None] + tt).ravel(), (tt + hi_arg[..., None]).ravel()])

@@ -41,6 +41,8 @@ from .errors import (
     NumericalError,
     PoleError,
     PrecisionWarning,
+    _integer,
+    _real,
 )
 from .kernels import Family, IntervalSpec, _Record
 
@@ -216,7 +218,7 @@ def gauss_legendre(n):
     operations in the same order either way, so a rule's bits do not depend
     on its batch.
     """
-    n = int(n)
+    n = _integer(n, "gauss_legendre")
     if not 1 <= n <= 2000:
         raise ArgumentError(f"gauss_legendre requires 1 <= n <= 2000, got {n}")
     (x, w), = _gauss_legendre_rules((n,))
@@ -300,9 +302,7 @@ def _is_even_integer(a):
 
 def build_discretization(spec, interval, n):
     """Square-root-weighted Nystrom matrix on the (truncated) interval."""
-    n = int(n)
-    if n < 1:
-        raise ArgumentError(f"build_discretization requires n >= 1, got {n}")
+    n = _integer(n, "build_discretization", 1)
     nodes, weights, hi = discretization_grid(spec, interval, n)
     mat, repaired = kernels.kernel_matrix(spec, nodes, np.sqrt(weights))
     return Discretization(spec, interval, n, hi, nodes, weights, mat, repaired)
@@ -427,9 +427,10 @@ def _floor(n):
 
 
 def _scaled(sp, gamma, caller, stacklevel=3):
-    """gamma lambda_i; a PrecisionWarning when 1 - gamma lambda_0 is positive
-    but below the floor, with no resolved digit. fredholm_det reads this alone."""
-    glam = float(gamma) * np.asarray(sp.eigenvalues)
+    """gamma lambda_i, for the finite gamma errors._real takes; a PrecisionWarning
+    when 1 - gamma lambda_0 is positive but below the floor, with no resolved
+    digit. fredholm_det reads this alone."""
+    glam = _real(gamma, caller, "gamma") * np.asarray(sp.eigenvalues)
     factor, floor = 1.0 - glam[0], _floor(sp.n)
     if 0.0 < factor < floor:
         warnings.warn(
@@ -464,8 +465,9 @@ def _product(glam, stacklevel):
 
 
 def fredholm_det(sp, gamma):
-    """D(J; gamma) = prod(1 - gamma lambda_i), also at and past a pole; warns
-    when it underflows or when 1 - gamma lambda_0 is below the floor."""
+    """D(J; gamma) = prod(1 - gamma lambda_i), also at and past a pole; a NaN
+    or infinite gamma is an ArgumentError. Warns when the product underflows
+    or when 1 - gamma lambda_0 is below the floor."""
     return _product(_scaled(sp, gamma, "fredholm_det"), stacklevel=3)
 
 
@@ -510,9 +512,10 @@ def _counting(sp, n, least, gamma, times_det, name):
     degree asked for when it holds less; row k does not depend on where the
     recurrence stopped before, so each value is the one a call for degree k
     alone gives. D and the factor check run on every call, and the memo
-    takes nothing from a call that raised. A degree above N gives 0. A
-    degree that is not of integer dtype (a float or a bool) is refused, not
-    truncated; an empty list is accepted.
+    takes nothing from a call that raised. A degree above N gives 0, once
+    gamma and the factors are checked. A degree that is not of integer
+    dtype (a float or a bool) is refused, not truncated; an empty list is
+    accepted.
     """
     deg = np.asarray(n)
     if deg.dtype.kind not in "iu" and deg.size:
@@ -527,11 +530,11 @@ def _counting(sp, n, least, gamma, times_det, name):
         raise ArgumentError(f"{name} takes an int or a 1-D array of degrees")
     if low < least:
         raise ArgumentError(f"{name} requires n >= {least}")
+    g = float(gamma)
+    glam = _gamma_lambda(sp, g, name, stacklevel=4)
     size = len(sp.eigenvalues)
     if low > size or top < 0:
         return np.zeros(deg.shape) if deg.ndim else 0.0
-    g = float(gamma)
-    glam = _gamma_lambda(sp, g, name, stacklevel=4)
     memo = sp._esp_memo
     if memo is None or not _same_float(memo[0], g):
         memo = (g, glam / (1.0 - glam), np.ones(size + 1), [1.0])
@@ -558,10 +561,11 @@ def counting_prob(sp, n, gamma=1.0):
     n is an int (a float is returned) or a 1-D array of degrees (an array
     is returned). The ESP rows are kept on sp for the last gamma, so calls
     on one spectrum and gamma, in any order, cost one array pass per degree
-    in all, and each value is the one a fresh call gives. D(J; gamma) and
-    the factor check (PoleError at a nonpositive 1 - gamma lambda) run on
-    every call, so a PrecisionWarning is issued by every call whose D
-    underflows or whose 1 - gamma lambda_0 is below the floor (_floor)."""
+    in all, and each value is the one a fresh call gives. A NaN or infinite
+    gamma is an ArgumentError. D(J; gamma) and the factor check (PoleError
+    at a nonpositive 1 - gamma lambda) run on every call, so a
+    PrecisionWarning is issued by every call whose D underflows or whose
+    1 - gamma lambda_0 is below the floor (_floor)."""
     return _counting(sp, n, 0, gamma, True, "counting_prob")
 
 
@@ -572,9 +576,7 @@ def counting_ratio(sp, n):
 
 def trace_norm(spec, interval, n=60):
     """Trace of the (positive) operator: sum of w_i K(x_i, x_i)."""
-    n = int(n)
-    if n < 20:
-        raise ArgumentError(f"trace_norm requires n >= 20, got {n}")
+    n = _integer(n, "trace_norm", 20)
     nodes, weights, _ = discretization_grid(spec, interval, n)
     return float(np.sum(weights * kernels.kernel_eval(spec, nodes, nodes)))
 
@@ -591,7 +593,6 @@ def d_ds_log_det(spec, s, gamma, n=80):
     endpoints give equal R. One discretization and one linear solve; the
     spectrum is computed only for its checks (DegeneracyError, PoleError).
     """
-    s = float(s)
     gamma = float(gamma)
     d = build_discretization(spec, IntervalSpec(spec.family, s), n)
     # the solve's condition number is about 1 / (1 - gamma lambda_0)

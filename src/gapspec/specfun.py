@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import _coeffs
-from .errors import DomainError
+from .errors import DomainError, _bessel_order
 
 __all__ = [
     "airy_pair",
@@ -387,9 +387,7 @@ def _gegenbauer_scale_log(f, lost, log_c, log_pre):
 def bessel_j_pair(a, x):
     """(J_a(x), J_{a+1}(x)) elementwise, for real order a > -1 and x
     (scalar or array) in [0, 1e4]."""
-    a = float(a)
-    if a <= -1.0:
-        raise DomainError(f"bessel_j_pair: order a={a} must exceed -1")
+    a = _bessel_order(a, "bessel_j_pair")
     x = np.asarray(x, dtype=float)
     _check_range("bessel_j_pair", x, 0.0, BESSEL_XMAX)
     ja = np.empty(x.shape)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import kernels
-from .errors import ArgumentError, PrecisionWarning
+from .errors import ArgumentError, PrecisionWarning, _integer
 from .kernels import (
     AIRY,
     SINE,
@@ -121,10 +121,8 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     warns; one whose 1 - lambda_i is below max(1e-13, n eps) warns and is
     skipped, so no unresolved point is compared with the law."""
     fam = _coerce_family(family)
-    i = asym._integer(i, "eig_ratio_scan")
-    n = int(n)
-    if n < 60:
-        raise ArgumentError(f"eig_ratio_scan requires n >= 60, got {n}")
+    i = _integer(i, "eig_ratio_scan")
+    n = _integer(n, "eig_ratio_scan", 60)
     if not 0 <= i < n:
         raise ArgumentError(f"eig_ratio_scan requires 0 <= i < n = {n}, got i = {i}")
     lo, hi = _T_WINDOWS[fam]
@@ -155,7 +153,7 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
     expansion; the fitted power-law decay of the log-gap is recorded."""
     fam = _coerce_family(family)
     chi = float(chi)
-    n = int(n)
+    n = _integer(n, "det_ratio_scan")
     p = asym.p_of_chi(chi, fam)
     t_grid = [float(t) for t in t_grid]
 
@@ -188,10 +186,8 @@ def lidskii_split(sp, v, p):
     """Split D(J;gamma)/D(J;1) into p leading eigenvalue factors times the
     residual product over the remaining spectrum, gamma = 1 - e^{-v}.
     v = inf is gamma = 1."""
-    p = asym._integer(p, "lidskii_split")
+    p = _integer(p, "lidskii_split", 0, "p")
     v = float(v)
-    if p < 0:
-        raise ArgumentError(f"lidskii_split requires p >= 0, got {p}")
     if not v > -math.inf:
         raise ArgumentError(f"lidskii_split requires v > -inf, got {v}")
     # every factor divides by 1 - lambda_i, whatever v is
@@ -213,8 +209,8 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     is solved exactly from the numeric spectrum.
     """
     fam = _coerce_family(family)
-    q = asym._integer(q, "stokes_crossing_scan")
-    n = int(n)
+    q = _integer(q, "stokes_crossing_scan")
+    n = _integer(n, "stokes_crossing_scan")
     if not 1 <= q <= n:
         raise ArgumentError(f"stokes_crossing_scan requires 1 <= q <= n = {n}, got q = {q}")
     if fam is Family.SINE:
@@ -272,14 +268,11 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     family. m may be a sequence of grid sizes: one eigendecomposition then
     gives the tuple of their residuals."""
     fam = _coerce_family(family)
-    i = asym._integer(i, "commuting_residual")
-    n = int(n)
+    i = _integer(i, "commuting_residual")
+    n = _integer(n, "commuting_residual")
     if not 0 <= i < n:
         raise ArgumentError(f"commuting_residual requires 0 <= i < n = {n}, got i = {i}")
-    sizes = [int(v) for v in m] if np.ndim(m) else [int(m)]
-    for size in sizes:
-        if size < 400:
-            raise ArgumentError(f"commuting_residual requires m >= 400, got {size}")
+    sizes = [_integer(v, "commuting_residual", 400, "m") for v in (m if np.ndim(m) else [m])]
     spec = family_spec(fam, a)
     d = build_discretization(spec, IntervalSpec(fam, float(s)), n)
     sp, vecs = compute_spectrum_with_vectors(d)
@@ -329,7 +322,7 @@ def _convolution_deviation(s, sample_count, n, draw):
     every fifth pair is diagonal and takes one draw, to exercise that path."""
     s = float(s)
     lam, mu = [], []
-    for j in range(int(sample_count)):
+    for j in range(_integer(sample_count, "convolution_check")):
         lam.append(s + 5.0 * draw())
         mu.append(lam[-1] if j % 5 == 0 else s + 5.0 * draw())
     direct = kernels.kernel_eval(AIRY, lam, mu)
@@ -351,7 +344,6 @@ def logderiv_check(family, s, chi, a=0.0, n=120):
     gamma = 1 is the k = 0 curve of the expansion, so chi must lie in
     [-1/2, 1/2); a larger chi would compare two different quantities."""
     fam = _coerce_family(family)
-    s = float(s)
     chi = float(chi)
     if not -0.5 <= chi < 0.5:
         raise ArgumentError(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapspec import asymptotics
+from gapspec import asymptotics, errors
 from gapspec.asymptotics import (
     TransitionExpansion,
     chi_decompose,
@@ -729,7 +729,7 @@ class TestPinnedValues:
 # reference: gap, logderiv, p_of_chi, transition and the error order now
 # read the _LAWS rows, and every value keeps its bits. Only the names of
 # the module helpers they call are qualified.
-_check_order, _real, _scale = asymptotics._check_order, asymptotics._real, asymptotics._scale
+_bessel_order, _real, _scale = errors._bessel_order, errors._real, asymptotics._scale
 _log_c0, _log_c0_crit, _log_tau = asymptotics._log_c0, asymptotics._log_c0_crit, asymptotics._log_tau
 _LAWS, _logistic, _log_excess = asymptotics._LAWS, asymptotics._logistic, asymptotics._log_excess
 
@@ -745,7 +745,7 @@ def airy_gap_former(s):
 def bessel_gap_former(s, a):
     """log D(J_Bess; 1) expansion: -s/4 + a sqrt(s) - (a^2/4) ln s + ln tau_a."""
     s = float(s)
-    a = _check_order(a)
+    a = _bessel_order(a, "bessel_gap")
     if not 4.0 <= s < math.inf:
         raise ArgumentError(f"bessel_gap requires a finite s >= 4, got {s}")
     return -0.25 * s + a * math.sqrt(s) - 0.25 * a * a * math.log(s) + _log_tau(a)
@@ -789,7 +789,7 @@ def bessel_logderiv_asymp_former(s, v, chi, a):
     """d/ds log D(J_Bess; gamma) along the curve, gamma = 1 - e^{-v}."""
     s = float(s)
     v = _real(v, "bessel_logderiv_asymp", "v", inf_ok=True)
-    a = _check_order(a)
+    a = _bessel_order(a, "bessel_logderiv_asymp")
     t = _scale(Family.BESSEL, s, "bessel_logderiv_asymp")
     k, alpha = chi_decompose(chi)
     base = (
@@ -852,7 +852,7 @@ def transition_former(family, s, v, p, a=0.0, chi=None):
     times 1 + E_i, E_i = e^{-v} / (1 - lambda_i) from the eigenvalue law."""
     fam = asymptotics._coerce_family(family)
     name = f"{fam.value}_transition"
-    a = asymptotics._order(fam, a)
+    a = asymptotics._order(fam, a, name)
     p = int(p)
     # the sine expansion always carries its leading factor
     p_min = 1 if fam is Family.SINE else 0

@@ -416,6 +416,73 @@ def _readme_cli_lines():
     ]
 
 
+class TestSelectedOptions:
+    # an option that only some asymp formulas or scan kinds read is refused
+    # for the others, whether a flag or a --config key gives it
+    @pytest.mark.parametrize(
+        "argv, key, value, select",
+        [
+            (["asymp", "--formula", "airy-gap", "--s", "-6"], "v", 2, "--formula airy-gap"),
+            (["asymp", "--formula", "airy-gap", "--s", "-6"], "chi", 0.3, "--formula airy-gap"),
+            (["asymp", "--formula", "airy-gap", "--s", "-6"], "p", 4, "--formula airy-gap"),
+            (["asymp", "--formula", "bessel-gap", "--a", "0", "--s", "16"], "chi", 0.3,
+             "--formula bessel-gap"),
+            (["asymp", "--formula", "sine-crit", "--s", "4"], "v", 1, "--formula sine-crit"),
+            (["asymp", "--formula", "sine-sub", "--s", "4", "--v", "1"], "chi", 0.3,
+             "--formula sine-sub"),
+            (["asymp", "--formula", "sine-sub", "--s", "4", "--v", "1"], "p", 2,
+             "--formula sine-sub"),
+            (["scan", "--kind", "eig", "--kernel", "sine", "--grid", "3"], "q", 3, "--kind eig"),
+            (["scan", "--kind", "eig", "--kernel", "sine", "--grid", "3"], "chi", 0.2, "--kind eig"),
+            (["scan", "--kind", "stokes", "--kernel", "airy", "--grid", "8"], "index", 4,
+             "--kind stokes"),
+            (["scan", "--kind", "stokes", "--kernel", "airy", "--grid", "8"], "chi", 0.2,
+             "--kind stokes"),
+            (["scan", "--kind", "det", "--kernel", "sine", "--chi", "0", "--grid", "3"], "index", 0,
+             "--kind det"),
+            (["scan", "--kind", "det", "--kernel", "sine", "--chi", "0", "--grid", "3"], "q", 1,
+             "--kind det"),
+        ],
+    )
+    def test_option_the_selection_does_not_read(self, capsys, tmp_path, argv, key, value, select):
+        want = f"gapspec: --{key} is not read by {select}\n"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        for extra in ([f"--{key}", str(value)], ["--config", str(cfg)]):
+            assert run_cli(argv + extra, capsys) == (2, "", want)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("extra", [[], ["--v", "3", "--chi", "0.5"]])
+    def test_transition_takes_exactly_one_of_v_and_chi(self, capsys, tmp_path, extra):
+        argv = ["asymp", "--formula", "airy-transition", "--s", "-6"]
+        want = "gapspec: transition formulas take exactly one of --v, --chi\n"
+        assert run_cli(argv + extra, capsys) == (2, "", want)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"chi": 0.5}))
+        assert run_cli(argv + ["--v", "3", "--config", str(cfg)], capsys) == (2, "", want)
+        code, chi_out, _ = run_cli(argv + ["--chi", "0.5"], capsys)
+        assert code == 0 and chi_out.splitlines()[1].split(",")[2:4] == ["2", "0.5"]
+        code, v_out, _ = run_cli(argv + ["--v", "3"], capsys)
+        assert code == 0 and v_out.splitlines()[1].split(",")[2:4] == ["1", "nan"]
+
+    @pytest.mark.parametrize(
+        "argv, key, default",
+        [
+            (["scan", "--kind", "eig", "--kernel", "sine", "--grid", "5"], "index", 0),
+            (["scan", "--kind", "stokes", "--kernel", "airy", "--grid", "8"], "q", 1),
+            (["asymp", "--formula", "sine-transition", "--s", "5", "--chi", "0.7"], "p", 2),
+        ],
+    )
+    def test_unset_index_takes_its_default(self, capsys, tmp_path, argv, key, default):
+        unset = run_cli(argv, capsys)
+        assert unset[0] == 0 and unset == run_cli(argv + [f"--{key}", str(default)], capsys)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: default + 1}))
+        assert run_cli(argv + ["--config", str(cfg)], capsys) == run_cli(
+            argv + [f"--{key}", str(default + 1)], capsys)
+
+
 class TestOptionTables:
     # each command registers only the options it reads
     OPTIONS = {

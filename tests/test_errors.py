@@ -1,0 +1,174 @@
+"""The three argument readers of gapspec.errors: every size and index goes
+through _integer, gamma, interval ends and sine kernel points through _real,
+and the Bessel order through _bessel_order. Each reader refuses with its
+own exception type and one message, and what it accepts keeps its bits."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from gapspec import asymptotics as asym
+from gapspec import specfun
+from gapspec.errors import ArgumentError, DomainError
+from gapspec.kernels import (
+    SINE,
+    Family,
+    IntervalSpec,
+    KernelSpec,
+    airy_convolution,
+    bessel_spec,
+    family_spec,
+    kernel_eval,
+)
+from gapspec.operator import (
+    Spectrum,
+    build_discretization,
+    compute_spectrum,
+    counting_prob,
+    d_ds_log_det,
+    fredholm_det,
+    gauss_legendre,
+    log_fredholm_det,
+    trace_norm,
+)
+from gapspec.verify import (
+    commuting_residual,
+    convolution_check,
+    det_ratio_scan,
+    eig_ratio_scan,
+    lidskii_split,
+    stokes_crossing_scan,
+)
+
+_SINE_2 = IntervalSpec(Family.SINE, 2.0)
+_SMALL = Spectrum(np.array([0.5, 0.2, 0.1]), 3, {})
+
+# (reader name in the message, call taking the size or index)
+_INTEGERS = {
+    "gauss_legendre-n": ("gauss_legendre", lambda x: gauss_legendre(x)),
+    "build_discretization-n": ("build_discretization",
+                               lambda x: build_discretization(SINE, _SINE_2, x)),
+    "trace_norm-n": ("trace_norm", lambda x: trace_norm(SINE, _SINE_2, x)),
+    "airy_convolution-n": ("airy_convolution", lambda x: airy_convolution(0.0, 1.0, n=x)),
+    "eig_ratio_scan-n": ("eig_ratio_scan", lambda x: eig_ratio_scan(Family.SINE, 0, [3.0], n=x)),
+    "eig_ratio_scan-i": ("eig_ratio_scan", lambda x: eig_ratio_scan(Family.SINE, x, [3.0])),
+    "det_ratio_scan-n": ("det_ratio_scan", lambda x: det_ratio_scan(Family.SINE, 0.0, [3.0], n=x)),
+    "stokes_crossing_scan-n": ("stokes_crossing_scan",
+                               lambda x: stokes_crossing_scan(Family.AIRY, 1, [8.0], n=x)),
+    "stokes_crossing_scan-q": ("stokes_crossing_scan",
+                               lambda x: stokes_crossing_scan(Family.AIRY, x, [8.0])),
+    "commuting_residual-n": ("commuting_residual",
+                             lambda x: commuting_residual(Family.SINE, 0, 3.0, n=x)),
+    "commuting_residual-i": ("commuting_residual",
+                             lambda x: commuting_residual(Family.SINE, x, 3.0)),
+    "commuting_residual-m": ("commuting_residual",
+                             lambda x: commuting_residual(Family.SINE, 0, 3.0, m=x)),
+    "commuting_residual-each-m": ("commuting_residual",
+                                  lambda x: commuting_residual(Family.SINE, 0, 3.0, m=(800, x))),
+    "convolution_check-sample_count": ("convolution_check",
+                                       lambda x: convolution_check(-3.0, sample_count=x)),
+    # convolution_check passes n on to airy_convolution, which reads it
+    "convolution_check-n": ("airy_convolution", lambda x: convolution_check(-3.0, n=x)),
+    "lidskii_split-p": ("lidskii_split", lambda x: lidskii_split(_SMALL, 1.0, x)),
+    "transition-p": ("airy_transition", lambda x: asym.transition(Family.AIRY, -6.0, 2.0, x)),
+    "eig_law-i": ("sine eig_law", lambda x: asym.eig_law(Family.SINE, x, 5.0)),
+}
+
+
+@pytest.mark.parametrize("x", [80.7, True, np.float64(80.0)], ids=repr)
+@pytest.mark.parametrize("key", sorted(_INTEGERS))
+def test_integer_reader_refuses(key, x):
+    name, call = _INTEGERS[key]
+    message = f"{name} takes an integer index, got {x!r}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(x)
+
+
+def _scan_rows(res):
+    meta = {k: v for k, v in res.metadata.items() if k != "seconds"}
+    return res.grid, res.numeric, res.predicted, res.rel_error, meta
+
+
+def test_numpy_integers_keep_the_bits():
+    i64 = np.int64
+    assert repr(gauss_legendre(i64(80))) == repr(gauss_legendre(80))
+    assert gauss_legendre(i64(80)).nodes.tobytes() == gauss_legendre(80).nodes.tobytes()
+    d, ref = build_discretization(SINE, _SINE_2, i64(60)), build_discretization(SINE, _SINE_2, 60)
+    assert type(d.n) is int and d.n == 60
+    assert d.matrix.tobytes() == ref.matrix.tobytes()
+    assert compute_spectrum(d).eigenvalues.tobytes() == compute_spectrum(ref).eigenvalues.tobytes()
+    assert trace_norm(SINE, _SINE_2, i64(60)) == trace_norm(SINE, _SINE_2, 60)
+    assert airy_convolution(0.0, 1.0, n=i64(60)) == airy_convolution(0.0, 1.0, n=60)
+    assert _scan_rows(eig_ratio_scan(Family.SINE, i64(1), [5.0], n=i64(80))) == _scan_rows(
+        eig_ratio_scan(Family.SINE, 1, [5.0], n=80))
+    assert _scan_rows(det_ratio_scan(Family.SINE, 0.0, [3.0], n=i64(80))) == _scan_rows(
+        det_ratio_scan(Family.SINE, 0.0, [3.0], n=80))
+    assert _scan_rows(stokes_crossing_scan(Family.AIRY, i64(1), [8.0], n=i64(80))) == _scan_rows(
+        stokes_crossing_scan(Family.AIRY, 1, [8.0], n=80))
+    assert commuting_residual(Family.SINE, i64(0), 3.0, n=i64(60), m=np.array([400, 800])) == (
+        commuting_residual(Family.SINE, 0, 3.0, n=60, m=(400, 800)))
+    assert convolution_check(-3.0, i64(5), i64(60)) == convolution_check(-3.0, 5, 60)
+    assert lidskii_split(_SMALL, 1.0, i64(2)) == lidskii_split(_SMALL, 1.0, 2)
+    assert asym.eig_law(Family.SINE, i64(1), 5.0) == asym.eig_law(Family.SINE, 1, 5.0)
+    assert repr(asym.transition(Family.AIRY, -6.0, 2.0, i64(2))) == repr(
+        asym.transition(Family.AIRY, -6.0, 2.0, 2))
+
+
+_SP = compute_spectrum(build_discretization(SINE, _SINE_2, 40))
+
+# (reader name and quantity in the message, call taking the real)
+_REALS = {
+    "log_fredholm_det-gamma": ("log_fredholm_det requires a finite gamma",
+                               lambda g: log_fredholm_det(_SP, g)),
+    "fredholm_det-gamma": ("fredholm_det requires a finite gamma", lambda g: fredholm_det(_SP, g)),
+    "counting_prob-gamma": ("counting_prob requires a finite gamma",
+                            lambda g: counting_prob(_SP, 1, g)),
+    "counting_prob-degrees-gamma": ("counting_prob requires a finite gamma",
+                                    lambda g: counting_prob(_SP, [0, 1], g)),
+    # degrees all above N give 0, but gamma is still read
+    "counting_prob-above-N-gamma": ("counting_prob requires a finite gamma",
+                                    lambda g: counting_prob(_SP, [_SP.n + 1, _SP.n + 2], g)),
+    "d_ds_log_det-gamma": ("d_ds_log_det requires a finite gamma",
+                           lambda g: d_ds_log_det(SINE, 2.0, g, n=40)),
+    "IntervalSpec-s": ("sine interval requires a finite s", lambda s: IntervalSpec("sine", s)),
+    "kernel_eval-sine-point": ("sine kernel requires a finite point",
+                               lambda x: kernel_eval(SINE, [0.5, x], 0.0)),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("key", sorted(_REALS))
+def test_real_reader_refuses(key, x):
+    prefix, call = _REALS[key]
+    with pytest.raises(ArgumentError, match=f"^{re.escape(f'{prefix}, got {x}')}$"):
+        call(x)
+
+
+# (reader name in the message, call taking the Bessel order)
+_ORDERS = {
+    "KernelSpec": ("KernelSpec", lambda a: KernelSpec(Family.BESSEL, a)),
+    "bessel_spec": ("KernelSpec", bessel_spec),
+    "family_spec": ("KernelSpec", lambda a: family_spec("bessel", a)),
+    "bessel_j_pair": ("bessel_j_pair", lambda a: specfun.bessel_j_pair(a, [1.0, 2.0])),
+    "bessel_j": ("bessel_j_pair", lambda a: specfun.bessel_j(a, 1.0)),
+    "gap": ("bessel gap", lambda a: asym.gap(Family.BESSEL, 16.0, a)),
+    "transition": ("bessel_transition", lambda a: asym.transition(Family.BESSEL, 16.0, 1.0, 2, a)),
+    "eig_law": ("bessel eig_law", lambda a: asym.eig_law(Family.BESSEL, 0, 16.0, a)),
+    "stokes_v": ("stokes_v", lambda a: asym.stokes_v(Family.BESSEL, 6.0, 0.5, a)),
+    "stokes_chi": ("stokes_chi", lambda a: asym.stokes_chi(Family.BESSEL, 6.0, 10.0, a)),
+    "sigma_pm": ("sigma_pm", lambda a: asym.sigma_pm(Family.BESSEL, "+", 0, 0.2, 4.0, a)),
+    "logderiv": ("bessel logderiv", lambda a: asym.logderiv(Family.BESSEL, 16.0, math.inf, 0.0, a)),
+    "d_coeff": ("d_coeff", lambda a: asym.d_coeff(0, a)),
+}
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -1.0], ids=repr)
+@pytest.mark.parametrize("key", sorted(_ORDERS))
+def test_bessel_order_reader_refuses(key, a):
+    name, call = _ORDERS[key]
+    message = f"{name} requires a finite Bessel order a > -1, got {a}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(a)
+

@@ -895,7 +895,8 @@ class TestCounting:
         sp = _fake_spectrum([0.9, 0.5])
         for _ in range(2):
             assert counting_prob(sp, 1, 0.5) > 0.0
-            for n in (0, 1, 1, 2, np.arange(3)):
+            # degrees above N give 0, but only after the factor check
+            for n in (0, 1, 1, 2, np.arange(3), 3, [3, 4], []):
                 with pytest.raises(PoleError):
                     counting_prob(sp, n, 1.2)  # 1.2 * 0.9 >= 1
         assert counting_prob(sp, 2, 0.5) == self._counting_prob_one_degree(sp, 2, 0.5)
