@@ -11,13 +11,14 @@ Each family has one eigenvalue law, in its scaling variable t:
     Bessel  sqrt(s)     2          2  -log d_i(a),
                                       d_i(a) = i! Gamma(1+a+i) / (pi 2^(4i+2a+3))
 
-The order a enters for Bessel only (a = 0 elsewhere). Each quantity has one
-public function that takes the family and reads its closed form from the
-family's row of _LAWS: eig_law gives 1 - lambda_i, gap the gap expansion
-log D(J; 1) (row fields gap and gap_s, its domain in s), transition the
-transition determinant (at least p_min factors, error order from error_cap
-and error_floor) and logderiv d/ds log D along a Stokes curve. Everything
-else is derived from that table:
+The order a enters for Bessel only; sine and Airy take a = 0 and refuse
+any other a (kernels._order, the rule KernelSpec applies too). Each
+quantity has one public function that takes the family and reads its
+closed form from the family's row of _LAWS: eig_law gives 1 - lambda_i,
+gap the gap expansion log D(J; 1) (row fields gap and gap_s, its domain
+in s), transition the transition determinant (at least p_min factors,
+error order from error_cap and error_floor) and logderiv d/ds log D along
+a Stokes curve. Everything else is derived from that table:
 
 - the Stokes curve of parameter chi is v = kappa t - (m chi + a) log t;
 - the transition determinant is the gap expansion times the factors
@@ -29,13 +30,14 @@ else is derived from that table:
 All determinant expansions are computed and compared in log space: the
 prefactors like exp(s^3/12) underflow long before the regimes of interest.
 Indices, real parameters and the order a are read by errors._integer, _real
-and _bessel_order: a NaN or infinite order is a DomainError, never a nan.
+and kernels._order: a NaN or infinite Bessel order is a DomainError, never a
+nan.
 """
 
 import math
 
 from .errors import ArgumentError, _bessel_order, _integer, _real
-from .kernels import Family, IntervalSpec, _coerce_family, _Record
+from .kernels import Family, IntervalSpec, _coerce_family, _order, _Record
 from .specfun import log_barnes_g, log_gamma, zeta_prime_minus_one
 
 __all__ = [
@@ -73,7 +75,6 @@ class _Law(_Record):
     _fields = (
         "kappa",
         "m",
-        "uses_a",  # whether the order a enters the formulas
         "log_const",  # (i, a) -> L_i(a)
         "gap",  # (s, a) -> log D(J; 1), the transition prefactor, for s in gap_s
         "gap_s",  # (lo, hi), one end infinite: the s the gap expansion takes
@@ -93,7 +94,6 @@ _LAWS = {
     Family.SINE: _Law(
         2.0,
         1,
-        False,
         lambda i, a: 0.5 * _LOG_PI - _log_factorial(i) + (3 * i + 2) * _LN2,
         lambda s, a: -0.5 * s * s - 0.25 * math.log(s) + _log_c0_crit(),
         (2.0, math.inf),
@@ -107,7 +107,6 @@ _LAWS = {
     Family.AIRY: _Law(
         2.0 * _SQRT2 / 3.0,
         1,
-        False,
         lambda i, a: 0.5 * _LOG_PI - _log_factorial(i) + (3.5 * i + 2.25) * _LN2,
         lambda s, a: s**3 / 12.0 - 0.125 * math.log(-s) + _log_c0(),
         (-math.inf, -2.0),
@@ -121,7 +120,6 @@ _LAWS = {
     Family.BESSEL: _Law(
         2.0,
         2,
-        True,
         lambda i, a: -_log_d(i, a),
         lambda s, a: -0.25 * s + a * math.sqrt(s) - 0.25 * a * a * math.log(s) + _log_tau(a),
         (4.0, math.inf),
@@ -144,11 +142,6 @@ def _log_eig(fam, i, t, a):
 def _log_excess(fam, i, t, v, a):
     """log E_i = log(e^{-v} / (1 - lambda_i)), the i-th transition excess."""
     return -_log_eig(fam, i, t, a) - v
-
-
-def _order(fam, a, name):
-    """The order a as the family's formulas read it: checked for Bessel, else 0."""
-    return _bessel_order(a, name) if _LAWS[fam].uses_a else 0.0
 
 
 def _scale(fam, s, name):

@@ -5,14 +5,21 @@ options it reads (`gapspec <command> --help` lists them), declared once in
 _OPTIONS. asymp's --formula and scan's --kind select what runs; an option
 that only some formulas or kinds read (_ASYMP_READS, _SCAN_READS) is
 refused for the others. A --config JSON object supplies the flags left
-unset; it may hold only keys of the command's own options, each of its
-flag's type, so a misspelt or foreign key is refused rather than silently
+unset; it may hold only keys of the command's own options, each once and of
+its flag's type (a number given for a float option is read as a float), so
+a misspelt, foreign or repeated key is refused rather than silently
 ignored, and the selector's refusals hold for its keys too.
+
+There is one namespace of options: _load_config sets every key of _OPTIONS
+on the parsed arguments (flag, else --config, else default), checks them,
+and sets args.family once, from --kernel or asymp's --formula; each cmd_*
+reads that namespace alone, and _emit formats every float it prints.
 
 Output is deterministic CSV or JSON (schema_version 1); floats are
 emitted with 17 significant digits so files are byte-identical across runs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
+Exit codes: 0 success, 1 verification failure, 2 usage error (a config or
+output file that cannot be read or written included), 3 numerical
 error. A PrecisionWarning (a result resting on an unresolved factor) goes to
 stderr and leaves stdout as it is; under python -W error it exits 3. The
 process entry point, run(), ends the process without interpreter teardown
@@ -38,7 +45,7 @@ from .errors import (
     PrecisionWarning,
     _real,
 )
-from .kernels import Family, IntervalSpec, _coerce_family, _Record, family_spec
+from .kernels import Family, IntervalSpec, _coerce_family, family_spec
 from .operator import _gamma_lambda, build_discretization, compute_spectrum, log_fredholm_det
 
 SCHEMA_VERSION = 1
@@ -56,39 +63,29 @@ def _fmt(x):
     return str(x)
 
 
-class RunConfig(_Record):
-    """Validated run parameters; seedless determinism is unconditional."""
+def _floats(record):
+    """record with each float formatted by _fmt, for the JSON output."""
+    return {k: (_fmt(x) if isinstance(x, float) else x) for k, x in record.items()}
 
-    _fields = ("family", "a", "s", "gamma", "v", "chi", "n", "fmt", "output", "p", "index", "q")
 
-    def __init__(self, family=None, a=None, s=None, gamma=None, v=None, chi=None, n=80,
-                 fmt="csv", output=None, p=None, index=None, q=None):
-        for name, x in (("a", a), ("gamma", gamma), ("v", v), ("chi", chi)):
-            if x is not None:
-                _real(x, f"--{name}", "value")
-        if not 20 <= n <= 1000:
-            raise ArgumentError(f"n must be in [20, 1000], got {n}")
-        if fmt not in ("csv", "json"):
-            raise ArgumentError(f"format must be csv or json, got {fmt}")
-        self._set(family=family, a=a, s=s, gamma=gamma, v=v, chi=chi, n=n, fmt=fmt,
-                  output=output, p=p, index=index, q=q)
+def _spectrum(args):
+    """The discretization of --kernel, --a, --s and --n, and its spectrum."""
+    spec = family_spec(args.family, args.a or 0.0)
+    d = build_discretization(spec, IntervalSpec(args.family, args.s), args.n)
+    return d, compute_spectrum(d)
 
-    @property
-    def spec(self):
-        return family_spec(self.family, self.a)
 
-    def gamma_value(self):
-        """Resolve exactly one of gamma / v / chi into gamma."""
-        given = [x is not None for x in (self.gamma, self.v, self.chi)]
-        if sum(given) > 1:
-            raise ArgumentError("supply exactly one of --gamma, --v, --chi")
-        if self.gamma is not None:
-            return self.gamma
-        if self.v is not None:
-            return -math.expm1(-self.v)
-        if self.chi is not None:
-            return -math.expm1(-_chi_v(self.family, self.s, self.chi, self.a or 0.0))
-        return 1.0
+def _gamma(args):
+    """gamma from exactly one of --gamma / --v / --chi; 1 when none is given."""
+    if sum(x is not None for x in (args.gamma, args.v, args.chi)) > 1:
+        raise ArgumentError("supply exactly one of --gamma, --v, --chi")
+    if args.gamma is not None:
+        return args.gamma
+    if args.v is not None:
+        return -math.expm1(-args.v)
+    if args.chi is not None:
+        return -math.expm1(-_chi_v(args.family, args.s, args.chi, args.a or 0.0))
+    return 1.0
 
 
 def _chi_v(fam, s, chi, a):
@@ -99,79 +96,50 @@ def _chi_v(fam, s, chi, a):
     return asym.stokes_v(fam, t, chi, a)
 
 
-def _emit(cfg, header, rows, summary):
-    """Write rows in the configured format to the output path or stdout."""
-    if cfg.fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        text = "\n".join(lines) + "\n"
+def _emit(args, header, rows, summary):
+    """Write rows in --format to --output or stdout. JSON adds the summary
+    and the config echo; every float of the three is formatted here."""
+    if args.format == "csv":
+        text = "".join(",".join(_fmt(x) for x in row) + "\n" for row in [header, *rows])
     else:
+        echo = {key: getattr(args, key) for key in ("a", "s", "gamma", "v", "chi", "n", "format")}
+        # asymp takes its family from --formula, not --kernel: its echo has none
+        echo.update(family=args.family.value if args.kernel else None, deterministic=True)
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "config_echo": _config_echo(cfg),
-            "rows": [
-                {h: (_fmt(x) if isinstance(x, float) else x) for h, x in zip(header, row)}
-                for row in rows
-            ],
-            "summary": summary,
+            "config_echo": _floats(echo),
+            "rows": [_floats(dict(zip(header, row))) for row in rows],
+            "summary": _floats(summary),
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as f:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config_echo(cfg):
-    echo = {
-        "family": cfg.family.value if cfg.family else None,
-        "a": cfg.a,
-        "s": cfg.s,
-        "gamma": cfg.gamma,
-        "v": cfg.v,
-        "chi": cfg.chi,
-        "n": cfg.n,
-        "format": cfg.fmt,
-        "deterministic": True,
-    }
-    return {k: (_fmt(v) if isinstance(v, float) else v) for k, v in echo.items()}
-
-
-def cmd_spectrum(cfg, args):
+def cmd_spectrum(args):
     top = args.top
     if top < 0:
         raise ArgumentError(f"--top must be >= 0, got {top}")
-    d = build_discretization(cfg.spec, IntervalSpec(cfg.family, cfg.s), cfg.n)
-    sp = compute_spectrum(d)
+    d, sp = _spectrum(args)
     lams = _gamma_lambda(sp, 1.0, "spectrum").tolist()[:top]
     rows = [(i, lam, 1.0 - lam, lam / (1.0 - lam)) for i, lam in enumerate(lams)]
-    _emit(
-        cfg,
-        ("index", "lambda", "one_minus_lambda", "mu"),
-        rows,
-        {
-            "n": cfg.n,
-            "truncation": _fmt(d.truncation),
-            "repaired_entries": sp.meta["repaired_entries"],
-            "clamped_zero": sp.meta["clamped_zero"],
-            "clamped_top": sp.meta["clamped_top"],
-            "floor": _fmt(sp.meta["floor"]),
-            "unresolved_top": sp.meta["unresolved_top"],
-        },
-    )
+    keys = ("repaired_entries", "clamped_zero", "clamped_top", "floor", "unresolved_top")
+    summary = {key: sp.meta[key] for key in keys}
+    summary.update(n=args.n, truncation=d.truncation)
+    _emit(args, ("index", "lambda", "one_minus_lambda", "mu"), rows, summary)
     return EXIT_OK
 
 
-def cmd_det(cfg, args):
-    gamma = cfg.gamma_value()
-    d = build_discretization(cfg.spec, IntervalSpec(cfg.family, cfg.s), cfg.n)
-    sp = compute_spectrum(d)
+def cmd_det(args):
+    gamma = _gamma(args)
+    d, sp = _spectrum(args)
     logdet = log_fredholm_det(sp, gamma)
     det = math.exp(logdet) if logdet > -745.0 else 0.0
-    rows = [(logdet, det, cfg.n, float(d.truncation))]
-    _emit(cfg, ("log_det", "det", "n", "truncation"), rows, {"gamma": _fmt(gamma)})
+    rows = [(logdet, det, args.n, float(d.truncation))]
+    _emit(args, ("log_det", "det", "n", "truncation"), rows, {"gamma": gamma})
     return EXIT_OK
 
 
@@ -187,34 +155,20 @@ _ASYMP_READS = {
 }
 
 
-def cmd_asymp(cfg, args):
-    sel = args.formula
-    fam = _coerce_family(sel.split("-")[0])
-    _check_order(fam, cfg.a)
-    s, v, a = cfg.s, cfg.v, cfg.a or 0.0
-    chi = cfg.chi
+def cmd_asymp(args):
+    sel, fam = args.formula, args.family
+    s, v, a, chi = args.s, args.v, args.a or 0.0, args.chi
     if sel.endswith("transition"):
         if (v is None) == (chi is None):
             raise ArgumentError("transition formulas take exactly one of --v, --chi")
         if chi is not None:
             v = _chi_v(fam, s, chi, a)
-        p = cfg.p if cfg.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
+        p = args.p if args.p is not None else asym.p_of_chi(chi if chi is not None else 0.0, fam)
         te = asym.transition(fam, s, v, p, a, chi)
-        rows = [
-            (
-                te.log_prefactor,
-                ";".join(_fmt(f) for f in te.factors),
-                te.p,
-                te.error_exponent,
-                te.log_value,
-            )
-        ]
-        _emit(
-            cfg,
-            ("log_prefactor", "factors", "p", "error_exponent", "log_value"),
-            rows,
-            {"formula": sel, "v": _fmt(float(v))},
-        )
+        factors = ";".join(_fmt(f) for f in te.factors)
+        rows = [(te.log_prefactor, factors, te.p, te.error_exponent, te.log_value)]
+        header = ("log_prefactor", "factors", "p", "error_exponent", "log_value")
+        _emit(args, header, rows, {"formula": sel, "v": v})
         return EXIT_OK
     if sel == "sine-sub":
         if v is None:
@@ -222,7 +176,7 @@ def cmd_asymp(cfg, args):
         value = asym.sine_det_sub(s, v)
     else:
         value = asym.gap(fam, s, a)
-    _emit(cfg, ("log_value",), [(value,)], {"formula": sel})
+    _emit(args, ("log_value",), [(value,)], {"formula": sel})
     return EXIT_OK
 
 
@@ -240,44 +194,37 @@ def _parse_grid(text):
 _SCAN_READS = {"eig": ("index",), "det": ("chi",), "stokes": ("q",)}
 
 
-def cmd_scan(cfg, args):
+def cmd_scan(args):
     grid = _parse_grid(args.grid)
-    kind = args.kind
+    kind, fam, a = args.kind, args.family, args.a or 0.0
     if kind == "eig":
-        index = 0 if cfg.index is None else cfg.index
-        res = verify_mod.eig_ratio_scan(cfg.family, index, grid, n=cfg.n, a=cfg.a or 0.0)
+        index = 0 if args.index is None else args.index
+        res = verify_mod.eig_ratio_scan(fam, index, grid, n=args.n, a=a)
     elif kind == "det":
-        if cfg.chi is None:
+        if args.chi is None:
             raise ArgumentError("det scans need --chi")
-        res = verify_mod.det_ratio_scan(cfg.family, cfg.chi, grid, a=cfg.a or 0.0, n=cfg.n)
+        res = verify_mod.det_ratio_scan(fam, args.chi, grid, a=a, n=args.n)
     else:
-        q = 1 if cfg.q is None else cfg.q
-        res = verify_mod.stokes_crossing_scan(cfg.family, q, grid, a=cfg.a or 0.0, n=cfg.n)
+        q = 1 if args.q is None else args.q
+        res = verify_mod.stokes_crossing_scan(fam, q, grid, a=a, n=args.n)
     rows = list(zip(res.grid, res.numeric, res.predicted, res.rel_error))
-    summary = {
-        k: (_fmt(v) if isinstance(v, float) else v)
-        for k, v in res.metadata.items()
-        if k != "seconds"
-    }
-    _emit(cfg, ("t", "numeric", "predicted", "rel_error"), rows, summary)
+    summary = {k: v for k, v in res.metadata.items() if k != "seconds"}
+    _emit(args, ("t", "numeric", "predicted", "rel_error"), rows, summary)
     return EXIT_OK
 
 
-def cmd_verify(cfg, args):
+def cmd_verify(args):
     results = verify_mod.run_acceptance()
     rows = [(name, "pass" if ok else "FAIL", detail) for name, ok, detail in results]
     n_fail = sum(1 for _, ok, _ in results if not ok)
-    _emit(
-        cfg,
-        ("criterion", "status", "detail"),
-        rows,
-        {"passed": len(results) - n_fail, "failed": n_fail},
-    )
+    summary = {"passed": len(results) - n_fail, "failed": n_fail}
+    _emit(args, ("criterion", "status", "detail"), rows, summary)
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAIL
 
 
 # every option a config-file key may name: its argparse keywords, whose
-# type is also the JSON type the key's value must have (an int is a number)
+# type is also the JSON type the key's value must have (an int is a number,
+# read as a float)
 _OPTIONS = {
     "kernel": dict(type=str, choices=["sine", "airy", "bessel"]),
     "a": dict(type=float, help="Bessel order"),
@@ -293,6 +240,8 @@ _OPTIONS = {
     "output": dict(type=str),
 }
 _TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
+# the value of an option that neither its flag nor --config gives; else None
+_DEFAULTS = {"n": 80, "format": "csv"}
 
 
 def _build_parser():
@@ -338,49 +287,68 @@ def _build_parser():
     return ap
 
 
+def _read_config(path):
+    """The --config file's JSON object. A file that is not UTF-8 JSON, or
+    that repeats a key, is refused with a message naming the file."""
+
+    def unique(pairs):
+        keys = [key for key, _ in pairs]
+        for key in keys:
+            if keys.count(key) > 1:
+                raise ValueError(f"key {key!r} is given twice")
+        return dict(pairs)
+
+    with open(path, encoding="utf-8") as f:
+        try:
+            obj = json.load(f, object_pairs_hook=unique)
+        except ValueError as exc:  # not UTF-8, not JSON, or a key repeated
+            raise ArgumentError(f"config file {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ArgumentError("config file must contain a JSON object")
+    return obj
+
+
 def _load_config(args):
-    """RunConfig from the command's flags, each unset one taken from the
-    --config file; the file may hold only keys of the command's options."""
-    file_cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            file_cfg = json.load(f)
-        if not isinstance(file_cfg, dict):
-            raise ArgumentError("config file must contain a JSON object")
+    """Set every key of _OPTIONS on args, from its flag, else the --config
+    file (which may hold only keys of the command's options), else
+    _DEFAULTS; check them; and set args.family from --kernel or, for asymp,
+    from the formula's prefix."""
+    file_cfg = _read_config(args.config) if args.config else {}
     for key in file_cfg:
         if key not in args.options:
             raise ArgumentError(
                 f"config key {key!r} is not an option of {args.command}, "
                 f"which takes {', '.join(args.options)}"
             )
-    given = {}
-    for key in args.options:
-        val = getattr(args, key)
-        if val is None:
-            val = file_cfg.get(key)
-            want = _OPTIONS[key]["type"]
+    for key, option in _OPTIONS.items():
+        val = getattr(args, key, None)
+        if val is None and file_cfg.get(key) is not None:
+            val, want = file_cfg[key], option["type"]
             ok = isinstance(val, (int, float) if want is float else want)
-            if val is not None and (not ok or isinstance(val, bool)):
+            if not ok or isinstance(val, bool):
                 raise ArgumentError(f"config key {key!r} must be {_TYPE_NAMES[want]}, got {val!r}")
-        if val is not None:
-            given[key] = val
+            val = want(val)
+        setattr(args, key, _DEFAULTS.get(key) if val is None else val)
     if args.select:
         flag, reads = args.select
         choice = getattr(args, flag)
-        for key in given:
-            if key not in reads[choice] and any(key in r for r in reads.values()):
+        for key in args.options:
+            refused = key not in reads[choice] and any(key in r for r in reads.values())
+            if refused and getattr(args, key) is not None:
                 raise ArgumentError(f"--{key} is not read by --{flag} {choice}")
-    kernel = given.pop("kernel", None)
-    family = _coerce_family(kernel) if kernel else None
-    if "format" in given:
-        given["fmt"] = given.pop("format")
-    cfg = RunConfig(family=family, **given)
+    kernel = args.kernel or getattr(args, "formula", "").split("-")[0]
+    args.family = _coerce_family(kernel) if kernel else None
+    for key in ("a", "gamma", "v", "chi"):
+        if getattr(args, key) is not None:
+            _real(getattr(args, key), f"--{key}", "value")
+    if not 20 <= args.n <= 1000:
+        raise ArgumentError(f"n must be in [20, 1000], got {args.n}")
+    if args.format not in ("csv", "json"):
+        raise ArgumentError(f"format must be csv or json, got {args.format}")
     for key in args.need:
-        attr = "family" if key == "kernel" else key
-        if getattr(cfg, attr) is None:
+        if getattr(args, "family" if key == "kernel" else key) is None:
             raise ArgumentError(f"--{key} is required for this command")
-    _check_order(cfg.family, cfg.a)
-    return cfg
+    _check_order(args.family, args.a)
 
 
 def _check_order(fam, a):
@@ -397,13 +365,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _load_config(args)
-    except (ArgumentError, DomainError, OSError, json.JSONDecodeError) as exc:
-        print(f"gapspec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.fn(cfg, args)
-    except (ArgumentError, DomainError) as exc:
+        _load_config(args)
+        return args.fn(args)
+    # an OSError is a config or output file that cannot be read or written
+    except (ArgumentError, DomainError, OSError) as exc:
         print(f"gapspec: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # a PrecisionWarning arrives here only as an error, under -W error

@@ -1,6 +1,8 @@
 """Exception and warning types shared across the package, and the one reader
 of each argument kind, with its one rule and message: _integer (sizes and
-indices), _real (gamma and other real parameters) and _bessel_order (a)."""
+indices), _real (gamma and other real parameters) and _bessel_order (a).
+_real and _bessel_order take only real numbers (_number): a string, None, a
+bool or a complex number is an ArgumentError, never parsed or converted."""
 
 import math
 import numbers
@@ -51,10 +53,18 @@ def _integer(x, name, least=-math.inf, what="n"):
     return x
 
 
+def _number(x, name, what):
+    """x as a float; anything but a real number (a bool included) is refused.
+    Python and numpy ints and floats are accepted and keep their value."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ArgumentError(f"{name} takes a real {what}, got {x!r}")
+    return float(x)
+
+
 def _real(x, name, what, inf_ok=False):
-    """x as a float, or ArgumentError for NaN, -inf, and +inf unless inf_ok
-    (v = +inf is the gamma = 1 curve)."""
-    x = float(x)
+    """x as a float, or ArgumentError for a non-number, NaN, -inf, and +inf
+    unless inf_ok (v = +inf is the gamma = 1 curve)."""
+    x = _number(x, name, what)
     if not (-math.inf < x < math.inf or (inf_ok and x == math.inf)):
         allowed = "finite or +inf" if inf_ok else "finite"
         raise ArgumentError(f"{name} requires a {allowed} {what}, got {x}")
@@ -62,8 +72,9 @@ def _real(x, name, what, inf_ok=False):
 
 
 def _bessel_order(a, name):
-    """a as a float that is finite and > -1, or DomainError."""
-    a = float(a)
+    """a as a float that is finite and > -1, or DomainError (ArgumentError
+    for a non-number)."""
+    a = _number(a, name, "Bessel order a")
     if not -1.0 < a < math.inf:
         raise DomainError(f"{name} requires a finite Bessel order a > -1, got {a}")
     return a

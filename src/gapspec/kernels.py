@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import ArgumentError, DomainError, _bessel_order, _integer, _real
+from .errors import ArgumentError, DomainError, _bessel_order, _integer, _number, _real
 from .specfun import bessel_j_pair
 
 __all__ = [
@@ -104,14 +104,26 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _order(fam, a, name):
+    """The order a of the family's kernel, the one rule every reader of a
+    applies: Bessel's through errors._bessel_order; sine and Airy have none,
+    so a must be 0 there (ArgumentError otherwise) and is read as 0.0."""
+    if fam is Family.BESSEL:
+        return _bessel_order(a, name)
+    a = _number(a, name, "order a")
+    if a != 0.0:
+        raise ArgumentError(f"{name} requires a = 0 for the {fam.value} kernel, got {a}")
+    return 0.0
+
+
 class KernelSpec(_Record):
-    """Which integrable kernel: sine, Airy, or Bessel with order a > -1."""
+    """Which integrable kernel: sine, Airy (a = 0), or Bessel with order a > -1."""
 
     _fields = ("family", "a")
 
     def __init__(self, family, a=0.0):
         fam = _coerce_family(family)
-        self._set(family=fam, a=_bessel_order(a, "KernelSpec") if fam is Family.BESSEL else float(a))
+        self._set(family=fam, a=_order(fam, a, "KernelSpec"))
 
 
 SINE = KernelSpec(Family.SINE)
@@ -123,11 +135,8 @@ def bessel_spec(a):
 
 
 def family_spec(family, a=0.0):
-    """The KernelSpec of a family; the order a is read for Bessel only."""
-    fam = _coerce_family(family)
-    if fam is Family.BESSEL:
-        return bessel_spec(a)
-    return SINE if fam is Family.SINE else AIRY
+    """The KernelSpec of a family and order a (0 for sine and Airy)."""
+    return KernelSpec(family, a)
 
 
 class IntervalSpec(_Record):

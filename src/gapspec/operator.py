@@ -530,7 +530,7 @@ def _counting(sp, n, least, gamma, times_det, name):
         raise ArgumentError(f"{name} takes an int or a 1-D array of degrees")
     if low < least:
         raise ArgumentError(f"{name} requires n >= {least}")
-    g = float(gamma)
+    g = _real(gamma, name, "gamma")
     glam = _gamma_lambda(sp, g, name, stacklevel=4)
     size = len(sp.eigenvalues)
     if low > size or top < 0:
@@ -593,7 +593,7 @@ def d_ds_log_det(spec, s, gamma, n=80):
     endpoints give equal R. One discretization and one linear solve; the
     spectrum is computed only for its checks (DegeneracyError, PoleError).
     """
-    gamma = float(gamma)
+    gamma = _real(gamma, "d_ds_log_det", "gamma")
     d = build_discretization(spec, IntervalSpec(spec.family, s), n)
     # the solve's condition number is about 1 / (1 - gamma lambda_0)
     _gamma_lambda(compute_spectrum(d), gamma, "d_ds_log_det")

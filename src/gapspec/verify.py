@@ -98,9 +98,10 @@ def _spectrum(spec, interval, n):
 def _scan(fam, a, n, t_grid, point, meta):
     """ScanResult of point(t, s, spectrum) over t_grid; spectrum() builds
     or reuses the (kernel, s, n) spectrum when called. A None row is
-    dropped, notes go to meta["notes"], and meta gains n, family, a and
-    seconds. point runs at a fixed depth: its warnings take stacklevel=4
-    to reach the scan's caller (5 through _gamma_lambda)."""
+    dropped, notes go to meta["notes"], and meta gains n, family, a (the
+    order as the KernelSpec reads it) and seconds. point runs at a fixed
+    depth: its warnings take stacklevel=4 to reach the scan's caller (5
+    through _gamma_lambda)."""
     spec = family_spec(fam, a)
     rows = []
     t0 = time.perf_counter()
@@ -111,7 +112,7 @@ def _scan(fam, a, n, t_grid, point, meta):
             rows.append(row)
         if note is not None:
             meta["notes"].append(note)
-    meta.update(n=n, family=fam.value, a=a, seconds=time.perf_counter() - t0)
+    meta.update(n=n, family=fam.value, a=spec.a, seconds=time.perf_counter() - t0)
     return ScanResult(*(tuple(r[k] for r in rows) for k in range(4)), meta)
 
 

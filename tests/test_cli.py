@@ -1,6 +1,7 @@
 """CLI contract: argument handling, output schema, determinism, exit codes."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -582,6 +583,94 @@ def _child_env():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return env
+
+
+# README's examples and one more call per command (verify takes no option
+# but --format and --output), each reading options that README's lines do not
+_CALLS = _readme_cli_lines() + [
+    ["spectrum", "--kernel", "bessel", "--a", "2", "--s", "16", "--n", "60", "--top", "3"],
+    ["det", "--kernel", "sine", "--s", "3", "--chi", "1", "--n", "40"],
+    ["asymp", "--formula", "sine-transition", "--s", "5", "--v", "1", "--p", "3"],
+    ["scan", "--kind", "stokes", "--kernel", "bessel", "--a", "1", "--grid", "8,10", "--q", "2",
+     "--n", "60"],
+]
+
+
+def _with_config(argv, path):
+    """argv with every option of _OPTIONS moved into a JSON config at path,
+    each whole number written as a JSON int."""
+    rest, config = argv[:1], {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        key = flag[2:]
+        if key not in cli._OPTIONS:
+            rest += [flag, value]
+        elif cli._OPTIONS[key]["type"] is str:
+            config[key] = value
+        else:
+            x = float(value)
+            config[key] = int(x) if x.is_integer() else x
+    path.write_text(json.dumps(config))
+    return rest + ["--config", str(path)]
+
+
+class TestConfigRoute:
+    # a --config file prints the bytes its flags print, a JSON int given
+    # for a float option included (read as a float, "3" not 3 in the echo)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", _CALLS, ids=" ".join)
+    def test_config_prints_the_bytes_of_its_flags(self, capsys, tmp_path, argv, fmt):
+        if "--format" in argv:
+            i = argv.index("--format")
+            argv = argv[:i] + argv[i + 2:]
+        argv = argv + ["--format", fmt]
+        flags = run_cli(argv, capsys)
+        assert flags[0] == 0 and flags[1] and flags[2] == ""
+        assert run_cli(_with_config(argv, tmp_path / "run.json"), capsys) == flags
+
+
+def _os_error(code, path):
+    return f"gapspec: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
+
+
+class TestFileFailures:
+    # a file that cannot be read or written exits 2 with a message naming
+    # it, never a traceback; exit 1 is kept for a failed verification
+    @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-directory"])
+    def test_output_that_cannot_be_written(self, capsys, tmp_path, missing):
+        path = tmp_path / "missing" / "x.csv" if missing else tmp_path
+        code = errno.ENOENT if missing else errno.EISDIR
+        argv = ["det", "--kernel", "sine", "--s", "3", "--output", str(path)]
+        assert run_cli(argv, capsys) == (2, "", _os_error(code, path))
+
+    def test_verify_output_that_cannot_be_written(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x"
+        assert run_cli(["verify", "--output", str(path)], capsys) == (
+            2, "", _os_error(errno.ENOENT, path))
+
+    def test_config_file_missing(self, capsys, tmp_path):
+        path = tmp_path / "none.json"
+        argv = ["det", "--kernel", "sine", "--s", "3", "--config", str(path)]
+        assert run_cli(argv, capsys) == (2, "", _os_error(errno.ENOENT, path))
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'\xff{"s": 3}')
+        want = (f"gapspec: config file {path}: 'utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte\n")
+        assert run_cli(["det", "--kernel", "sine", "--config", str(path)], capsys) == (2, "", want)
+
+    def test_config_not_json(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"s": ')
+        want = f"gapspec: config file {path}: Expecting value: line 1 column 7 (char 6)\n"
+        assert run_cli(["det", "--kernel", "sine", "--config", str(path)], capsys) == (2, "", want)
+
+    def test_config_key_given_twice(self, capsys, tmp_path):
+        # the first value is not silently dropped
+        path = tmp_path / "run.json"
+        path.write_text('{"kernel": "sine", "s": 3, "s": 4}')
+        want = f"gapspec: config file {path}: key 's' is given twice\n"
+        assert run_cli(["det", "--config", str(path)], capsys) == (2, "", want)
 
 
 class TestFastExit:

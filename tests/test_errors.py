@@ -1,7 +1,10 @@
 """The three argument readers of gapspec.errors: every size and index goes
 through _integer, gamma, interval ends and sine kernel points through _real,
 and the Bessel order through _bessel_order. Each reader refuses with its
-own exception type and one message, and what it accepts keeps its bits."""
+own exception type and one message, and what it accepts keeps its bits. A
+non-number (a string, None, a bool, a complex number) is refused by _real
+and _bessel_order as by _integer, never parsed or converted; sine and Airy,
+which have no order, refuse any a but 0 (kernels._order)."""
 
 import math
 import re
@@ -120,29 +123,39 @@ _SP = compute_spectrum(build_discretization(SINE, _SINE_2, 40))
 
 # (reader name and quantity in the message, call taking the real)
 _REALS = {
-    "log_fredholm_det-gamma": ("log_fredholm_det requires a finite gamma",
-                               lambda g: log_fredholm_det(_SP, g)),
-    "fredholm_det-gamma": ("fredholm_det requires a finite gamma", lambda g: fredholm_det(_SP, g)),
-    "counting_prob-gamma": ("counting_prob requires a finite gamma",
-                            lambda g: counting_prob(_SP, 1, g)),
-    "counting_prob-degrees-gamma": ("counting_prob requires a finite gamma",
+    "log_fredholm_det-gamma": ("log_fredholm_det", "gamma", lambda g: log_fredholm_det(_SP, g)),
+    "fredholm_det-gamma": ("fredholm_det", "gamma", lambda g: fredholm_det(_SP, g)),
+    "counting_prob-gamma": ("counting_prob", "gamma", lambda g: counting_prob(_SP, 1, g)),
+    "counting_prob-degrees-gamma": ("counting_prob", "gamma",
                                     lambda g: counting_prob(_SP, [0, 1], g)),
     # degrees all above N give 0, but gamma is still read
-    "counting_prob-above-N-gamma": ("counting_prob requires a finite gamma",
+    "counting_prob-above-N-gamma": ("counting_prob", "gamma",
                                     lambda g: counting_prob(_SP, [_SP.n + 1, _SP.n + 2], g)),
-    "d_ds_log_det-gamma": ("d_ds_log_det requires a finite gamma",
-                           lambda g: d_ds_log_det(SINE, 2.0, g, n=40)),
-    "IntervalSpec-s": ("sine interval requires a finite s", lambda s: IntervalSpec("sine", s)),
-    "kernel_eval-sine-point": ("sine kernel requires a finite point",
-                               lambda x: kernel_eval(SINE, [0.5, x], 0.0)),
+    "d_ds_log_det-gamma": ("d_ds_log_det", "gamma", lambda g: d_ds_log_det(SINE, 2.0, g, n=40)),
+    "IntervalSpec-s": ("sine interval", "s", lambda s: IntervalSpec("sine", s)),
+    "kernel_eval-sine-point": ("sine kernel", "point", lambda x: kernel_eval(SINE, [0.5, x], 0.0)),
 }
+
+# each refused as it stands: '2' is not parsed, True is not 1, 2+0j not 2
+_NON_NUMBERS = ["2", None, True, 2 + 0j]
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
 @pytest.mark.parametrize("key", sorted(_REALS))
 def test_real_reader_refuses(key, x):
-    prefix, call = _REALS[key]
-    with pytest.raises(ArgumentError, match=f"^{re.escape(f'{prefix}, got {x}')}$"):
+    name, what, call = _REALS[key]
+    message = f"{name} requires a finite {what}, got {x}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(x)
+
+
+# kernel_eval's points are arrays, which numpy converts before any reader
+@pytest.mark.parametrize("x", _NON_NUMBERS, ids=repr)
+@pytest.mark.parametrize("key", sorted(set(_REALS) - {"kernel_eval-sine-point"}))
+def test_real_reader_refuses_non_numbers(key, x):
+    name, what, call = _REALS[key]
+    message = f"{name} takes a real {what}, got {x!r}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call(x)
 
 
@@ -172,3 +185,70 @@ def test_bessel_order_reader_refuses(key, a):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(a)
 
+
+
+@pytest.mark.parametrize("a", _NON_NUMBERS, ids=repr)
+@pytest.mark.parametrize("key", sorted(_ORDERS))
+def test_bessel_order_reader_refuses_non_numbers(key, a):
+    name, call = _ORDERS[key]
+    message = f"{name} takes a real Bessel order a, got {a!r}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(a)
+
+
+# (reader name in the message, family, call taking a sine or Airy order)
+_NO_ORDERS = {
+    "KernelSpec-sine": ("KernelSpec", "sine", lambda a: KernelSpec(Family.SINE, a)),
+    "KernelSpec-airy": ("KernelSpec", "airy", lambda a: KernelSpec("airy", a)),
+    "family_spec": ("KernelSpec", "sine", lambda a: family_spec("sine", a)),
+    "eig_law": ("sine eig_law", "sine", lambda a: asym.eig_law("sine", 0, 5.0, a=a)),
+    "gap": ("airy gap", "airy", lambda a: asym.gap(Family.AIRY, -6.0, a)),
+    "transition": ("sine_transition", "sine",
+                   lambda a: asym.transition(Family.SINE, 5.0, 1.0, 2, a)),
+    "stokes_v": ("stokes_v", "airy", lambda a: asym.stokes_v(Family.AIRY, 6.0, 0.5, a)),
+    "stokes_chi": ("stokes_chi", "sine", lambda a: asym.stokes_chi(Family.SINE, 6.0, 10.0, a)),
+    "sigma_pm": ("sigma_pm", "airy", lambda a: asym.sigma_pm(Family.AIRY, "+", 0, 0.2, 4.0, a)),
+    "logderiv": ("airy logderiv", "airy",
+                 lambda a: asym.logderiv(Family.AIRY, -6.0, math.inf, 0.0, a)),
+    # the scans read a through the KernelSpec of their spectra
+    "eig_ratio_scan": ("KernelSpec", "sine",
+                       lambda a: eig_ratio_scan("sine", 0, [5.0], n=80, a=a)),
+    "det_ratio_scan": ("KernelSpec", "airy",
+                       lambda a: det_ratio_scan(Family.AIRY, 0.5, [6.0], a=a, n=80)),
+    "stokes_crossing_scan": ("KernelSpec", "airy",
+                             lambda a: stokes_crossing_scan(Family.AIRY, 1, [8.0], a=a, n=80)),
+}
+
+
+@pytest.mark.parametrize("a", [0.7, math.nan, math.inf, -1.0], ids=repr)
+@pytest.mark.parametrize("key", sorted(_NO_ORDERS))
+def test_sine_and_airy_refuse_an_order(key, a):
+    name, fam, call = _NO_ORDERS[key]
+    message = f"{name} requires a = 0 for the {fam} kernel, got {a}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(a)
+
+
+@pytest.mark.parametrize("a", _NON_NUMBERS, ids=repr)
+@pytest.mark.parametrize("key", sorted(_NO_ORDERS))
+def test_sine_and_airy_order_refuses_non_numbers(key, a):
+    name, _, call = _NO_ORDERS[key]
+    message = f"{name} takes a real order a, got {a!r}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(a)
+
+
+def test_accepted_reals_and_orders_keep_the_bits():
+    # a = 0 in any int or float form is the sine and Airy order, stored as 0.0
+    for zero in (0, 0.0, -0.0, np.int64(0), np.float64(-0.0)):
+        for fam in (Family.SINE, Family.AIRY):
+            spec = KernelSpec(fam, zero)
+            assert spec == family_spec(fam) and repr(spec.a) == "0.0"
+        assert asym.eig_law("sine", 1, 5.0, zero) == asym.eig_law("sine", 1, 5.0)
+    assert eig_ratio_scan("sine", 0, [5.0], n=80).metadata["a"] == 0.0
+    # Python and numpy ints and floats keep their value as floats
+    for x in (0.3, np.float64(0.3), np.float32(0.3), 2, np.int64(2)):
+        assert bessel_spec(x).a.hex() == float(x).hex() and type(bessel_spec(x).a) is float
+        assert IntervalSpec("sine", x).s.hex() == float(x).hex()
+    assert log_fredholm_det(_SP, np.float64(0.5)) == log_fredholm_det(_SP, 0.5)
+    assert counting_prob(_SP, 1, 1) == counting_prob(_SP, 1, 1.0)

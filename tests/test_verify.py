@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gapspec import asymptotics, cli, kernels, verify
+from gapspec import asymptotics, kernels, verify
 from gapspec import operator as operator_module
 from gapspec.errors import ArgumentError, PoleError, PrecisionWarning
 from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, family_spec
@@ -664,7 +664,6 @@ _RECORDS = {
     "_Law": lambda: asymptotics._LAWS[Family.AIRY],
     "TransitionExpansion": lambda: asymptotics.TransitionExpansion(0.0, (1.5,), 1),
     "ScanResult": lambda: ScanResult((1.0,), (2.0,), (2.5,), (0.2,)),
-    "RunConfig": cli.RunConfig,
 }
 
 
