@@ -262,22 +262,23 @@ def gap(family, s, a=0.0):
     """log D(J; 1), the family's gap expansion, for s in its gap_s."""
     fam = _coerce_family(family)
     law = _LAWS[fam]
-    s = float(s)
-    a = _order(fam, a, f"{fam.value} gap")
+    name = f"{fam.value} gap"
     lo, hi = law.gap_s
-    if not (lo <= s <= hi and math.isfinite(s)):
-        bound = f"s <= {hi:g}" if lo == -math.inf else f"s >= {lo:g}"
-        raise ArgumentError(f"{fam.value} gap requires a finite {bound}, got {s}")
+    bound = f"s <= {hi:g}" if lo == -math.inf else f"s >= {lo:g}"
+    s = _real(s, name, bound)
+    a = _order(fam, a, name)
+    if not lo <= s <= hi:
+        raise ArgumentError(f"{name} requires a finite {bound}, got {s}")
     return law.gap(s, a)
 
 
 def sine_det_sub(s, v):
     """Sub-critical log D(J_sin; gamma), gamma = 1 - e^{-v} < 1."""
-    s = float(s)
-    v = float(v)
-    if not 2.0 <= s < math.inf:
+    s = _real(s, "sine_det_sub", "s")
+    v = _real(v, "sine_det_sub", "v")
+    if not 2.0 <= s:
         raise ArgumentError(f"sine_det_sub requires a finite s >= 2, got {s}")
-    if not 0.0 < v < math.inf:
+    if not 0.0 < v:
         raise ArgumentError(f"sine_det_sub requires a finite v > 0, got {v}")
     return (
         -(2.0 * v / math.pi) * s
@@ -309,13 +310,14 @@ def transition(family, s, v, p, a=0.0, chi=None):
     name = f"{fam.value}_transition"
     a = _order(fam, a, name)
     p = _integer(p, name, law.p_min, "p")
+    s = _real(s, name, "s")
     t = _scale(fam, s, name)
-    v = float(v)
+    v = _real(v, name, "v", inf_ok=True)
     if not v > 0.0:
         raise ArgumentError(f"{name} requires v > 0, got {v}")
     exc = tuple(math.exp(_log_excess(fam, i, t, v, a)) for i in range(p))
     return TransitionExpansion(
-        law.gap(float(s), a),
+        law.gap(s, a),
         tuple(1.0 + e for e in exc),
         p,
         _error_exponent(fam, p, chi),
@@ -341,7 +343,7 @@ def sigma_pm(family, sign, k, alpha, t, a=0.0):
     fam = _coerce_family(family)
     k = _check_index(k, "sigma_pm")
     alpha = _real(alpha, "sigma_pm", "alpha")
-    t = float(t)
+    t = _real(t, "sigma_pm", "t")
     if not t > 0.0:
         raise ArgumentError(f"sigma_pm requires t > 0, got {t}")
     if sign not in ("+", "-"):
@@ -368,7 +370,7 @@ def logderiv(family, s, v, chi, a=0.0):
     if fam is Family.SINE:
         raise ArgumentError("logderiv is defined for the Airy and Bessel families")
     name = f"{fam.value} logderiv"
-    s = float(s)
+    s = _real(s, name, "s")
     v = _real(v, name, "v", inf_ok=True)
     a = _order(fam, a, name)
     t = _scale(fam, s, name)

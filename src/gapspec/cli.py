@@ -45,7 +45,7 @@ from .errors import (
     PrecisionWarning,
     _real,
 )
-from .kernels import Family, IntervalSpec, _coerce_family, family_spec
+from .kernels import Family, IntervalSpec, KernelSpec, _coerce_family
 from .operator import _gamma_lambda, build_discretization, compute_spectrum, log_fredholm_det
 
 SCHEMA_VERSION = 1
@@ -70,7 +70,7 @@ def _floats(record):
 
 def _spectrum(args):
     """The discretization of --kernel, --a, --s and --n, and its spectrum."""
-    spec = family_spec(args.family, args.a or 0.0)
+    spec = KernelSpec(args.family, args.a or 0.0)
     d = build_discretization(spec, IntervalSpec(args.family, args.s), args.n)
     return d, compute_spectrum(d)
 
@@ -124,8 +124,8 @@ def cmd_spectrum(args):
     if top < 0:
         raise ArgumentError(f"--top must be >= 0, got {top}")
     d, sp = _spectrum(args)
-    lams = _gamma_lambda(sp, 1.0, "spectrum").tolist()[:top]
-    rows = [(i, lam, 1.0 - lam, lam / (1.0 - lam)) for i, lam in enumerate(lams)]
+    lams, factors = (x.tolist()[:top] for x in _gamma_lambda(sp, 1.0, "spectrum"))
+    rows = [(i, lam, f, lam / f) for i, (lam, f) in enumerate(zip(lams, factors))]
     keys = ("repaired_entries", "clamped_zero", "clamped_top", "floor", "unresolved_top")
     summary = {key: sp.meta[key] for key in keys}
     summary.update(n=args.n, truncation=d.truncation)

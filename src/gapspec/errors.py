@@ -2,11 +2,14 @@
 of each argument kind, with its one rule and message: _integer (sizes and
 indices), _real (gamma and other real parameters) and _bessel_order (a).
 _real and _bessel_order take only real numbers (_number): a string, None, a
-bool or a complex number is an ArgumentError, never parsed or converted."""
+bool or a complex number is an ArgumentError, never parsed or converted.
+_warn issues every PrecisionWarning, at the line that called gapspec."""
 
 import math
 import numbers
 import operator
+import sys
+import warnings
 
 __all__ = [
     "DomainError",
@@ -40,6 +43,15 @@ class DegeneracyError(NumericalError):
 
 class PrecisionWarning(UserWarning):
     """Result returned but with reduced confidence in its accuracy."""
+
+
+def _warn(message):
+    """Issue a PrecisionWarning at the first frame outside gapspec and its
+    submodules, as skip_file_prefixes does on Python 3.12+."""
+    frame, level = sys._getframe(), 1
+    while frame and frame.f_globals.get("__name__", "").split(".")[0] == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, PrecisionWarning, stacklevel=level)
 
 
 def _integer(x, name, least=-math.inf, what="n"):

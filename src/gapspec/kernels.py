@@ -134,11 +134,6 @@ def bessel_spec(a):
     return KernelSpec(Family.BESSEL, a)
 
 
-def family_spec(family, a=0.0):
-    """The KernelSpec of a family and order a (0 for sine and Airy)."""
-    return KernelSpec(family, a)
-
-
 class IntervalSpec(_Record):
     """Family-consistent endpoint s and the derived interval J.
 
@@ -167,14 +162,24 @@ class IntervalSpec(_Record):
         self._set(family=fam, s=s, lo=lo, hi=hi, t=t)
 
 
-def _check_domain(spec, x):
+def _points(x, name):
+    """x as a float array. A point that is not a real number (a string, None,
+    a bool, a complex number) is an ArgumentError naming name, refused before
+    numpy would convert it; an int or float array is taken as it is."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        for p in np.array(x, dtype=object).flat:
+            _number(p, name, "point")
+    return np.asarray(x, dtype=float)
+
+
+def _check_domain(spec, x, name):
     x = np.asarray(x)
     if spec.family is Family.BESSEL:
         bad = x < 0.0
         if bad.any():
             raise DomainError(f"Bessel kernel argument must be >= 0, got {x[bad].flat[0]}")
     elif spec.family is Family.SINE and not np.isfinite(x).all():
-        _real(x[~np.isfinite(x)].flat[0], "sine kernel", "point")
+        _real(x[~np.isfinite(x)].flat[0], name, "point")
 
 
 # The forms below take the kernel's working variable: u = sqrt(x) for
@@ -283,9 +288,9 @@ def kernel_eval(spec, lam, mu):
     lam and mu may be arrays of pairs (broadcast together): the values come
     from one special-function call, each equal to its one-pair call.
     """
-    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
-    _check_domain(spec, lam)
-    _check_domain(spec, mu)
+    lam, mu = np.broadcast_arrays(_points(lam, "kernel_eval"), _points(mu, "kernel_eval"))
+    _check_domain(spec, lam, "kernel_eval")
+    _check_domain(spec, mu, "kernel_eval")
     shape = lam.shape
     # evaluate on the sorted pair for exact symmetry
     hi = np.maximum(lam, mu).ravel()
@@ -386,9 +391,9 @@ def kernel_matrix(spec, x, sw):
     reversed. The rest of the matrix is copied from these by index
     reversal.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "kernel_matrix")
     sw = np.asarray(sw, dtype=float)
-    _check_domain(spec, x)
+    _check_domain(spec, x, "kernel_matrix")
     n = len(x)
     t = _variable(spec, x)
     out = np.empty((n, n))
@@ -415,7 +420,8 @@ def airy_convolution(lam, mu, upper=None, n=60):
     special-function call serves every pair.
     """
     n = _integer(n, "airy_convolution", 40)
-    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    lam, mu = np.broadcast_arrays(_points(lam, "airy_convolution"),
+                                  _points(mu, "airy_convolution"))
     # sorted arguments keep (lam, mu) -> (mu, lam) bit-identical
     lo_arg = np.minimum(lam, mu)
     hi_arg = np.maximum(lam, mu)

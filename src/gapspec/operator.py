@@ -23,13 +23,16 @@ call dispatch more than arithmetic, so the 25 rules of a verify run take
 about a quarter of their time one by one. Every node goes through the
 same float operations in the same order in any batch: a rule's bits do
 not depend on its batch.
+
+Every reader of a spectrum takes (gamma lambda_i, 1 - gamma lambda_i) from
+_gamma_lambda, or _scaled past a pole; no other code forms 1 - lambda. Their
+PrecisionWarnings (errors._warn) point at the line that called gapspec.
 """
 
 import collections
 import itertools
 import math
 import threading
-import warnings
 
 import numpy as np
 
@@ -40,9 +43,9 @@ from .errors import (
     DomainError,
     NumericalError,
     PoleError,
-    PrecisionWarning,
     _integer,
     _real,
+    _warn,
 )
 from .kernels import Family, IntervalSpec, _Record
 
@@ -232,7 +235,7 @@ def airy_truncation(s):
     diagonal tail integral is below 1e-17) and M >= s + 10.
     """
     m_star = (45.0 * 3.0 / 4.0) ** (2.0 / 3.0)
-    return max(float(s) + 10.0, m_star)
+    return max(_real(s, "airy_truncation", "s") + 10.0, m_star)
 
 
 class Discretization(_Record):
@@ -426,41 +429,33 @@ def _floor(n):
     return n * _EPS
 
 
-def _scaled(sp, gamma, caller, stacklevel=3):
-    """gamma lambda_i, for the finite gamma errors._real takes; a PrecisionWarning
-    when 1 - gamma lambda_0 is positive but below the floor, with no resolved
-    digit. fredholm_det reads this alone."""
+def _scaled(sp, gamma, caller):
+    """(gamma lambda_i, 1 - gamma lambda_i), for the finite gamma errors._real
+    takes; a PrecisionWarning when 1 - gamma lambda_0 is positive but below
+    the floor, with no resolved digit. fredholm_det reads this alone."""
     glam = _real(gamma, caller, "gamma") * np.asarray(sp.eigenvalues)
-    factor, floor = 1.0 - glam[0], _floor(sp.n)
-    if 0.0 < factor < floor:
-        warnings.warn(
-            f"{caller}: 1 - gamma*lambda_0 = {factor:.3e} is below the resolvable "
-            f"floor n*eps = {floor:.3e} (n = {sp.n}); the result is not accurate",
-            PrecisionWarning,
-            stacklevel=stacklevel,
-        )
-    return glam
+    factor, floor = 1.0 - glam, _floor(sp.n)
+    if 0.0 < factor[0] < floor:
+        _warn(f"{caller}: 1 - gamma*lambda_0 = {factor[0]:.3e} is below the resolvable "
+              f"floor n*eps = {floor:.3e} (n = {sp.n}); the result is not accurate")
+    return glam, factor
 
 
-def _gamma_lambda(sp, gamma, caller, stacklevel=3):
-    """_scaled, then PoleError unless every factor 1 - gamma lambda_i is
-    positive; read by every reader that takes a log of a factor or divides by one."""
-    glam = _scaled(sp, gamma, caller, stacklevel + 1)
-    if np.any(glam >= 1.0):
+def _gamma_lambda(sp, gamma, caller):
+    """(gamma lambda_i, 1 - gamma lambda_i) from _scaled, for every reader of a
+    spectrum, then PoleError unless every factor 1 - gamma lambda_i is positive."""
+    glam, factor = _scaled(sp, gamma, caller)
+    if np.any(factor <= 0.0):
         raise PoleError(f"{caller}: a factor 1 - gamma*lambda is nonpositive (gamma={gamma})")
-    return glam
+    return glam, factor
 
 
-def _product(glam, stacklevel):
+def _product(factor):
     """prod(1 - gamma lambda_i); warns when it underflows."""
-    det = float(np.prod(1.0 - glam))
-    if det == 0.0 and np.all(glam != 1.0):
-        warnings.warn(
-            "fredholm_det underflowed to 0.0 although no factor "
-            "1 - gamma*lambda is zero; use log_fredholm_det",
-            PrecisionWarning,
-            stacklevel=stacklevel,
-        )
+    det = float(np.prod(factor))
+    if det == 0.0 and np.all(factor != 0.0):
+        _warn("fredholm_det underflowed to 0.0 although no factor "
+              "1 - gamma*lambda is zero; use log_fredholm_det")
     return det
 
 
@@ -468,13 +463,14 @@ def fredholm_det(sp, gamma):
     """D(J; gamma) = prod(1 - gamma lambda_i), also at and past a pole; a NaN
     or infinite gamma is an ArgumentError. Warns when the product underflows
     or when 1 - gamma lambda_0 is below the floor."""
-    return _product(_scaled(sp, gamma, "fredholm_det"), stacklevel=3)
+    return _product(_scaled(sp, gamma, "fredholm_det")[1])
 
 
 def log_fredholm_det(sp, gamma):
-    """log D(J; gamma) via sum of log(1 - gamma lambda_i); warns when
-    1 - gamma lambda_0 is below the resolution floor (_floor)."""
-    return float(np.sum(np.log1p(-_gamma_lambda(sp, gamma, "log_fredholm_det"))))
+    """log D(J; gamma) via sum of log1p(-gamma lambda_i), which keeps the bits
+    of a small gamma lambda; warns when 1 - gamma lambda_0 is below the
+    resolution floor (_floor)."""
+    return float(np.sum(np.log1p(-_gamma_lambda(sp, gamma, "log_fredholm_det")[0])))
 
 
 def _esp_extend(mu, row, e, kmax):
@@ -531,15 +527,15 @@ def _counting(sp, n, least, gamma, times_det, name):
     if low < least:
         raise ArgumentError(f"{name} requires n >= {least}")
     g = _real(gamma, name, "gamma")
-    glam = _gamma_lambda(sp, g, name, stacklevel=4)
+    glam, factor = _gamma_lambda(sp, g, name)
     size = len(sp.eigenvalues)
     if low > size or top < 0:
         return np.zeros(deg.shape) if deg.ndim else 0.0
     memo = sp._esp_memo
     if memo is None or not _same_float(memo[0], g):
-        memo = (g, glam / (1.0 - glam), np.ones(size + 1), [1.0])
+        memo = (g, glam / factor, np.ones(size + 1), [1.0])
     _, mu, row, e = memo
-    det = _product(glam, stacklevel=4) if times_det else None
+    det = _product(factor) if times_det else None
     kmax = min(top, size)
     if kmax >= len(e):
         row, e = _esp_extend(mu, row, e, kmax)

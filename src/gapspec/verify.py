@@ -25,22 +25,21 @@ rows are those of rules solved one at a time.
 import functools
 import math
 import time
-import warnings
 
 import numpy as np
 
 from . import asymptotics as asym
 from . import kernels
-from .errors import ArgumentError, PrecisionWarning, _integer
+from .errors import ArgumentError, _integer, _real, _warn
 from .kernels import (
     AIRY,
     SINE,
     Family,
     IntervalSpec,
+    KernelSpec,
     _coerce_family,
     _Record,
     bessel_spec,
-    family_spec,
 )
 from .operator import (
     _floor,
@@ -99,10 +98,8 @@ def _scan(fam, a, n, t_grid, point, meta):
     """ScanResult of point(t, s, spectrum) over t_grid; spectrum() builds
     or reuses the (kernel, s, n) spectrum when called. A None row is
     dropped, notes go to meta["notes"], and meta gains n, family, a (the
-    order as the KernelSpec reads it) and seconds. point runs at a fixed
-    depth: its warnings take stacklevel=4 to reach the scan's caller (5
-    through _gamma_lambda)."""
-    spec = family_spec(fam, a)
+    order as the KernelSpec reads it) and seconds."""
+    spec = KernelSpec(fam, a)
     rows = []
     t0 = time.perf_counter()
     for t in t_grid:
@@ -127,21 +124,17 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     if not 0 <= i < n:
         raise ArgumentError(f"eig_ratio_scan requires 0 <= i < n = {n}, got i = {i}")
     lo, hi = _T_WINDOWS[fam]
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [_real(t, "eig_ratio_scan", "t") for t in t_grid]
     for t in t_grid:
         if not lo <= t <= hi:
             raise ArgumentError(f"t = {t} outside the desk-scale window [{lo}, {hi}]")
 
     def point(t, s, spectrum):
         sp = spectrum()
-        num = 1.0 - float(_gamma_lambda(sp, 1.0, "eig_ratio_scan", stacklevel=5)[i])
+        num = float(_gamma_lambda(sp, 1.0, "eig_ratio_scan")[1][i])
         if num < max(1e-13, _floor(sp.n)):
-            warnings.warn(
-                f"1 - lambda_{i} = {num:.3e} at t={t} is below resolvable "
-                "precision; point skipped",
-                PrecisionWarning,
-                stacklevel=4,
-            )
+            _warn(f"1 - lambda_{i} = {num:.3e} at t={t} is below resolvable precision; "
+                  "point skipped")
             return None, None
         pred = asym.eig_law(fam, i, s, a)
         return (t, num, pred, abs(num - pred) / abs(pred)), None
@@ -153,10 +146,10 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
     """Numeric log-determinant along a Stokes curve vs the transition
     expansion; the fitted power-law decay of the log-gap is recorded."""
     fam = _coerce_family(family)
-    chi = float(chi)
+    chi = _real(chi, "det_ratio_scan", "chi")
     n = _integer(n, "det_ratio_scan")
     p = asym.p_of_chi(chi, fam)
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [_real(t, "det_ratio_scan", "t") for t in t_grid]
 
     def point(t, s, spectrum):
         v = asym.stokes_v(fam, t, chi, a)
@@ -188,13 +181,11 @@ def lidskii_split(sp, v, p):
     residual product over the remaining spectrum, gamma = 1 - e^{-v}.
     v = inf is gamma = 1."""
     p = _integer(p, "lidskii_split", 0, "p")
-    v = float(v)
-    if not v > -math.inf:
-        raise ArgumentError(f"lidskii_split requires v > -inf, got {v}")
+    v = _real(v, "lidskii_split", "v", inf_ok=True)
     # every factor divides by 1 - lambda_i, whatever v is
-    lam = _gamma_lambda(sp, 1.0, "lidskii_split")
+    lam, factor = _gamma_lambda(sp, 1.0, "lidskii_split")
     ev = math.exp(-v)
-    mu = ev * lam / (1.0 - lam)
+    mu = ev * lam / factor
     factors = tuple(1.0 + float(m) for m in mu[:p])
     residual = float(np.prod(1.0 + mu[p:]))
     return factors, residual
@@ -216,15 +207,15 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
         raise ArgumentError(f"stokes_crossing_scan requires 1 <= q <= n = {n}, got q = {q}")
     if fam is Family.SINE:
         raise ArgumentError("stokes_crossing_scan is defined for Airy and Bessel")
-    t_grid = [float(t) for t in t_grid]
+    t_grid = [_real(t, "stokes_crossing_scan", "t") for t in t_grid]
 
     def point(t, s, spectrum):
         # stokes_v refuses t <= 1 first: the threshold and the spectrum
         # are not defined there
         pred = asym.stokes_v(fam, t, q - 0.5, a)
         thr = t ** -0.5 if fam is Family.AIRY else 1.0 / t
-        lam = float(_gamma_lambda(spectrum(), 1.0, "stokes_crossing_scan", stacklevel=5)[q - 1])
-        mu = lam / (1.0 - lam)
+        lam, factor = _gamma_lambda(spectrum(), 1.0, "stokes_crossing_scan")
+        mu = float(lam[q - 1] / factor[q - 1])
         if mu <= thr:
             # factor never reaches the threshold for any v > 0
             note = f"t={t}: factor {q} never crosses the threshold"
@@ -273,17 +264,14 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     n = _integer(n, "commuting_residual")
     if not 0 <= i < n:
         raise ArgumentError(f"commuting_residual requires 0 <= i < n = {n}, got i = {i}")
+    s = _real(s, "commuting_residual", "s")
     sizes = [_integer(v, "commuting_residual", 400, "m") for v in (m if np.ndim(m) else [m])]
-    spec = family_spec(fam, a)
-    d = build_discretization(spec, IntervalSpec(fam, float(s)), n)
+    spec = KernelSpec(fam, a)
+    d = build_discretization(spec, IntervalSpec(fam, s), n)
     sp, vecs = compute_spectrum_with_vectors(d)
     if sp.eigenvalues[i] < 1e-10:
-        warnings.warn(
-            f"eigenvalue {i} = {sp.eigenvalues[i]:.3e} is below 1e-10; "
-            "the eigenvector is not numerically trustworthy",
-            PrecisionWarning,
-            stacklevel=2,
-        )
+        _warn(f"eigenvalue {i} = {sp.eigenvalues[i]:.3e} is below 1e-10; "
+              "the eigenvector is not numerically trustworthy")
     w = np.asarray(d.weights)
     y = vecs[:, i]
     u_nodes = y / np.sqrt(w)
@@ -294,7 +282,7 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     # the Bessel quadrature grid is affine in sqrt(x), so interpolate there
     in_sqrt = fam is Family.BESSEL and not _is_even_integer(a)
     interp_nodes = np.sqrt(np.asarray(d.nodes)) if in_sqrt else np.asarray(d.nodes)
-    P, Q = _sturm_liouville(fam, a, float(s))
+    P, Q = _sturm_liouville(fam, a, s)
 
     def residual(size):
         # interpolate to size uniform interior points
@@ -321,7 +309,7 @@ def _convolution_deviation(s, sample_count, n, draw):
     """Max |direct - convolution| Airy kernel over sample_count pairs from
     [s, s+5]^2, each coordinate s + 5u for the next unit draw u = draw();
     every fifth pair is diagonal and takes one draw, to exercise that path."""
-    s = float(s)
+    s = _real(s, "convolution_check", "s")
     lam, mu = [], []
     for j in range(_integer(sample_count, "convolution_check")):
         lam.append(s + 5.0 * draw())
@@ -345,14 +333,14 @@ def logderiv_check(family, s, chi, a=0.0, n=120):
     gamma = 1 is the k = 0 curve of the expansion, so chi must lie in
     [-1/2, 1/2); a larger chi would compare two different quantities."""
     fam = _coerce_family(family)
-    chi = float(chi)
+    chi = _real(chi, "logderiv_check", "chi")
     if not -0.5 <= chi < 0.5:
         raise ArgumentError(
             "logderiv_check requires -1/2 <= chi < 1/2 (gamma = 1 is the k = 0 "
             f"curve), got chi={chi}"
         )
     pred = asym.logderiv(fam, s, math.inf, chi, a)
-    num = d_ds_log_det(family_spec(fam, a), s, 1.0, n=n)
+    num = d_ds_log_det(KernelSpec(fam, a), s, 1.0, n=n)
     return abs(num - pred) / abs(pred)
 
 

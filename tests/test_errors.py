@@ -1,12 +1,16 @@
 """The three argument readers of gapspec.errors: every size and index goes
-through _integer, gamma, interval ends and sine kernel points through _real,
+through _integer, gamma, s, v, t, chi and sine kernel points through _real,
 and the Bessel order through _bessel_order. Each reader refuses with its
 own exception type and one message, and what it accepts keeps its bits. A
 non-number (a string, None, a bool, a complex number) is refused by _real
-and _bessel_order as by _integer, never parsed or converted; sine and Airy,
-which have no order, refuse any a but 0 (kernels._order)."""
+and _bessel_order as by _integer, never parsed or converted, and a kernel
+point before numpy converts it; sine and Airy, which have no order, refuse
+any a but 0 (kernels._order). errors._warn is the one place a warning is
+issued."""
 
+import ast
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -22,11 +26,12 @@ from gapspec.kernels import (
     KernelSpec,
     airy_convolution,
     bessel_spec,
-    family_spec,
     kernel_eval,
+    kernel_matrix,
 )
 from gapspec.operator import (
     Spectrum,
+    airy_truncation,
     build_discretization,
     compute_spectrum,
     counting_prob,
@@ -42,6 +47,7 @@ from gapspec.verify import (
     det_ratio_scan,
     eig_ratio_scan,
     lidskii_split,
+    logderiv_check,
     stokes_crossing_scan,
 )
 
@@ -133,27 +139,67 @@ _REALS = {
                                     lambda g: counting_prob(_SP, [_SP.n + 1, _SP.n + 2], g)),
     "d_ds_log_det-gamma": ("d_ds_log_det", "gamma", lambda g: d_ds_log_det(SINE, 2.0, g, n=40)),
     "IntervalSpec-s": ("sine interval", "s", lambda s: IntervalSpec("sine", s)),
-    "kernel_eval-sine-point": ("sine kernel", "point", lambda x: kernel_eval(SINE, [0.5, x], 0.0)),
+    "kernel_eval-sine-point": ("kernel_eval", "point", lambda x: kernel_eval(SINE, [0.5, x], 0.0)),
+    "kernel_matrix-sine-point": ("kernel_matrix", "point",
+                                 lambda x: kernel_matrix(SINE, [0.5, x], [1.0, 1.0])),
+    "airy_truncation-s": ("airy_truncation", "s", airy_truncation),
+    "gap-s": ("airy gap", "s <= -2", lambda s: asym.gap(Family.AIRY, s)),
+    "sine_det_sub-s": ("sine_det_sub", "s", lambda s: asym.sine_det_sub(s, 1.0)),
+    "sine_det_sub-v": ("sine_det_sub", "v", lambda v: asym.sine_det_sub(4.0, v)),
+    "logderiv-s": ("airy logderiv", "s", lambda s: asym.logderiv(Family.AIRY, s, math.inf, 0.0)),
+    "transition-s": ("airy_transition", "s", lambda s: asym.transition(Family.AIRY, s, 2.0, 2)),
+    "transition-v": ("airy_transition", "v", lambda v: asym.transition(Family.AIRY, -6.0, v, 2)),
+    "sigma_pm-t": ("sigma_pm", "t", lambda t: asym.sigma_pm(Family.AIRY, "+", 0, 0.2, t)),
+    "lidskii_split-v": ("lidskii_split", "v", lambda v: lidskii_split(_SMALL, v, 1)),
+    "commuting_residual-s": ("commuting_residual", "s",
+                             lambda s: commuting_residual(Family.SINE, 0, s)),
+    "convolution_check-s": ("convolution_check", "s", lambda s: convolution_check(s)),
+    "det_ratio_scan-chi": ("det_ratio_scan", "chi",
+                           lambda c: det_ratio_scan(Family.AIRY, c, [6.0], n=80)),
+    "logderiv_check-chi": ("logderiv_check", "chi",
+                           lambda c: logderiv_check(Family.AIRY, -6.0, c, n=80)),
+    # every item of a grid is read before the first spectrum
+    "eig_ratio_scan-t": ("eig_ratio_scan", "t",
+                         lambda t: eig_ratio_scan(Family.SINE, 0, [3.0, t], n=80)),
+    "det_ratio_scan-t": ("det_ratio_scan", "t",
+                         lambda t: det_ratio_scan(Family.AIRY, 0.0, [6.0, t], n=80)),
+    "stokes_crossing_scan-t": ("stokes_crossing_scan", "t",
+                               lambda t: stokes_crossing_scan(Family.AIRY, 1, [8.0, t], n=80)),
+}
+# the readers of v, where v = +inf is gamma = 1 and is taken
+_INF_OK = {"transition-v", "lidskii_split-v"}
+# readers of a non-number only: airy_convolution takes any float point
+_POINTS = {
+    "airy_convolution-point": ("airy_convolution", "point",
+                               lambda x: airy_convolution([0.5, x], 0.0)),
 }
 
 # each refused as it stands: '2' is not parsed, True is not 1, 2+0j not 2
 _NON_NUMBERS = ["2", None, True, 2 + 0j]
 
+_NON_FINITE = [(key, x) for key in sorted(_REALS) for x in (math.nan, math.inf, -math.inf)
+               if not (key in _INF_OK and x == math.inf)]
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
-@pytest.mark.parametrize("key", sorted(_REALS))
+
+@pytest.mark.parametrize("key, x", _NON_FINITE, ids=[f"{k}-{x!r}" for k, x in _NON_FINITE])
 def test_real_reader_refuses(key, x):
     name, what, call = _REALS[key]
-    message = f"{name} requires a finite {what}, got {x}"
+    allowed = "finite or +inf" if key in _INF_OK else "finite"
+    message = f"{name} requires a {allowed} {what}, got {x}"
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call(x)
 
 
-# kernel_eval's points are arrays, which numpy converts before any reader
+def test_v_takes_plus_inf_as_gamma_one():
+    assert lidskii_split(_SMALL, math.inf, 1) == ((1.0,), 1.0)
+    te = asym.transition(Family.AIRY, -6.0, math.inf, 2)
+    assert te.excesses == (0.0, 0.0) and te.log_value == asym.gap(Family.AIRY, -6.0)
+
+
 @pytest.mark.parametrize("x", _NON_NUMBERS, ids=repr)
-@pytest.mark.parametrize("key", sorted(set(_REALS) - {"kernel_eval-sine-point"}))
+@pytest.mark.parametrize("key", sorted(set(_REALS) | set(_POINTS)))
 def test_real_reader_refuses_non_numbers(key, x):
-    name, what, call = _REALS[key]
+    name, what, call = {**_REALS, **_POINTS}[key]
     message = f"{name} takes a real {what}, got {x!r}"
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call(x)
@@ -163,7 +209,6 @@ def test_real_reader_refuses_non_numbers(key, x):
 _ORDERS = {
     "KernelSpec": ("KernelSpec", lambda a: KernelSpec(Family.BESSEL, a)),
     "bessel_spec": ("KernelSpec", bessel_spec),
-    "family_spec": ("KernelSpec", lambda a: family_spec("bessel", a)),
     "bessel_j_pair": ("bessel_j_pair", lambda a: specfun.bessel_j_pair(a, [1.0, 2.0])),
     "bessel_j": ("bessel_j_pair", lambda a: specfun.bessel_j(a, 1.0)),
     "gap": ("bessel gap", lambda a: asym.gap(Family.BESSEL, 16.0, a)),
@@ -200,7 +245,6 @@ def test_bessel_order_reader_refuses_non_numbers(key, a):
 _NO_ORDERS = {
     "KernelSpec-sine": ("KernelSpec", "sine", lambda a: KernelSpec(Family.SINE, a)),
     "KernelSpec-airy": ("KernelSpec", "airy", lambda a: KernelSpec("airy", a)),
-    "family_spec": ("KernelSpec", "sine", lambda a: family_spec("sine", a)),
     "eig_law": ("sine eig_law", "sine", lambda a: asym.eig_law("sine", 0, 5.0, a=a)),
     "gap": ("airy gap", "airy", lambda a: asym.gap(Family.AIRY, -6.0, a)),
     "transition": ("sine_transition", "sine",
@@ -243,7 +287,7 @@ def test_accepted_reals_and_orders_keep_the_bits():
     for zero in (0, 0.0, -0.0, np.int64(0), np.float64(-0.0)):
         for fam in (Family.SINE, Family.AIRY):
             spec = KernelSpec(fam, zero)
-            assert spec == family_spec(fam) and repr(spec.a) == "0.0"
+            assert spec == KernelSpec(fam) and repr(spec.a) == "0.0"
         assert asym.eig_law("sine", 1, 5.0, zero) == asym.eig_law("sine", 1, 5.0)
     assert eig_ratio_scan("sine", 0, [5.0], n=80).metadata["a"] == 0.0
     # Python and numpy ints and floats keep their value as floats
@@ -252,3 +296,23 @@ def test_accepted_reals_and_orders_keep_the_bits():
         assert IntervalSpec("sine", x).s.hex() == float(x).hex()
     assert log_fredholm_det(_SP, np.float64(0.5)) == log_fredholm_det(_SP, 0.5)
     assert counting_prob(_SP, 1, 1) == counting_prob(_SP, 1, 1.0)
+
+
+def test_warnings_come_only_from_errors_warn():
+    # errors._warn finds the caller's frame itself: no other module issues a
+    # warning, and no function takes a hand-counted stacklevel
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "gapspec"
+    warns, stacklevels = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "warn" and (
+                    isinstance(func.value, ast.Name) and func.value.id == "warnings"):
+                warns.append(path.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                if "stacklevel" in names:
+                    stacklevels.append(f"{path.name}:{node.lineno}")
+    assert warns == ["errors.py"]
+    assert stacklevels == []

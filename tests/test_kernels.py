@@ -340,8 +340,8 @@ def _kernel_eval_one_pair(spec, lam, mu):
     # the former one-pair implementation, kept verbatim as the reference
     lam = float(lam)
     mu = float(mu)
-    kernels._check_domain(spec, lam)
-    kernels._check_domain(spec, mu)
+    kernels._check_domain(spec, lam, "kernel_eval")
+    kernels._check_domain(spec, mu, "kernel_eval")
     if mu > lam:  # evaluate on the sorted pair for exact symmetry
         lam, mu = mu, lam
     if spec.family is Family.BESSEL and lam == 0.0:

@@ -13,7 +13,7 @@ import pytest
 from gapspec import asymptotics, kernels, verify
 from gapspec import operator as operator_module
 from gapspec.errors import ArgumentError, PoleError, PrecisionWarning
-from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, family_spec
+from gapspec.kernels import AIRY, SINE, Family, IntervalSpec, KernelSpec
 from gapspec.operator import (
     Spectrum,
     build_discretization,
@@ -21,7 +21,10 @@ from gapspec.operator import (
     compute_spectrum_with_vectors,
     counting_prob,
     counting_ratio,
+    d_ds_log_det,
+    fredholm_det,
     gauss_legendre,
+    log_fredholm_det,
 )
 from gapspec.verify import (
     ScanResult,
@@ -145,7 +148,8 @@ class TestLidskii:
     def test_v_without_a_gamma(self, v):
         # gamma = 1 - e^{-v} is -inf at v = -inf and undefined at v = nan
         sp = Spectrum(np.array([0.5, 0.2]), 2, {})
-        with pytest.raises(ArgumentError, match="v > -inf"):
+        message = rf"^lidskii_split requires a finite or \+inf v, got {v}$"
+        with pytest.raises(ArgumentError, match=message):
             lidskii_split(sp, v, 1)
 
     def test_negative_p(self):
@@ -262,22 +266,40 @@ class TestScanDriver:
         assert set(scan().metadata) == keys
 
     def test_warnings_point_at_the_caller(self, monkeypatch):
-        # 1 - lambda_0 = 1.5e-13 is under the floor n eps at n = 1000: both
-        # scans warn for the floor, and eig_ratio_scan skips the point too
-        def deep(spec, interval, n):
-            return Spectrum(np.array([1.0 - 1.5e-13, 0.5]), 1000, {})
-
-        monkeypatch.setattr(verify, "_spectrum", deep)
-        with pytest.warns(PrecisionWarning) as rec:
-            eig_ratio_scan(Family.SINE, 0, [3.0], n=1000)
-            stokes_crossing_scan(Family.AIRY, 1, [6.0], n=1000)
+        # every public source of a PrecisionWarning, each warning pointed at
+        # the line that called gapspec (errors._warn), however deep the call.
+        # 1 - lambda_0 = 1.5e-13 is under the floor n eps at n = 1000: every
+        # reader of its factors warns, and eig_ratio_scan skips the point too;
+        # det_ratio_scan reads it at gamma = 1 (Airy t = 800, where v > 700)
+        deep = Spectrum(np.array([1.0 - 1.5e-13, 0.5]), 1000, {})
+        monkeypatch.setattr(verify, "_spectrum", lambda spec, interval, n: deep)
+        # 0.1^800 is below the smallest double: the product underflows
+        tiny = Spectrum(np.full(800, 0.9), 800, {})
+        # at Airy s = -12, n = 160 the computed 1 - lambda_0 is under the floor
+        sources = [
+            (lambda: fredholm_det(deep, 1.0), ["fredholm_det: 1 - gamma*lambda_0"]),
+            (lambda: fredholm_det(tiny, 1.0), ["fredholm_det underflowed"]),
+            (lambda: log_fredholm_det(deep, 1.0), ["log_fredholm_det: "]),
+            (lambda: counting_prob(deep, 1), ["counting_prob: "]),
+            (lambda: counting_prob(tiny, 0), ["fredholm_det underflowed"]),
+            (lambda: counting_ratio(deep, 1), ["counting_ratio: "]),
+            (lambda: d_ds_log_det(AIRY, -12.0, 1.0, n=160), ["d_ds_log_det: "]),
+            (lambda: lidskii_split(deep, 1.0, 1), ["lidskii_split: "]),
+            (lambda: eig_ratio_scan(Family.SINE, 0, [3.0], n=1000),
+             ["eig_ratio_scan: ", "1 - lambda_0 = 1.500e-13 at t=3.0 is below"]),
+            (lambda: det_ratio_scan(Family.AIRY, 0.0, [800.0], n=1000), ["log_fredholm_det: "]),
+            (lambda: stokes_crossing_scan(Family.AIRY, 1, [6.0], n=1000),
+             ["stokes_crossing_scan: "]),
+            (lambda: logderiv_check(Family.AIRY, -12.0, 0.0, n=160), ["d_ds_log_det: "]),
             # lambda_12 of the n = 60 sine matrix at s = 1 is about 1e-17
-            commuting_residual(Family.SINE, 12, 1.0, n=60, m=400)
-        messages = sorted(str(w.message).split(":")[0] for w in rec)
-        assert messages.pop(2).startswith("eigenvalue 12 = ")
-        assert messages == ["1 - lambda_0 = 1.500e-13 at t=3.0 is below resolvable precision; point skipped",
-                            "eig_ratio_scan", "stokes_crossing_scan"]
-        assert [w.filename for w in rec] == [__file__] * 4
+            (lambda: commuting_residual(Family.SINE, 12, 1.0, n=60, m=400), ["eigenvalue 12 = "]),
+        ]
+        for call, starts in sources:
+            with pytest.warns(PrecisionWarning) as rec:
+                call()
+            assert [str(w.message)[: len(p)] for w, p in zip(rec, starts)] == starts
+            line = call.__code__.co_firstlineno
+            assert [(w.filename, w.lineno) for w in rec] == [(__file__, line)] * len(starts)
 
 
 def test_rule_plan_is_complete(monkeypatch):
@@ -332,7 +354,7 @@ class TestCommutingResidual:
         m = int(m)
         if m < 400:
             raise ArgumentError(f"commuting_residual requires m >= 400, got {m}")
-        spec = family_spec(fam, a)
+        spec = KernelSpec(fam, a)
         d = build_discretization(spec, IntervalSpec(fam, float(s)), int(n))
         sp, vecs = compute_spectrum_with_vectors(d)
         w = np.asarray(d.weights)
@@ -477,8 +499,10 @@ class TestPointChecks:
     @pytest.mark.parametrize("chi", [0.5, 0.7, 1.2, -0.6, math.nan])
     def test_logderiv_chi_outside_gamma_one_curve_rejected(self, chi):
         # the numeric side is always gamma = 1; at chi = 0.7 the expansion
-        # belongs to k = 1 and the two sides differed by 3.6% at Airy s = -6
-        with pytest.raises(ArgumentError, match="chi < 1/2"):
+        # belongs to k = 1 and the two sides differed by 3.6% at Airy s = -6;
+        # a NaN is no chi at all, and errors._real refuses it first
+        match = "requires a finite chi, got nan$" if math.isnan(chi) else "chi < 1/2"
+        with pytest.raises(ArgumentError, match=match):
             logderiv_check(Family.AIRY, -6.0, chi, n=80)
 
 
