@@ -315,6 +315,7 @@ def transition(family, s, v, p, a=0.0, chi=None):
     v = _real(v, name, "v", inf_ok=True)
     if not v > 0.0:
         raise ArgumentError(f"{name} requires v > 0, got {v}")
+    chi = None if chi is None else _real(chi, name, "chi")
     exc = tuple(math.exp(_log_excess(fam, i, t, v, a)) for i in range(p))
     return TransitionExpansion(
         law.gap(s, a),

@@ -1,15 +1,19 @@
 """Exception and warning types shared across the package, and the one reader
 of each argument kind, with its one rule and message: _integer (sizes and
-indices), _real (gamma and other real parameters) and _bessel_order (a).
-_real and _bessel_order take only real numbers (_number): a string, None, a
-bool or a complex number is an ArgumentError, never parsed or converted.
-_warn issues every PrecisionWarning, at the line that called gapspec."""
+indices), _real (gamma and other real parameters), _reals (a grid of
+them), _points (arrays of points and weights), _complex (a complex
+argument) and _bessel_order (a). The real readers take only real numbers
+(_number): a string, None, a bool or a complex number is an ArgumentError,
+never parsed or converted. _warn issues every PrecisionWarning, at the
+line that called gapspec."""
 
 import math
 import numbers
 import operator
 import sys
 import warnings
+
+import numpy as np
 
 __all__ = [
     "DomainError",
@@ -81,6 +85,33 @@ def _real(x, name, what, inf_ok=False):
         allowed = "finite or +inf" if inf_ok else "finite"
         raise ArgumentError(f"{name} requires a {allowed} {what}, got {x}")
     return x
+
+
+def _reals(xs, name, what):
+    """Each item of the sequence xs through _real; an xs that is not
+    iterable (a number, None) is an ArgumentError."""
+    try:
+        items = iter(xs)
+    except TypeError:
+        raise ArgumentError(f"{name} takes a sequence of real {what} values, got {xs!r}") from None
+    return [_real(x, name, what) for x in items]
+
+
+def _points(x, name, what="point"):
+    """x as a float array. A point that is not a real number (a string, None,
+    a bool, a complex number) is an ArgumentError naming name, refused before
+    numpy would convert it; an int or float array is taken as it is."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        for p in np.array(x, dtype=object).flat:
+            _number(p, name, what)
+    return np.asarray(x, dtype=float)
+
+
+def _complex(z, name):
+    """z as a complex; anything but a number (a bool included) is refused."""
+    if not isinstance(z, numbers.Complex) or isinstance(z, bool):
+        raise ArgumentError(f"{name} takes a complex z, got {z!r}")
+    return complex(z)
 
 
 def _bessel_order(a, name):

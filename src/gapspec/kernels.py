@@ -35,7 +35,15 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import ArgumentError, DomainError, _bessel_order, _integer, _number, _real
+from .errors import (
+    ArgumentError,
+    DomainError,
+    _bessel_order,
+    _integer,
+    _number,
+    _points,
+    _real,
+)
 from .specfun import bessel_j_pair
 
 __all__ = [
@@ -160,16 +168,6 @@ class IntervalSpec(_Record):
                 raise DomainError(f"Bessel interval requires s > 0, got {s}")
             lo, hi, t = 0.0, s, math.sqrt(s)
         self._set(family=fam, s=s, lo=lo, hi=hi, t=t)
-
-
-def _points(x, name):
-    """x as a float array. A point that is not a real number (a string, None,
-    a bool, a complex number) is an ArgumentError naming name, refused before
-    numpy would convert it; an int or float array is taken as it is."""
-    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
-        for p in np.array(x, dtype=object).flat:
-            _number(p, name, "point")
-    return np.asarray(x, dtype=float)
 
 
 def _check_domain(spec, x, name):
@@ -392,7 +390,7 @@ def kernel_matrix(spec, x, sw):
     reversal.
     """
     x = _points(x, "kernel_matrix")
-    sw = np.asarray(sw, dtype=float)
+    sw = _points(sw, "kernel_matrix", "weight")
     _check_domain(spec, x, "kernel_matrix")
     n = len(x)
     t = _variable(spec, x)
@@ -428,7 +426,9 @@ def airy_convolution(lam, mu, upper=None, n=60):
     if upper is None:
         # place both shifted arguments where Ai^2 < 1e-18: Ai(11) ~ 1e-11
         upper = np.maximum(11.0 - lo_arg, 11.0)
-    lo_arg, hi_arg, upper = np.broadcast_arrays(lo_arg, hi_arg, np.asarray(upper, dtype=float))
+    else:
+        upper = _points(upper, "airy_convolution", "upper")
+    lo_arg, hi_arg, upper = np.broadcast_arrays(lo_arg, hi_arg, upper)
     half = 0.5 * upper
     from .operator import gauss_legendre
 

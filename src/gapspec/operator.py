@@ -315,10 +315,11 @@ class Spectrum(_Record):
     """Descending eigenvalues of a discretized operator, validated to (0,1).
 
     A spectrum also keeps, out of sight of == and repr, the counting state
-    of the last gamma it was read at: mu, the highest ESP row reached and
-    e_0..e_k. counting_prob and counting_ratio extend it instead of
-    starting again at e_0, so a table E(0..k) read one degree at a time
-    costs one pass per degree in all.
+    of the last gamma it was read at (_counting): the checked factors
+    1 - gamma lambda_i, mu, the highest ESP row reached, e_0..e_k and D.
+    counting_prob and counting_ratio read and extend it instead of starting
+    again from the eigenvalues, so a table E(0..k) read one degree at a
+    time costs one pass per degree in all.
     """
 
     _fields = ("eigenvalues", "n", "meta")
@@ -429,15 +430,22 @@ def _floor(n):
     return n * _EPS
 
 
-def _scaled(sp, gamma, caller):
-    """(gamma lambda_i, 1 - gamma lambda_i), for the finite gamma errors._real
-    takes; a PrecisionWarning when 1 - gamma lambda_0 is positive but below
-    the floor, with no resolved digit. fredholm_det reads this alone."""
-    glam = _real(gamma, caller, "gamma") * np.asarray(sp.eigenvalues)
-    factor, floor = 1.0 - glam, _floor(sp.n)
+def _check_floor(factor, n, caller):
+    """A PrecisionWarning when 1 - gamma lambda_0 = factor[0] is positive but
+    below the floor, with no resolved digit. _scaled and a counting read of
+    the memo both warn through it, so its message is written once."""
+    floor = _floor(n)
     if 0.0 < factor[0] < floor:
         _warn(f"{caller}: 1 - gamma*lambda_0 = {factor[0]:.3e} is below the resolvable "
-              f"floor n*eps = {floor:.3e} (n = {sp.n}); the result is not accurate")
+              f"floor n*eps = {floor:.3e} (n = {n}); the result is not accurate")
+
+
+def _scaled(sp, gamma, caller):
+    """(gamma lambda_i, 1 - gamma lambda_i), for the finite gamma errors._real
+    takes, with _check_floor's warning. fredholm_det reads this alone."""
+    glam = _real(gamma, caller, "gamma") * np.asarray(sp.eigenvalues)
+    factor = 1.0 - glam
+    _check_floor(factor, sp.n, caller)
     return glam, factor
 
 
@@ -450,9 +458,11 @@ def _gamma_lambda(sp, gamma, caller):
     return glam, factor
 
 
-def _product(factor):
-    """prod(1 - gamma lambda_i); warns when it underflows."""
-    det = float(np.prod(factor))
+def _product(factor, det=None):
+    """prod(1 - gamma lambda_i), or det when it is already known from these
+    factors; warns when it underflows."""
+    if det is None:
+        det = float(np.prod(factor))
     if det == 0.0 and np.all(factor != 0.0):
         _warn("fredholm_det underflowed to 0.0 although no factor "
               "1 - gamma*lambda is zero; use log_fredholm_det")
@@ -482,10 +492,12 @@ def _esp_extend(mu, row, e, kmax):
     sum of positive terms, stable even when the mu span many orders of
     magnitude, and costs one array pass instead of a loop over mu. Row k
     does not depend on kmax, or on where a previous extension stopped.
+    np.add.accumulate is np.cumsum's loop without its Python wrapper, which
+    costs more than the pass at these sizes.
     """
     e = list(e)
     for k in range(len(e), kmax + 1):
-        row = np.cumsum(mu[k - 1 :] * row[:-1])
+        row = np.add.accumulate(mu[k - 1 :] * row[:-1])
         e.append(row[-1])
     return row, e
 
@@ -504,14 +516,19 @@ def _counting(sp, n, least, gamma, times_det, name):
     """e_k(mu), mu = g l/(1 - g l), at the degrees n (an int or a 1-D array),
     times D(J; gamma) if times_det.
 
-    The ESP comes from sp's memo of the last gamma, extended to the largest
-    degree asked for when it holds less; row k does not depend on where the
-    recurrence stopped before, so each value is the one a call for degree k
-    alone gives. D and the factor check run on every call, and the memo
-    takes nothing from a call that raised. A degree above N gives 0, once
-    gamma and the factors are checked. A degree that is not of integer
-    dtype (a float or a bool) is refused, not truncated; an empty list is
-    accepted.
+    sp's memo holds the state of the last gamma read: gamma, the checked
+    factors 1 - gamma lambda_i, mu, the highest ESP row reached, e_0..e_k,
+    and D once a call has needed it. A call at another gamma checks the
+    factors (_gamma_lambda) and starts a new state; a call at the memo's
+    gamma repeats the floor and underflow warnings from the state's factors
+    and D, and extends the ESP to the largest degree asked for when it
+    holds less. Row k does not depend on where the recurrence stopped
+    before, so each value is the one a call for degree k alone gives. A
+    gamma that raises PoleError never enters the memo, so it raises on
+    every call, and the memo takes nothing from a call that raised. A
+    degree above N gives 0, once gamma and the factors are checked. A
+    degree that is not of integer dtype (a float or a bool) is refused, not
+    truncated; an empty list is accepted.
     """
     deg = np.asarray(n)
     if deg.dtype.kind not in "iu" and deg.size:
@@ -527,19 +544,22 @@ def _counting(sp, n, least, gamma, times_det, name):
     if low < least:
         raise ArgumentError(f"{name} requires n >= {least}")
     g = _real(gamma, name, "gamma")
-    glam, factor = _gamma_lambda(sp, g, name)
-    size = len(sp.eigenvalues)
+    memo = sp._esp_memo
+    if memo is not None and _same_float(memo[0], g):
+        _, factor, mu, row, e, det = memo
+        _check_floor(factor, sp.n, name)
+    else:
+        glam, factor = _gamma_lambda(sp, g, name)
+        mu, row, e, det = glam / factor, np.ones(len(factor) + 1), [1.0], None
+    size = len(factor)
     if low > size or top < 0:
         return np.zeros(deg.shape) if deg.ndim else 0.0
-    memo = sp._esp_memo
-    if memo is None or not _same_float(memo[0], g):
-        memo = (g, glam / factor, np.ones(size + 1), [1.0])
-    _, mu, row, e = memo
-    det = _product(factor) if times_det else None
+    if times_det:
+        det = _product(factor, det)
     kmax = min(top, size)
     if kmax >= len(e):
         row, e = _esp_extend(mu, row, e, kmax)
-    sp._set(_esp_memo=(g, mu, row, e))
+    sp._set(_esp_memo=(g, factor, mu, row, e, det))
     if deg.ndim:
         # index kmax + 1 holds e = 0 for every degree above N
         e = np.array(e[: kmax + 1] + [0.0])[np.minimum(deg, kmax + 1)]
@@ -555,13 +575,14 @@ def counting_prob(sp, n, gamma=1.0):
     process in J: prod(1 - gamma lambda) * e_n(mu), mu = g l/(1 - g l).
 
     n is an int (a float is returned) or a 1-D array of degrees (an array
-    is returned). The ESP rows are kept on sp for the last gamma, so calls
-    on one spectrum and gamma, in any order, cost one array pass per degree
-    in all, and each value is the one a fresh call gives. A NaN or infinite
-    gamma is an ArgumentError. D(J; gamma) and the factor check (PoleError
-    at a nonpositive 1 - gamma lambda) run on every call, so a
-    PrecisionWarning is issued by every call whose D underflows or whose
-    1 - gamma lambda_0 is below the floor (_floor)."""
+    is returned). The state of one spectrum and gamma (the checked factors,
+    mu, the ESP rows and D) is made once and kept on sp for the last gamma,
+    so calls on one spectrum and gamma, in any order, cost one array pass
+    per degree in all, and each value is the one a fresh call gives. A NaN
+    or infinite gamma is an ArgumentError. A gamma with a nonpositive
+    factor 1 - gamma lambda is never kept, so PoleError comes on every
+    call, and a PrecisionWarning is issued by every call whose D underflows
+    or whose 1 - gamma lambda_0 is below the floor (_floor)."""
     return _counting(sp, n, 0, gamma, True, "counting_prob")
 
 
@@ -589,6 +610,7 @@ def d_ds_log_det(spec, s, gamma, n=80):
     endpoints give equal R. One discretization and one linear solve; the
     spectrum is computed only for its checks (DegeneracyError, PoleError).
     """
+    s = _real(s, "d_ds_log_det", "s")
     gamma = _real(gamma, "d_ds_log_det", "gamma")
     d = build_discretization(spec, IntervalSpec(spec.family, s), n)
     # the solve's condition number is about 1 / (1 - gamma lambda_0)

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import _coeffs
-from .errors import DomainError, _bessel_order
+from .errors import DomainError, _bessel_order, _complex, _points, _real
 
 __all__ = [
     "airy_pair",
@@ -230,7 +230,7 @@ def _airy_cheb(x):
 
 def airy_pair(x):
     """(Ai(x), Ai'(x)) elementwise, for x (scalar or array) in [-40, 200]."""
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "airy_pair")
     _check_range("airy_pair", x, AIRY_LO, AIRY_HI)
     ai = np.empty(x.shape)
     aip = np.empty(x.shape)
@@ -388,7 +388,7 @@ def bessel_j_pair(a, x):
     """(J_a(x), J_{a+1}(x)) elementwise, for real order a > -1 and x
     (scalar or array) in [0, 1e4]."""
     a = _bessel_order(a, "bessel_j_pair")
-    x = np.asarray(x, dtype=float)
+    x = _points(x, "bessel_j_pair")
     _check_range("bessel_j_pair", x, 0.0, BESSEL_XMAX)
     ja = np.empty(x.shape)
     ja1 = np.empty(x.shape)
@@ -426,7 +426,7 @@ def bessel_j_prime(a, x):
 
 def log_gamma(x):
     """log Gamma(x) for real x > 0."""
-    x = float(x)
+    x = _real(x, "log_gamma", "x")
     if x <= 0.0:
         raise DomainError(f"log_gamma: x={x} must be positive")
     return math.lgamma(x)
@@ -460,7 +460,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 def log_gamma_complex(z):
     """Principal-branch log Gamma(z) for complex z with Re z > 0."""
-    z = complex(z)
+    z = _complex(z, "log_gamma_complex")
     if z.real <= 0.0:
         raise DomainError(f"log_gamma_complex: Re z={z.real} must be positive")
     if z.imag == 0.0:
@@ -498,6 +498,7 @@ def _borwein_c():
 
 def zeta_real(s):
     """Riemann zeta(s) for real s >= 2, ~1e-16 relative accuracy."""
+    s = _real(s, "zeta_real", "s")
     if s < 2:
         raise DomainError("zeta_real requires s >= 2")
     total = 0.0
@@ -590,7 +591,7 @@ def log_barnes_g(z):
     ln G(z+1) = ln Gamma(z) + ln G(z) for moderate reduction, and a
     Stirling-type expansion once |z| is large.
     """
-    z = complex(z)
+    z = _complex(z, "log_barnes_g")
     if z.real <= 0.0:
         raise DomainError(f"log_barnes_g: Re z={z.real} must be positive")
     w = z - 1.0

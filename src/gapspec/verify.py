@@ -30,7 +30,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import kernels
-from .errors import ArgumentError, _integer, _real, _warn
+from .errors import ArgumentError, _integer, _real, _reals, _warn
 from .kernels import (
     AIRY,
     SINE,
@@ -124,7 +124,7 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     if not 0 <= i < n:
         raise ArgumentError(f"eig_ratio_scan requires 0 <= i < n = {n}, got i = {i}")
     lo, hi = _T_WINDOWS[fam]
-    t_grid = [_real(t, "eig_ratio_scan", "t") for t in t_grid]
+    t_grid = _reals(t_grid, "eig_ratio_scan", "t")
     for t in t_grid:
         if not lo <= t <= hi:
             raise ArgumentError(f"t = {t} outside the desk-scale window [{lo}, {hi}]")
@@ -149,7 +149,7 @@ def det_ratio_scan(family, chi, t_grid, a=0.0, n=120):
     chi = _real(chi, "det_ratio_scan", "chi")
     n = _integer(n, "det_ratio_scan")
     p = asym.p_of_chi(chi, fam)
-    t_grid = [_real(t, "det_ratio_scan", "t") for t in t_grid]
+    t_grid = _reals(t_grid, "det_ratio_scan", "t")
 
     def point(t, s, spectrum):
         v = asym.stokes_v(fam, t, chi, a)
@@ -207,7 +207,7 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
         raise ArgumentError(f"stokes_crossing_scan requires 1 <= q <= n = {n}, got q = {q}")
     if fam is Family.SINE:
         raise ArgumentError("stokes_crossing_scan is defined for Airy and Bessel")
-    t_grid = [_real(t, "stokes_crossing_scan", "t") for t in t_grid]
+    t_grid = _reals(t_grid, "stokes_crossing_scan", "t")
 
     def point(t, s, spectrum):
         # stokes_v refuses t <= 1 first: the threshold and the spectrum
@@ -322,7 +322,8 @@ def _convolution_deviation(s, sample_count, n, draw):
 def convolution_check(s, sample_count=25, n=60, seed=20260826):
     """Max deviation between the direct Airy kernel and its convolution
     form over random samples from [s, s+5]^2, diagonal pairs included. The
-    unit draws come from np.random.default_rng(seed)."""
+    unit draws come from np.random.default_rng(seed), seed an integer >= 0."""
+    seed = _integer(seed, "convolution_check", 0, "seed")
     return _convolution_deviation(s, sample_count, n, np.random.default_rng(seed).random)
 
 
@@ -333,6 +334,7 @@ def logderiv_check(family, s, chi, a=0.0, n=120):
     gamma = 1 is the k = 0 curve of the expansion, so chi must lie in
     [-1/2, 1/2); a larger chi would compare two different quantities."""
     fam = _coerce_family(family)
+    s = _real(s, "logderiv_check", "s")
     chi = _real(chi, "logderiv_check", "chi")
     if not -0.5 <= chi < 0.5:
         raise ArgumentError(

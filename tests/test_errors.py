@@ -1,14 +1,16 @@
-"""The three argument readers of gapspec.errors: every size and index goes
+"""The argument readers of gapspec.errors: every size and index goes
 through _integer, gamma, s, v, t, chi and sine kernel points through _real,
 and the Bessel order through _bessel_order. Each reader refuses with its
 own exception type and one message, and what it accepts keeps its bits. A
 non-number (a string, None, a bool, a complex number) is refused by _real
 and _bessel_order as by _integer, never parsed or converted, and a kernel
 point before numpy converts it; sine and Airy, which have no order, refuse
-any a but 0 (kernels._order). errors._warn is the one place a warning is
-issued."""
+any a but 0 (kernels._order). A walk of every public function's signature
+holds each numeric parameter to that rule. errors._warn is the one place a
+warning is issued."""
 
 import ast
+import inspect
 import math
 import pathlib
 import re
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from gapspec import asymptotics as asym
-from gapspec import specfun
+from gapspec import kernels, operator, specfun, verify
 from gapspec.errors import ArgumentError, DomainError
 from gapspec.kernels import (
     SINE,
@@ -138,6 +140,7 @@ _REALS = {
     "counting_prob-above-N-gamma": ("counting_prob", "gamma",
                                     lambda g: counting_prob(_SP, [_SP.n + 1, _SP.n + 2], g)),
     "d_ds_log_det-gamma": ("d_ds_log_det", "gamma", lambda g: d_ds_log_det(SINE, 2.0, g, n=40)),
+    "d_ds_log_det-s": ("d_ds_log_det", "s", lambda s: d_ds_log_det(SINE, s, 1.0, n=40)),
     "IntervalSpec-s": ("sine interval", "s", lambda s: IntervalSpec("sine", s)),
     "kernel_eval-sine-point": ("kernel_eval", "point", lambda x: kernel_eval(SINE, [0.5, x], 0.0)),
     "kernel_matrix-sine-point": ("kernel_matrix", "point",
@@ -158,6 +161,8 @@ _REALS = {
                            lambda c: det_ratio_scan(Family.AIRY, c, [6.0], n=80)),
     "logderiv_check-chi": ("logderiv_check", "chi",
                            lambda c: logderiv_check(Family.AIRY, -6.0, c, n=80)),
+    "logderiv_check-s": ("logderiv_check", "s",
+                         lambda s: logderiv_check(Family.AIRY, s, 0.0, n=80)),
     # every item of a grid is read before the first spectrum
     "eig_ratio_scan-t": ("eig_ratio_scan", "t",
                          lambda t: eig_ratio_scan(Family.SINE, 0, [3.0, t], n=80)),
@@ -316,3 +321,110 @@ def test_warnings_come_only_from_errors_warn():
                     stacklevels.append(f"{path.name}:{node.lineno}")
     assert warns == ["errors.py"]
     assert stacklevels == []
+
+
+# One call that each public function accepts; test_numeric_parameter_refuses
+# swaps each numeric parameter, as inspect.signature lists them, for each
+# non-number in turn
+_ACCEPTED = {
+    "airy_pair": dict(x=1.0),
+    "airy_ai": dict(x=1.0),
+    "airy_ai_prime": dict(x=1.0),
+    "bessel_j_pair": dict(a=0.5, x=1.0),
+    "bessel_j": dict(a=0.5, x=1.0),
+    "bessel_j_prime": dict(a=0.5, x=1.0),
+    "log_gamma": dict(x=2.5),
+    "log_gamma_complex": dict(z=2.5 + 1j),
+    "log_barnes_g": dict(z=2.5),
+    "zeta_prime_minus_one": {},
+    "zeta_real": dict(s=3.0),
+    "backend_name": {},
+    "KernelSpec": dict(family="bessel", a=0.5),
+    "IntervalSpec": dict(family="sine", s=2.0),
+    "bessel_spec": dict(a=0.5),
+    "kernel_eval": dict(spec=SINE, lam=0.5, mu=0.2),
+    "kernel_matrix": dict(spec=SINE, x=[0.5, 0.2], sw=[1.0, 1.0]),
+    "airy_convolution": dict(lam=0.5, mu=0.2, upper=12.0, n=40),
+    "gauss_legendre": dict(n=10),
+    "airy_truncation": dict(s=-2.0),
+    "build_discretization": dict(spec=SINE, interval=_SINE_2, n=20),
+    "compute_spectrum": dict(d=build_discretization(SINE, _SINE_2, 20)),
+    "compute_spectrum_with_vectors": dict(d=build_discretization(SINE, _SINE_2, 20)),
+    "fredholm_det": dict(sp=_SMALL, gamma=0.5),
+    "log_fredholm_det": dict(sp=_SMALL, gamma=0.5),
+    "counting_prob": dict(sp=_SMALL, n=1, gamma=0.5),
+    "counting_ratio": dict(sp=_SMALL, n=1),
+    "trace_norm": dict(spec=SINE, interval=_SINE_2, n=20),
+    "d_ds_log_det": dict(spec=SINE, s=2.0, gamma=0.5, n=20),
+    "chi_decompose": dict(chi=0.3),
+    "p_of_chi": dict(chi=0.3, family="airy"),
+    "stokes_v": dict(family="airy", t=6.0, chi=0.3, a=0.0),
+    "stokes_chi": dict(family="airy", t=6.0, v=3.0, a=0.0),
+    "eig_law": dict(family="sine", i=1, s=5.0, a=0.0),
+    "d_coeff": dict(i=1, a=0.5),
+    "gap": dict(family="airy", s=-6.0, a=0.0),
+    "sine_det_sub": dict(s=4.0, v=1.0),
+    "transition": dict(family="airy", s=-6.0, v=2.0, p=2, a=0.0, chi=0.3),
+    "sigma_pm": dict(family="airy", sign="+", k=0, alpha=0.2, t=4.0, a=0.0),
+    "logderiv": dict(family="airy", s=-6.0, v=3.0, chi=0.0, a=0.0),
+    "eig_ratio_scan": dict(family="sine", i=0, t_grid=[3.0], n=60, a=0.0),
+    "det_ratio_scan": dict(family="airy", chi=0.0, t_grid=[6.0], a=0.0, n=40),
+    "lidskii_split": dict(sp=_SMALL, v=1.0, p=1),
+    "stokes_crossing_scan": dict(family="airy", q=1, t_grid=[8.0], a=0.0, n=40),
+    "commuting_residual": dict(family="sine", i=0, s=3.0, n=40, m=400, a=0.0),
+    "convolution_check": dict(s=-3.0, sample_count=2, n=40, seed=7),
+    "logderiv_check": dict(family="airy", s=-6.0, chi=0.0, a=0.0, n=40),
+    "run_acceptance": {},
+}
+# parameters that take no number, and what they take instead
+_NOT_NUMBERS = {
+    "family": "a Family or its name",
+    "spec": "a KernelSpec",
+    "interval": "an IntervalSpec",
+    "sp": "a Spectrum",
+    "d": "a Discretization",
+    "sign": "the branch, '+' or '-'",
+}
+# result records: their constructors store what gapspec computed and read
+# no argument; Family is an enum of names
+_RECORDS = {"Family", "Quadrature", "Discretization", "Spectrum", "TransitionExpansion",
+            "ScanResult"}
+# the non-numbers that are values of a parameter: None is the default upper
+# and chi, and a complex number is the z of the two complex functions
+_TAKEN = {("airy_convolution", "upper"): {None}, ("transition", "chi"): {None},
+          ("log_gamma_complex", "z"): {2 + 0j}, ("log_barnes_g", "z"): {2 + 0j}}
+
+
+def _public_functions():
+    for mod in (specfun, kernels, operator, asym, verify):
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and name not in _RECORDS:
+                yield name, obj
+
+
+_PUBLIC = dict(_public_functions())
+_NUMERIC = [(name, p) for name, fn in _PUBLIC.items()
+            for p in inspect.signature(fn).parameters if p not in _NOT_NUMBERS]
+_NUMERIC_CASES = [(name, p, x) for name, p in _NUMERIC for x in _NON_NUMBERS
+                  if not any(x is y or x == y and type(x) is type(y)
+                             for y in _TAKEN.get((name, p), ()))]
+
+
+def test_every_public_function_has_an_accepted_call():
+    assert sorted(_PUBLIC) == sorted(_ACCEPTED)
+    for name, fn in _PUBLIC.items():
+        assert set(inspect.signature(fn).parameters) == set(_ACCEPTED[name]), name
+
+
+@pytest.mark.parametrize("name", sorted(set(name for name, _ in _NUMERIC)))
+def test_accepted_call_runs(name):
+    # each refusal below is then the swapped parameter's
+    _PUBLIC[name](**_ACCEPTED[name])
+
+
+@pytest.mark.parametrize("name, param, x", _NUMERIC_CASES,
+                         ids=[f"{n}-{p}-{x!r}" for n, p, x in _NUMERIC_CASES])
+def test_numeric_parameter_refuses(name, param, x):
+    with pytest.raises(ArgumentError, match=re.escape(f"got {x!r}")):
+        _PUBLIC[name](**{**_ACCEPTED[name], param: x})

@@ -919,6 +919,74 @@ class TestCounting:
         assert sp == twin and repr(sp) == before == repr(twin)
         assert "memo" not in before
 
+    @pytest.fixture
+    def factor_checks(self, monkeypatch):
+        # counts the calls that check the factors afresh: one per new gamma,
+        # none for a read of the memo's gamma
+        calls = []
+        check = operator_module._gamma_lambda
+
+        def counted(sp, gamma, caller):
+            calls.append((sp, gamma))
+            return check(sp, gamma, caller)
+
+        monkeypatch.setattr(operator_module, "_gamma_lambda", counted)
+        return calls
+
+    def test_memo_read_warns_naming_its_own_caller(self, factor_checks):
+        # the floor warning of a memo read is issued anew from the kept
+        # factors, with the reader's own name and line, not the maker's
+        sp = _deep(AIRY, -12.0, 160)
+        for first, then, name in ((lambda: counting_prob(sp, 3), lambda: counting_ratio(sp, 2),
+                                   "counting_ratio"),
+                                  (lambda: counting_ratio(sp, 4), lambda: counting_prob(sp, 5),
+                                   "counting_prob")):
+            with warnings.catch_warnings(record=True) as made:
+                warnings.simplefilter("always")
+                first()
+            with warnings.catch_warnings(record=True) as read:
+                warnings.simplefilter("always")
+                then()
+            assert len(made) == len(read) == 1
+            message = str(read[0].message)
+            assert message.startswith(f"{name}: 1 - gamma*lambda_0 = ")
+            assert message.endswith("is below the resolvable floor n*eps = 3.553e-14 (n = 160); "
+                                    "the result is not accurate")
+            assert read[0].filename == __file__
+        assert factor_checks == [(sp, 1.0)]  # every read after the first is a memo read
+
+    def test_memo_across_gammas_keeps_the_bits(self, factor_checks):
+        # reads at g1, g2 and g1 again each start a new state; every value
+        # is a fresh spectrum's, D included, whatever the memo held before
+        sp = _deep(SINE, 3.0, 60)
+
+        def fresh(fn, k, *gamma):
+            return fn(Spectrum(sp.eigenvalues, sp.n, sp.meta), k, *gamma)
+
+        for g in (0.4, 1.0, 0.4):
+            assert counting_ratio(sp, 3).hex() == fresh(counting_ratio, 3).hex()
+            for k in range(6):
+                assert counting_prob(sp, k, g).hex() == fresh(counting_prob, k, g).hex(), (g, k)
+            got, want = counting_prob(sp, np.arange(9), g), fresh(counting_prob, np.arange(9), g)
+            assert got.tobytes() == want.tobytes()
+            assert counting_ratio(sp, 7).hex() == fresh(counting_ratio, 7).hex()
+        # the state is made anew at each change of gamma, and only then
+        assert [g for x, g in factor_checks if x is sp] == [1.0, 0.4, 1.0, 0.4, 1.0]
+
+    def test_pole_leaves_the_earlier_state(self, factor_checks):
+        sp = _fake_spectrum([0.9, 0.5, 0.1])
+        before = [counting_prob(sp, k, 0.5) for k in range(4)]
+        memo = sp._esp_memo
+        for n in (1, [0, 2], 5):
+            with pytest.raises(PoleError):
+                counting_prob(sp, n, 1.2)  # 1.2 * 0.9 >= 1
+        assert sp._esp_memo is memo
+        del factor_checks[:]
+        after = [counting_prob(sp, k, 0.5) for k in range(4)]
+        assert [x.hex() for x in after] == [x.hex() for x in before]
+        assert factor_checks == []  # read from the kept state
+        assert after == [self._counting_prob_one_degree(sp, k, 0.5) for k in range(4)]
+
     def test_array_of_degrees_edges(self):
         sp = _fake_spectrum([0.7, 0.2, 0.01])
         for fn in (counting_prob, counting_ratio):
