@@ -86,9 +86,6 @@ class _Law(_Record):
         "t_of_s",  # t as a function of s, for messages
     )
 
-    def __init__(self, *values):
-        self._set(**dict(zip(self._fields, values, strict=True)))
-
 
 _LAWS = {
     Family.SINE: _Law(
@@ -236,8 +233,8 @@ def d_coeff(i, a):
     return math.exp(_log_d(_check_index(i, "d_coeff"), _bessel_order(a, "d_coeff")))
 
 
-def _check_index(x, name):
-    i = _integer(x, name)
+def _check_index(x, name, what="i"):
+    i = _integer(x, name, what=what)
     if i < 0:
         raise ArgumentError(f"index must be >= 0, got {i}")
     return i
@@ -342,16 +339,16 @@ def sigma_pm(family, sign, k, alpha, t, a=0.0):
     at k = 0. L_i is the law constant, c = 1 (Airy) or -2 (Bessel).
     """
     fam = _coerce_family(family)
-    k = _check_index(k, "sigma_pm")
+    k = _check_index(k, "sigma_pm", "k")
     alpha = _real(alpha, "sigma_pm", "alpha")
     t = _real(t, "sigma_pm", "t")
     if not t > 0.0:
         raise ArgumentError(f"sigma_pm requires t > 0, got {t}")
     if sign not in ("+", "-"):
         raise ArgumentError(f"sign must be '+' or '-', got {sign!r}")
-    if fam is Family.SINE:
-        raise ArgumentError("sigma_pm is defined for the Airy and Bessel families")
     law = _LAWS[fam]
+    if math.isnan(law.sigma_c):
+        raise ArgumentError("sigma_pm is defined for the Airy and Bessel families")
     a = _order(fam, a, "sigma_pm")
     if sign == "+":
         lz = -law.log_const(k, a) + law.m * (alpha - 0.5) * math.log(t)
@@ -368,7 +365,8 @@ def logderiv(family, s, v, chi, a=0.0):
     sign +1 as c E_k/(1+E_k) for alpha >= 0, else with sign -1 as
     c/(1+E_{k-1}), which is 0 at k = 0. At v = inf (gamma = 1) every E_i is 0."""
     fam = _coerce_family(family)
-    if fam is Family.SINE:
+    c = _LAWS[fam].sigma_c
+    if math.isnan(c):
         raise ArgumentError("logderiv is defined for the Airy and Bessel families")
     name = f"{fam.value} logderiv"
     s = _real(s, name, "s")
@@ -376,7 +374,6 @@ def logderiv(family, s, v, chi, a=0.0):
     a = _order(fam, a, name)
     t = _scale(fam, s, name)
     k, alpha = chi_decompose(chi)
-    c = _LAWS[fam].sigma_c
     if alpha >= 0.0:
         sign, sig = 1.0, _logistic(c, _log_excess(fam, k, t, v, a))
     else:

@@ -45,7 +45,7 @@ from .errors import (
     PrecisionWarning,
     _real,
 )
-from .kernels import Family, IntervalSpec, KernelSpec, _coerce_family
+from .kernels import _ROWS, IntervalSpec, KernelSpec, _coerce_family
 from .operator import _gamma_lambda, build_discretization, compute_spectrum, log_fredholm_det
 
 SCHEMA_VERSION = 1
@@ -352,11 +352,11 @@ def _load_config(args):
 
 
 def _check_order(fam, a):
-    """--a, the Bessel order, is required for that kernel and refused for others."""
-    if fam is Family.BESSEL and a is None:
-        raise ArgumentError("--a is required for the bessel kernel")
-    if fam not in (None, Family.BESSEL) and a is not None:
-        raise ArgumentError(f"--a is the order of the bessel kernel; the {fam.value} kernel has none")
+    """--a, the Bessel order, is required for a kernel whose row has an order
+    and refused for the others."""
+    if fam is not None and _ROWS[fam].order == (a is None):
+        raise ArgumentError(f"--a is required for the {fam.value} kernel" if a is None else
+                            f"--a is the order of the bessel kernel; the {fam.value} kernel has none")
 
 
 def main(argv=None):

@@ -2,10 +2,10 @@
 of each argument kind, with its one rule and message: _integer (sizes and
 indices), _real (gamma and other real parameters), _reals (a grid of
 them), _points (arrays of points and weights), _complex (a complex
-argument) and _bessel_order (a). The real readers take only real numbers
-(_number): a string, None, a bool or a complex number is an ArgumentError,
-never parsed or converted. _warn issues every PrecisionWarning, at the
-line that called gapspec."""
+argument), _bessel_order (a) and _record (a spec or other record). The
+number readers take only finite numbers: a string, None, a bool, or a
+complex number where a real goes, is an ArgumentError, never converted.
+_warn issues every PrecisionWarning, at the line that called gapspec."""
 
 import math
 import numbers
@@ -59,10 +59,10 @@ def _warn(message):
 
 
 def _integer(x, name, least=-math.inf, what="n"):
-    """x as an int, refused below least; a bool, a float or any other
-    non-integer is refused, not truncated. numpy integers are accepted."""
+    """x, the integer what, as an int, refused below least; a bool, a float or
+    any other non-integer is refused, not truncated. numpy ints are taken."""
     if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-        raise ArgumentError(f"{name} takes an integer index, got {x!r}")
+        raise ArgumentError(f"{name} takes an integer {what}, got {x!r}")
     x = operator.index(x)
     if x < least:
         raise ArgumentError(f"{name} requires {what} >= {least}, got {x}")
@@ -89,8 +89,10 @@ def _real(x, name, what, inf_ok=False):
 
 def _reals(xs, name, what):
     """Each item of the sequence xs through _real; an xs that is not
-    iterable (a number, None) is an ArgumentError."""
+    iterable (a number, None) or is a str or bytes is an ArgumentError."""
     try:
+        if isinstance(xs, (str, bytes)):
+            raise TypeError
         items = iter(xs)
     except TypeError:
         raise ArgumentError(f"{name} takes a sequence of real {what} values, got {xs!r}") from None
@@ -108,10 +110,14 @@ def _points(x, name, what="point"):
 
 
 def _complex(z, name):
-    """z as a complex; anything but a number (a bool included) is refused."""
+    """z as a complex; anything but a number (a bool included), and a NaN or
+    infinite real or imaginary part, is refused."""
     if not isinstance(z, numbers.Complex) or isinstance(z, bool):
         raise ArgumentError(f"{name} takes a complex z, got {z!r}")
-    return complex(z)
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ArgumentError(f"{name} requires a finite complex z, got {z}")
+    return z
 
 
 def _bessel_order(a, name):
@@ -121,3 +127,12 @@ def _bessel_order(a, name):
     if not -1.0 < a < math.inf:
         raise DomainError(f"{name} requires a finite Bessel order a > -1, got {a}")
     return a
+
+
+def _record(x, cls, name):
+    """x if it is a cls (a KernelSpec, ...); anything else, a family name
+    included, is an ArgumentError naming name and cls."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ArgumentError(f"{name} takes {article} {cls.__name__}, got {x!r}")
+    return x

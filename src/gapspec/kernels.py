@@ -1,4 +1,7 @@
-"""Evaluation of the sine, Airy and Bessel integrable kernels.
+"""Evaluation of the sine, Airy and Bessel integrable kernels, and one row
+per family (_ROWS): each decision about J(s), its grid and its operator
+that more than one module reads, made once (the fields of _Row). _row
+reads a spec, and only a KernelSpec.
 
 Each kernel has the form K(lam, mu) = (phi(lam) psi(mu) - psi(lam) phi(mu))
 / (lam - mu) (times 1/2 for Bessel).  The difference quotient cancels
@@ -24,8 +27,9 @@ the exact form on the upper triangle only, in cache-sized blocks of rows
 that it weights while they are in cache, and mirrors it: about n^2/2
 entries instead of n^2. The mirror is bit-exact, because swapping a pair
 only flips the sign of an exact form's numerator and of its denominator.
-The sine matrix on a grid symmetric about 0 is also invariant under index
-reversal, so only its two free blocks are evaluated, about n^2/4 entries.
+The sine matrix on a grid symmetric about 0 (_split) is also invariant
+under index reversal, so only its two free blocks are evaluated, about
+n^2/4 entries.
 It reports how many entries the Taylor branch set.
 """
 
@@ -43,6 +47,7 @@ from .errors import (
     _number,
     _points,
     _real,
+    _record,
 )
 from .specfun import bessel_j_pair
 
@@ -78,14 +83,17 @@ class _Record:
     """Base of gapspec's immutable records, in place of frozen dataclasses,
     whose generated methods cost an import about 10 ms.
 
-    Assignment and deletion raise AttributeError, so a record's __init__
-    sets its attributes through _set. ==, hash and repr read the fields in
-    _fields, in order: two records are equal when they are of the same class
-    and the tuples of those fields are equal. Attributes outside _fields
+    Assignment and deletion raise AttributeError, so __init__ (by default,
+    the fields' values in order) sets them through _set. ==, hash and repr
+    read the fields in _fields, in order: records are equal when of the same
+    class with equal tuples of those fields. Attributes outside _fields
     (derived values, private state) enter none of the three.
     """
 
     _fields = ()
+
+    def __init__(self, *values):
+        self._set(**dict(zip(self._fields, values, strict=True)))
 
     def _set(self, **attrs):
         self.__dict__.update(attrs)
@@ -112,11 +120,71 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+class _Row(_Record):
+    """One family's row of the decisions in the module docstring."""
+
+    _fields = (
+        "interval",  # s -> (lo, hi, t) of IntervalSpec; DomainError outside its s
+        "s_of_t",  # t -> s, the inverse of that t
+        "t_window",  # the desk-scale t of eig_ratio_scan
+        "grid_ends",  # s -> (lo, hi) the quadrature covers; DomainError past the special functions
+        "sqrt",  # the kernel works in u = sqrt(x), and so may the grid (_sqrt_grid)
+        "parity",  # the kernel is even in x - y on J = (-s, s): a symmetric grid splits (_split)
+        "ds_sign",  # d/ds log D = ds_sign R(s, s): how J moves with s
+        "sturm_liouville",  # (a, s) -> (P, Q) of the commuting L u = (P u')' + Q u
+        "order",  # the kernel has an order a (_order)
+    )
+
+
+def _refuse(message):
+    raise DomainError(message)
+
+
+def _airy_ends(s):
+    hi = airy_truncation(s)
+    # the nodes lie in (s, M), M = max(s + 10, 9.49), where Ai is evaluated
+    if s < specfun.AIRY_LO or hi > specfun.AIRY_HI:
+        raise DomainError(f"Airy interval needs {specfun.AIRY_LO:g} <= s <= "
+                          f"{specfun.AIRY_HI - 10.0:g}, got s={s}")
+    return s, hi
+
+
+# The Bessel kernel evaluates J at sqrt(x), x in (0, s). P and Q of L
+# vanish at the natural singular endpoints, so L needs no boundary
+# conditions.
+_ROWS = {
+    Family.SINE: _Row(
+        lambda s: (-s, s, s) if s > 0 else _refuse(f"sine interval requires s > 0, got {s}"),
+        lambda t: t, (2.0, 10.0), lambda s: (-s, s), False, True, -2.0,
+        lambda a, s: (lambda x: x * x - s * s, lambda x: x * x), False,
+    ),
+    Family.AIRY: _Row(
+        lambda s: (s, math.inf, (-s) ** 1.5 if s < 0 else math.nan),
+        lambda t: -(t ** (2.0 / 3.0)), (5.0, 20.0), _airy_ends, False, False, 1.0,
+        lambda a, s: (lambda x: x - s, lambda x: -x * (x - s)), False,
+    ),
+    Family.BESSEL: _Row(
+        lambda s: (0.0, s, math.sqrt(s)) if s > 0 else _refuse(
+            f"Bessel interval requires s > 0, got {s}"),
+        lambda t: t * t, (4.0, 16.0),
+        lambda s: (0.0, s) if math.sqrt(s) <= specfun.BESSEL_XMAX else _refuse(
+            f"Bessel interval needs s <= {specfun.BESSEL_XMAX**2:g}, got s={s}"),
+        True, False, -1.0,
+        lambda a, s: (lambda x: x * (s - x), lambda x: -(a * a * s / (4.0 * x) + x / 4.0)), True,
+    ),
+}
+
+
+def _row(spec, name):
+    """The row of spec, a KernelSpec (else an ArgumentError naming name)."""
+    return _ROWS[_record(spec, KernelSpec, name).family]
+
+
 def _order(fam, a, name):
     """The order a of the family's kernel, the one rule every reader of a
-    applies: Bessel's through errors._bessel_order; sine and Airy have none,
-    so a must be 0 there (ArgumentError otherwise) and is read as 0.0."""
-    if fam is Family.BESSEL:
+    applies: Bessel's (its row has an order) through errors._bessel_order;
+    sine and Airy have none, so a must be 0 there and is read as 0.0."""
+    if _ROWS[fam].order:
         return _bessel_order(a, name)
     a = _number(a, name, "order a")
     if a != 0.0:
@@ -156,17 +224,7 @@ class IntervalSpec(_Record):
     def __init__(self, family, s):
         fam = _coerce_family(family)
         s = _real(s, f"{fam.value} interval", "s")
-        if fam is Family.SINE:
-            if s <= 0:
-                raise DomainError(f"sine interval requires s > 0, got {s}")
-            lo, hi, t = -s, s, s
-        elif fam is Family.AIRY:
-            lo, hi = s, math.inf
-            t = (-s) ** 1.5 if s < 0 else float("nan")
-        else:
-            if s <= 0:
-                raise DomainError(f"Bessel interval requires s > 0, got {s}")
-            lo, hi, t = 0.0, s, math.sqrt(s)
+        lo, hi, t = _ROWS[fam].interval(s)
         self._set(family=fam, s=s, lo=lo, hi=hi, t=t)
 
 
@@ -187,7 +245,29 @@ def _check_domain(spec, x, name):
 
 
 def _variable(spec, x):
-    return np.sqrt(x) if spec.family is Family.BESSEL else x
+    return np.sqrt(x) if _ROWS[spec.family].sqrt else x
+
+
+def _sqrt_grid(spec):
+    """Whether the grid of spec is affine in u = sqrt(x): where the kernel
+    works in u and its order a is not an even integer. The eigenfunctions
+    behave like x^(a/2) at the hard edge, which ruins plain Gauss-Legendre
+    convergence, while in u the kernel is analytic for half-odd a and the
+    endpoint exponent improves to a + 1/2 otherwise."""
+    a = spec.a
+    return _ROWS[spec.family].sqrt and not (a >= 0.0 and a == 2.0 * round(a / 2.0))
+
+
+def _split(spec, x, sw, name):
+    """The parity layout (h, k, c) that kernel_matrix and operator._eig read
+    where the row's kernel is even in x - y and x reversed is -x, sw reversed
+    is sw (a persymmetric matrix), else None: h = n // 2 nodes lie below the
+    centre, k = n - h starts the lower half, c = 1 for a centre node at 0."""
+    if not (_row(spec, name).parity and np.array_equal(x, -x[::-1])
+            and np.array_equal(sw, sw[::-1])):
+        return None
+    h = len(x) // 2
+    return h, len(x) - h, len(x) - 2 * h
 
 
 def _edge_values(spec, t):
@@ -286,9 +366,9 @@ def kernel_eval(spec, lam, mu):
     lam and mu may be arrays of pairs (broadcast together): the values come
     from one special-function call, each equal to its one-pair call.
     """
+    _row(spec, "kernel_eval")  # refuses a spec that is not a KernelSpec
     lam, mu = np.broadcast_arrays(_points(lam, "kernel_eval"), _points(mu, "kernel_eval"))
-    _check_domain(spec, lam, "kernel_eval")
-    _check_domain(spec, mu, "kernel_eval")
+    _check_domain(spec, (lam, mu), "kernel_eval")
     shape = lam.shape
     # evaluate on the sorted pair for exact symmetry
     hi = np.maximum(lam, mu).ravel()
@@ -360,14 +440,6 @@ def _assemble(spec, cols, rows, sw, out):
     return 2 * len(ii) - int(np.count_nonzero(ii == jj))
 
 
-def _parity_layout(n):
-    """(h, k, c) of a sine matrix of size n: the h = n // 2 nodes below the
-    centre, the first row k = n - h of the lower half, and c = 1 when node h
-    is a centre node at 0 (odd n), else 0."""
-    h = n // 2
-    return h, n - h, n - 2 * h
-
-
 def kernel_matrix(spec, x, sw):
     """The sqrt(w)-weighted matrix K(x_i, x_j) * (sw_i * sw_j) on a strictly
     increasing grid x with square-root weights sw, and the number of its
@@ -377,11 +449,11 @@ def kernel_matrix(spec, x, sw):
     special-function call covers the grid and the near-diagonal midpoints.
     The upper triangle is evaluated in row blocks and mirrored (_assemble).
 
-    The sine kernel on a grid and weights symmetric about 0 (x reversed is
-    -x, sw reversed is sw) gives a matrix that index reversal leaves
-    unchanged too: the entries depend on x_j - x_i only, and -x_i - (-x_j)
-    rounds as x_j - x_i. With h = n // 2 and k = n - h (_parity_layout, the
-    split the parity eigensolve in operator reads too), it evaluates the
+    The sine kernel on a grid and weights symmetric about 0 (_split) gives a
+    matrix that index reversal leaves unchanged too: the entries depend on
+    x_j - x_i only, and -x_i - (-x_j) rounds as x_j - x_i. With h = n // 2
+    and k = n - h (_split's layout, which the parity eigensolve in operator
+    reads too), it evaluates the
     upper triangles of two blocks, about n^2/4 entries: the lower-right
     block on rows and columns h:, which holds the centre node of an odd n,
     and the reflected block K(x_{k+i}, -x_{k+j}) = sinc(x_{k+i} + x_{k+j})
@@ -391,15 +463,14 @@ def kernel_matrix(spec, x, sw):
     """
     x = _points(x, "kernel_matrix")
     sw = _points(sw, "kernel_matrix", "weight")
+    layout = _split(spec, x, sw, "kernel_matrix")
     _check_domain(spec, x, "kernel_matrix")
     n = len(x)
     t = _variable(spec, x)
     out = np.empty((n, n))
-    if spec.family is not Family.SINE or not (
-        np.array_equal(x, -x[::-1]) and np.array_equal(sw, sw[::-1])
-    ):
+    if layout is None:
         return out, _assemble(spec, t, t, sw, out)
-    h, k, c = _parity_layout(n)
+    h, k, c = layout
     y = t[k:]
     repaired = _assemble(spec, t[h:], t[h:], sw[h:], out[h:, h:])
     repaired += _assemble(spec, y, -y, sw[k:], out[k:, :h][:, ::-1])
@@ -408,6 +479,16 @@ def kernel_matrix(spec, x, sw):
         out[h, :h] = out[h, k:][::-1]
     # each block stands for itself and its reflection; the centre entry once
     return out, 2 * repaired - c
+
+
+def airy_truncation(s):
+    """Effective upper endpoint M for the Airy interval (s, inf).
+
+    M is the smallest point with (4/3) max(M,1)^{3/2} >= 45 (so that the
+    diagonal tail integral is below 1e-17) and M >= s + 10.
+    """
+    m_star = (45.0 * 3.0 / 4.0) ** (2.0 / 3.0)
+    return max(_real(s, "airy_truncation", "s") + 10.0, m_star)
 
 
 def airy_convolution(lam, mu, upper=None, n=60):

@@ -7,14 +7,14 @@ symmetric eigensolver applies and the Nystrom eigenvalues converge
 exponentially in n for these analytic kernels. kernels.kernel_matrix
 assembles A in one pass, the weights applied block by block.
 
-The sine operator on (-s, s) commutes with the reflection x -> -x, and its
-matrix is exactly symmetric under the index reversal that maps x_i to -x_i.
-A sine spectrum therefore comes from two half-size blocks, even and odd
-under x -> -x, each solved on its own; the eigenvectors alternate in parity
-like the prolate spheroidal functions. The assembly evaluates only the two
-blocks of A that this solve reads; both take the split from
-kernels._parity_layout. Airy and Bessel intervals have no such symmetry
-and take one full solve.
+The sine operator on (-s, s) commutes with the reflection x -> -x. On a
+grid symmetric about 0, as discretization_grid's is, its matrix is exactly
+symmetric under the index reversal that maps x_i to -x_i, and the spectrum
+comes from two half-size blocks, even and odd under x -> -x; the
+eigenvectors alternate in parity like the prolate spheroidal functions.
+The assembly evaluates only the two blocks that this solve reads. Both ask
+kernels._split whether the grid allows the split, and read its layout; any
+other grid, and the Airy and Bessel kernels, take one full solve.
 
 Gauss-Legendre rules come from a batched Newton on P_n, and the 64 most
 recently read rules are cached. The rules of one batch share each sweep's
@@ -36,18 +36,18 @@ import threading
 
 import numpy as np
 
-from . import kernels, specfun
+from . import kernels
 from .errors import (
     ArgumentError,
     DegeneracyError,
-    DomainError,
     NumericalError,
     PoleError,
     _integer,
     _real,
+    _record,
     _warn,
 )
-from .kernels import Family, IntervalSpec, _Record
+from .kernels import IntervalSpec, _Record, airy_truncation
 
 __all__ = [
     "Quadrature",
@@ -228,16 +228,6 @@ def gauss_legendre(n):
     return Quadrature(x, w, (-1.0, 1.0))
 
 
-def airy_truncation(s):
-    """Effective upper endpoint M for the Airy interval (s, inf).
-
-    M is the smallest point with (4/3) max(M,1)^{3/2} >= 45 (so that the
-    diagonal tail integral is below 1e-17) and M >= s + 10.
-    """
-    m_star = (45.0 * 3.0 / 4.0) ** (2.0 / 3.0)
-    return max(_real(s, "airy_truncation", "s") + 10.0, m_star)
-
-
 class Discretization(_Record):
     """Symmetrized Nystrom matrix with its grid and provenance.
 
@@ -262,51 +252,26 @@ def _map_quadrature(lo, hi, n):
     return mid + half * base.nodes, half * base.weights
 
 
-def discretization_grid(spec, interval, n):
-    """Mapped quadrature grid for (spec, interval), plus the truncation point.
-
-    For the Bessel family with non-even order a, the substitution x = u^2 is
-    applied: eigenfunctions behave like x^{a/2} at the hard edge, which ruins
-    plain Gauss-Legendre convergence, while in the u variable the kernel is
-    analytic for half-odd a and the endpoint exponent improves to a + 1/2
-    otherwise.
-    """
-    if spec.family is not interval.family:
-        raise ArgumentError(
-            f"kernel family {spec.family} does not match interval family "
-            f"{interval.family}"
-        )
-    if spec.family is Family.AIRY:
-        hi = airy_truncation(interval.s)
-        lo = interval.s
-        # the nodes lie in (s, M), M = max(s + 10, 9.49), where Ai is evaluated
-        if lo < specfun.AIRY_LO or hi > specfun.AIRY_HI:
-            raise DomainError(
-                f"Airy interval needs {specfun.AIRY_LO:g} <= s <= "
-                f"{specfun.AIRY_HI - 10.0:g}, got s={lo}"
-            )
-    else:
-        lo, hi = interval.lo, interval.hi
-    # the Bessel kernel evaluates J at sqrt(x) for x in (0, s)
-    if spec.family is Family.BESSEL and math.sqrt(hi) > specfun.BESSEL_XMAX:
-        raise DomainError(
-            f"Bessel interval needs s <= {specfun.BESSEL_XMAX**2:g}, got s={hi}"
-        )
-    if spec.family is Family.BESSEL and not _is_even_integer(spec.a):
+def discretization_grid(spec, interval, n, name="discretization_grid"):
+    """Gauss-Legendre grid on the family row's grid ends, in u = sqrt(x)
+    where kernels._sqrt_grid says so, and the truncation point. A spec or
+    interval of another type is an ArgumentError naming name."""
+    row = kernels._row(spec, name)
+    if spec.family is not _record(interval, IntervalSpec, name).family:
+        raise ArgumentError(f"kernel family {spec.family} does not match interval family "
+                            f"{interval.family}")
+    lo, hi = row.grid_ends(interval.s)
+    if kernels._sqrt_grid(spec):
         u, wu = _map_quadrature(0.0, math.sqrt(hi), n)
         return u * u, 2.0 * u * wu, hi
     nodes, weights = _map_quadrature(lo, hi, n)
     return nodes, weights, hi
 
 
-def _is_even_integer(a):
-    return a >= 0.0 and a == 2.0 * round(a / 2.0)
-
-
 def build_discretization(spec, interval, n):
     """Square-root-weighted Nystrom matrix on the (truncated) interval."""
     n = _integer(n, "build_discretization", 1)
-    nodes, weights, hi = discretization_grid(spec, interval, n)
+    nodes, weights, hi = discretization_grid(spec, interval, n, "build_discretization")
     mat, repaired = kernels.kernel_matrix(spec, nodes, np.sqrt(weights))
     return Discretization(spec, interval, n, hi, nodes, weights, mat, repaired)
 
@@ -329,7 +294,7 @@ class Spectrum(_Record):
         self._set(eigenvalues=_frozen(eigenvalues), n=n, meta=meta)
 
 
-def _sine_parity_eig(mat, vectors):
+def _sine_parity_eig(mat, vectors, layout):
     """Ascending eigenvalues of a sine Nystrom matrix from its two parity
     blocks, and with vectors the full eigenvectors, columns in that order.
 
@@ -343,7 +308,7 @@ def _sine_parity_eig(mat, vectors):
     one of size n.
     """
     n = len(mat)
-    h, k, c = kernels._parity_layout(n)  # k is also the even block's size
+    h, k, c = layout  # kernels._split's; k is also the even block's size
     a21j = mat[k:, :h][:, ::-1]
     even = mat[h:, h:].copy()
     even[c:, c:] += a21j
@@ -367,26 +332,29 @@ def _sine_parity_eig(mat, vectors):
     return vals[order], full[:, order]
 
 
-def _eig(d, vectors=False):
+def _eig(d, name, vectors=False):
     """Ascending eigenvalues of d.matrix, with eigenvector columns in the
     same order if vectors (else None). The values always come from eigvalsh,
-    so both spectrum functions return the same bits."""
+    so both spectrum functions return the same bits; kernels._split says
+    whether the parity split applies, as it told kernel_matrix."""
+    d = _record(d, Discretization, name)
     mat = np.asarray(d.matrix)
-    if d.spec.family is Family.SINE:
-        return _sine_parity_eig(mat, vectors)
+    layout = kernels._split(d.spec, d.nodes, np.sqrt(d.weights), name)
+    if layout is not None:
+        return _sine_parity_eig(mat, vectors, layout)
     vals = np.linalg.eigvalsh(mat)
     return vals, np.linalg.eigh(mat)[1] if vectors else None
 
 
 def compute_spectrum(d):
     """Eigenvalues of the symmetric Nystrom matrix, sorted descending."""
-    vals, _ = _eig(d)
+    vals, _ = _eig(d, "compute_spectrum")
     return _validate_spectrum(vals[::-1], d)
 
 
 def compute_spectrum_with_vectors(d):
     """(Spectrum, eigenvector matrix) with columns ordered like eigenvalues."""
-    vals, vecs = _eig(d, vectors=True)
+    vals, vecs = _eig(d, "compute_spectrum_with_vectors", vectors=True)
     return _validate_spectrum(vals[::-1], d), vecs[:, ::-1]
 
 
@@ -443,6 +411,7 @@ def _check_floor(factor, n, caller):
 def _scaled(sp, gamma, caller):
     """(gamma lambda_i, 1 - gamma lambda_i), for the finite gamma errors._real
     takes, with _check_floor's warning. fredholm_det reads this alone."""
+    sp = _record(sp, Spectrum, caller)
     glam = _real(gamma, caller, "gamma") * np.asarray(sp.eigenvalues)
     factor = 1.0 - glam
     _check_floor(factor, sp.n, caller)
@@ -544,7 +513,7 @@ def _counting(sp, n, least, gamma, times_det, name):
     if low < least:
         raise ArgumentError(f"{name} requires n >= {least}")
     g = _real(gamma, name, "gamma")
-    memo = sp._esp_memo
+    memo = _record(sp, Spectrum, name)._esp_memo
     if memo is not None and _same_float(memo[0], g):
         _, factor, mu, row, e, det = memo
         _check_floor(factor, sp.n, name)
@@ -594,7 +563,7 @@ def counting_ratio(sp, n):
 def trace_norm(spec, interval, n=60):
     """Trace of the (positive) operator: sum of w_i K(x_i, x_i)."""
     n = _integer(n, "trace_norm", 20)
-    nodes, weights, _ = discretization_grid(spec, interval, n)
+    nodes, weights, _ = discretization_grid(spec, interval, n, "trace_norm")
     return float(np.sum(weights * kernels.kernel_eval(spec, nodes, nodes)))
 
 
@@ -605,11 +574,12 @@ def d_ds_log_det(spec, s, gamma, n=80):
         R(s, s) = gamma K(s, s) + gamma^2 k_s^T (I - gamma A)^{-1} k_s,
 
     with A the Nystrom matrix of J(s) and k_s[i] = sqrt(w_i) K(x_i, s).
-    The sign follows how J moves with s: +R for Airy, J = (s, inf);
+    The row's ds_sign follows how J moves with s: +R for Airy, J = (s, inf);
     -R for Bessel, J = (0, s); -2R for sine, J = (-s, s), whose two
     endpoints give equal R. One discretization and one linear solve; the
     spectrum is computed only for its checks (DegeneracyError, PoleError).
     """
+    row = kernels._row(spec, "d_ds_log_det")
     s = _real(s, "d_ds_log_det", "s")
     gamma = _real(gamma, "d_ds_log_det", "gamma")
     d = build_discretization(spec, IntervalSpec(spec.family, s), n)
@@ -618,5 +588,4 @@ def d_ds_log_det(spec, s, gamma, n=80):
     k_s = np.sqrt(d.weights) * kernels.kernel_eval(spec, d.nodes, s)
     x = np.linalg.solve(np.eye(d.n) - gamma * d.matrix, k_s)
     r = gamma * kernels.kernel_eval(spec, s, s) + gamma * gamma * float(k_s @ x)
-    sign = {Family.AIRY: 1.0, Family.BESSEL: -1.0, Family.SINE: -2.0}[spec.family]
-    return sign * r
+    return row.ds_sign * r

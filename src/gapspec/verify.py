@@ -3,12 +3,13 @@ extraction, Stokes-crossing detection, convolution and commuting-operator
 checks, and the acceptance suite shared with the CLI.
 
 Numeric spectra act as the oracle; the closed-form expansions are the
-formulas under test. The three scans (eig_ratio_scan, det_ratio_scan,
-stokes_crossing_scan) run one loop, _scan: it visits the grid in order,
-maps t to the endpoint s, and asks the scan's point function for a row
-(t, numeric, predicted, rel_error) or None, and a note or None. A point
-reads its spectrum through _spectrum, so scans over the same (kernel, s, n)
-share one eigensolve. The loop's wall time, metadata["seconds"], is the
+formulas under test. The map t -> s, the t window and the commuting
+operator L come from the family's row in kernels. The three scans
+(eig_ratio_scan, det_ratio_scan, stokes_crossing_scan) run one loop,
+_scan: it visits the grid in order, maps t to the endpoint s, and asks
+the scan's point function for a row (t, numeric, predicted, rel_error) or
+None, and a note or None. A point reads its spectrum through _spectrum,
+so scans over the same (kernel, s, n) share one eigensolve. The loop's wall time, metadata["seconds"], is the
 one timing a scan records; the CLI leaves it out, so its output stays
 byte-identical across runs.
 
@@ -45,7 +46,6 @@ from .operator import (
     _floor,
     _gamma_lambda,
     _gauss_legendre_rules,
-    _is_even_integer,
     build_discretization,
     compute_spectrum,
     compute_spectrum_with_vectors,
@@ -68,9 +68,6 @@ __all__ = [
     "logderiv_check",
     "run_acceptance",
 ]
-
-_T_WINDOWS = {Family.AIRY: (5.0, 20.0), Family.BESSEL: (4.0, 16.0), Family.SINE: (2.0, 10.0)}
-
 
 class ScanResult(_Record):
     """Aligned per-point scan output; rel_error[i] = |num-pred|/|pred|.
@@ -103,7 +100,7 @@ def _scan(fam, a, n, t_grid, point, meta):
     rows = []
     t0 = time.perf_counter()
     for t in t_grid:
-        s = -(t ** (2.0 / 3.0)) if fam is Family.AIRY else t * t if fam is Family.BESSEL else t
+        s = kernels._ROWS[fam].s_of_t(t)
         row, note = point(t, s, lambda: _spectrum(spec, IntervalSpec(fam, s), n))
         if row is not None:
             rows.append(row)
@@ -119,11 +116,11 @@ def eig_ratio_scan(family, i, t_grid, n=120, a=0.0):
     warns; one whose 1 - lambda_i is below max(1e-13, n eps) warns and is
     skipped, so no unresolved point is compared with the law."""
     fam = _coerce_family(family)
-    i = _integer(i, "eig_ratio_scan")
+    i = _integer(i, "eig_ratio_scan", what="i")
     n = _integer(n, "eig_ratio_scan", 60)
     if not 0 <= i < n:
         raise ArgumentError(f"eig_ratio_scan requires 0 <= i < n = {n}, got i = {i}")
-    lo, hi = _T_WINDOWS[fam]
+    lo, hi = kernels._ROWS[fam].t_window
     t_grid = _reals(t_grid, "eig_ratio_scan", "t")
     for t in t_grid:
         if not lo <= t <= hi:
@@ -201,11 +198,11 @@ def stokes_crossing_scan(family, q, t_grid, a=0.0, n=120):
     is solved exactly from the numeric spectrum.
     """
     fam = _coerce_family(family)
-    q = _integer(q, "stokes_crossing_scan")
+    q = _integer(q, "stokes_crossing_scan", what="q")
     n = _integer(n, "stokes_crossing_scan")
     if not 1 <= q <= n:
         raise ArgumentError(f"stokes_crossing_scan requires 1 <= q <= n = {n}, got q = {q}")
-    if fam is Family.SINE:
+    if math.isnan(asym._LAWS[fam].sigma_c):
         raise ArgumentError("stokes_crossing_scan is defined for Airy and Bessel")
     t_grid = _reals(t_grid, "stokes_crossing_scan", "t")
 
@@ -243,24 +240,14 @@ def _barycentric_eval(nodes, bw, values, x):
     return out
 
 
-def _sturm_liouville(fam, a, s):
-    # L u = (P u')' + Q u, written so that P vanishes at the natural
-    # singular endpoints and no boundary conditions are needed
-    if fam is Family.SINE:
-        return (lambda x: x * x - s * s, lambda x: x * x)
-    if fam is Family.AIRY:
-        return (lambda x: x - s, lambda x: -x * (x - s))
-    return (lambda x: x * (s - x), lambda x: -(a * a * s / (4.0 * x) + x / 4.0))
-
-
 def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     """Squared sine of the angle between L u_i and u_i, where u_i is the
     i-th Nystrom eigenvector interpolated to a uniform grid of m interior
     points and L is the commuting second-order differential operator of the
-    family. m may be a sequence of grid sizes: one eigendecomposition then
-    gives the tuple of their residuals."""
+    family, read from its row in kernels. m may be a sequence of grid sizes:
+    one eigendecomposition then gives the tuple of their residuals."""
     fam = _coerce_family(family)
-    i = _integer(i, "commuting_residual")
+    i = _integer(i, "commuting_residual", what="i")
     n = _integer(n, "commuting_residual")
     if not 0 <= i < n:
         raise ArgumentError(f"commuting_residual requires 0 <= i < n = {n}, got i = {i}")
@@ -279,10 +266,10 @@ def commuting_residual(family, i, s, n=100, m=800, a=0.0):
     lo, hi = d.interval.lo, d.truncation
     q = gauss_legendre(d.n)
     bw = _barycentric_weights(np.asarray(q.nodes), np.asarray(q.weights))
-    # the Bessel quadrature grid is affine in sqrt(x), so interpolate there
-    in_sqrt = fam is Family.BESSEL and not _is_even_integer(a)
+    # a quadrature grid affine in sqrt(x) is interpolated there
+    in_sqrt = kernels._sqrt_grid(spec)
     interp_nodes = np.sqrt(np.asarray(d.nodes)) if in_sqrt else np.asarray(d.nodes)
-    P, Q = _sturm_liouville(fam, a, s)
+    P, Q = kernels._ROWS[fam].sturm_liouville(spec.a, s)
 
     def residual(size):
         # interpolate to size uniform interior points
@@ -311,7 +298,7 @@ def _convolution_deviation(s, sample_count, n, draw):
     every fifth pair is diagonal and takes one draw, to exercise that path."""
     s = _real(s, "convolution_check", "s")
     lam, mu = [], []
-    for j in range(_integer(sample_count, "convolution_check")):
+    for j in range(_integer(sample_count, "convolution_check", what="sample_count")):
         lam.append(s + 5.0 * draw())
         mu.append(lam[-1] if j % 5 == 0 else s + 5.0 * draw())
     direct = kernels.kernel_eval(AIRY, lam, mu)

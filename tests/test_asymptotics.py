@@ -473,18 +473,18 @@ class TestIndexArguments:
     never truncated to the integer below it."""
 
     @pytest.mark.parametrize(
-        "call",
+        "what, call",
         [
-            lambda x: eig_law(Family.SINE, x, 3.0),
-            lambda x: d_coeff(x, 0.0),
-            lambda x: sigma_pm(Family.AIRY, "+", x, 0.2, 10.0),
-            lambda x: transition(Family.AIRY, -6.0, 2.0, x),
+            ("i", lambda x: eig_law(Family.SINE, x, 3.0)),
+            ("i", lambda x: d_coeff(x, 0.0)),
+            ("k", lambda x: sigma_pm(Family.AIRY, "+", x, 0.2, 10.0)),
+            ("p", lambda x: transition(Family.AIRY, -6.0, 2.0, x)),
         ],
         ids=["eig_law-i", "d_coeff-i", "sigma_pm-k", "transition-p"],
     )
-    def test_float_and_bool_refused(self, call):
+    def test_float_and_bool_refused(self, what, call):
         for x in (2.5, 1.9, 2.0, True, np.float64(2.0), np.True_, "2"):
-            with pytest.raises(ArgumentError, match="takes an integer index, got"):
+            with pytest.raises(ArgumentError, match=f"takes an integer {what}, got"):
                 call(x)
         for x in (np.int64(2), np.uint8(2), np.int32(2)):
             assert call(x) == call(2)

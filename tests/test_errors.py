@@ -80,6 +80,7 @@ _INTEGERS = {
                                   lambda x: commuting_residual(Family.SINE, 0, 3.0, m=(800, x))),
     "convolution_check-sample_count": ("convolution_check",
                                        lambda x: convolution_check(-3.0, sample_count=x)),
+    "convolution_check-seed": ("convolution_check", lambda x: convolution_check(-3.0, seed=x)),
     # convolution_check passes n on to airy_convolution, which reads it
     "convolution_check-n": ("airy_convolution", lambda x: convolution_check(-3.0, n=x)),
     "lidskii_split-p": ("lidskii_split", lambda x: lidskii_split(_SMALL, 1.0, x)),
@@ -91,8 +92,9 @@ _INTEGERS = {
 @pytest.mark.parametrize("x", [80.7, True, np.float64(80.0)], ids=repr)
 @pytest.mark.parametrize("key", sorted(_INTEGERS))
 def test_integer_reader_refuses(key, x):
+    # each key ends in the parameter, which the message names
     name, call = _INTEGERS[key]
-    message = f"{name} takes an integer index, got {x!r}"
+    message = f"{name} takes an integer {key.rsplit('-', 1)[1]}, got {x!r}"
     with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
         call(x)
 
@@ -428,3 +430,57 @@ def test_accepted_call_runs(name):
 def test_numeric_parameter_refuses(name, param, x):
     with pytest.raises(ArgumentError, match=re.escape(f"got {x!r}")):
         _PUBLIC[name](**{**_ACCEPTED[name], param: x})
+
+
+# the parameters of _NOT_NUMBERS that take a gapspec record: each is read
+# through errors._record, which names the function and the record's type
+_RECORD_PARAMS = {"spec", "interval", "sp", "d"}
+_NOT_NUMBER_CASES = [(name, p, x) for name, fn in _PUBLIC.items()
+                     for p in inspect.signature(fn).parameters if p in _NOT_NUMBERS
+                     for x in ("x", None)]
+
+
+@pytest.mark.parametrize("name, param, x", _NOT_NUMBER_CASES,
+                         ids=[f"{n}-{p}-{x!r}" for n, p, x in _NOT_NUMBER_CASES])
+def test_non_numeric_parameter_refuses(name, param, x):
+    # a family name where a KernelSpec goes is refused, not read by attribute
+    message = re.escape(repr(x))
+    if param in _RECORD_PARAMS:
+        message = f"^{re.escape(f'{name} takes {_NOT_NUMBERS[param]}, got {x!r}')}$"
+    with pytest.raises(ArgumentError, match=message):
+        _PUBLIC[name](**{**_ACCEPTED[name], param: x})
+
+
+def test_record_parameters_name_the_function():
+    cases = [
+        ("kernel_eval takes a KernelSpec, got 'sine'", lambda: kernel_eval("sine", 0.1, 0.2)),
+        ("build_discretization takes a KernelSpec, got 'sine'",
+         lambda: build_discretization("sine", _SINE_2, 20)),
+        ("fredholm_det takes a Spectrum, got 'x'", lambda: fredholm_det("x", 0.5)),
+        ("d_ds_log_det takes a KernelSpec, got 'sine'", lambda: d_ds_log_det("sine", 2.0, 0.5)),
+        ("compute_spectrum takes a Discretization, got None", lambda: compute_spectrum(None)),
+        ("trace_norm takes an IntervalSpec, got 2.0", lambda: trace_norm(SINE, 2.0)),
+    ]
+    for message, call in cases:
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("call, z", [
+    (specfun.log_gamma_complex, complex(math.nan, 1.0)),
+    (specfun.log_gamma_complex, complex(2.0, math.inf)),
+    (specfun.log_barnes_g, complex(2.0, math.nan)),
+    (specfun.log_barnes_g, complex(-math.inf, 0.0)),
+    (specfun.log_barnes_g, math.nan),
+], ids=repr)
+def test_complex_reader_refuses_non_finite(call, z):
+    message = f"{call.__name__} requires a finite complex z, got {complex(z)}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        call(z)
+
+
+@pytest.mark.parametrize("grid", ["35", b"35", ""], ids=repr)
+def test_grid_reader_refuses_a_string_whole(grid):
+    message = f"eig_ratio_scan takes a sequence of real t values, got {grid!r}"
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        eig_ratio_scan("sine", 0, grid)

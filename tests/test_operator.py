@@ -30,6 +30,7 @@ from gapspec.kernels import (
 )
 from gapspec.operator import (
     _CLAMP_TOP,
+    Discretization,
     Spectrum,
     _esp_all,
     _validate_spectrum,
@@ -648,6 +649,25 @@ class TestSineParity:
         got = np.asarray(compute_spectrum(d).eigenvalues)
         assert got.shape == (n,)
         assert np.max(np.abs(got - full)) < 1e-14
+
+    def test_asymmetric_grid_takes_the_full_solve(self):
+        # x = -2 + 4u^2, u the 40 Gauss-Legendre nodes mapped to (0, 1): a
+        # sine grid on (-2, 2) that is not symmetric about 0, so the matrix
+        # is not persymmetric and only the full eigensolve is right
+        q = gauss_legendre(40)
+        u = 0.5 * (np.asarray(q.nodes) + 1.0)
+        x = -2.0 + 4.0 * u * u
+        w = 4.0 * u * np.asarray(q.weights)  # dx = 8u du, du = dt / 2
+        mat, repaired = kernels.kernel_matrix(SINE, x, np.sqrt(w))
+        assert not np.array_equal(mat, mat[::-1, ::-1])
+        d = Discretization(SINE, IntervalSpec(Family.SINE, 2.0), 40, 2.0, x, w, mat, repaired)
+        raw = np.linalg.eigvalsh(mat)[::-1]
+        ref = _validate_spectrum(raw, d)
+        sp = compute_spectrum(d)
+        assert np.array_equal(sp.eigenvalues, ref.eigenvalues) and sp.meta == ref.meta
+        sp2, vecs = compute_spectrum_with_vectors(d)
+        assert np.array_equal(sp2.eigenvalues, ref.eigenvalues)
+        assert np.max(np.abs(mat @ vecs - vecs * raw)) < 1e-13
 
     @pytest.mark.parametrize(
         "spec, s, n",

@@ -169,19 +169,19 @@ class TestIndexArguments:
     before any matrix is built, never truncated."""
 
     @pytest.mark.parametrize(
-        "call",
+        "what, call",
         [
-            lambda x: eig_ratio_scan(Family.SINE, x, [2.5, 3.0], n=80),
-            lambda x: lidskii_split(Spectrum(np.array([0.5, 0.2, 0.1]), 3, {}), 1.0, x),
-            lambda x: stokes_crossing_scan(Family.AIRY, x, [6.0], n=80),
-            lambda x: commuting_residual(Family.SINE, x, 3.0),
+            ("i", lambda x: eig_ratio_scan(Family.SINE, x, [2.5, 3.0], n=80)),
+            ("p", lambda x: lidskii_split(Spectrum(np.array([0.5, 0.2, 0.1]), 3, {}), 1.0, x)),
+            ("q", lambda x: stokes_crossing_scan(Family.AIRY, x, [6.0], n=80)),
+            ("i", lambda x: commuting_residual(Family.SINE, x, 3.0)),
         ],
         ids=["eig_ratio_scan-i", "lidskii_split-p", "stokes_crossing_scan-q", "commuting_residual-i"],
     )
-    def test_float_and_bool_refused(self, call, monkeypatch):
+    def test_float_and_bool_refused(self, what, call, monkeypatch):
         monkeypatch.setattr(verify, "build_discretization", _no_build)
         for x in (1.5, 1.0, True, np.float64(1.0), np.True_):
-            with pytest.raises(ArgumentError, match="takes an integer index, got"):
+            with pytest.raises(ArgumentError, match=f"takes an integer {what}, got"):
                 call(x)
 
     def test_numpy_integers_accepted(self):
@@ -369,18 +369,18 @@ class TestCommutingResidual:
             lo, hi = -d.interval.s, d.interval.s
         h = (hi - lo) / (m + 1)
         grid = lo + h * np.arange(1, m + 1)
-        from gapspec.operator import _is_even_integer, gauss_legendre
+        from gapspec.operator import gauss_legendre
 
         q = gauss_legendre(d.n)
         bw = verify._barycentric_weights(np.asarray(q.nodes), np.asarray(q.weights))
-        if fam is Family.BESSEL and not _is_even_integer(a):
+        if kernels._sqrt_grid(spec):
             interp_nodes = np.sqrt(np.asarray(d.nodes))
             eval_points = np.sqrt(grid)
         else:
             interp_nodes = np.asarray(d.nodes)
             eval_points = grid
         u = verify._barycentric_eval(interp_nodes, bw, u_nodes, eval_points)
-        P, Q = verify._sturm_liouville(fam, a, float(s))
+        P, Q = kernels._ROWS[fam].sturm_liouville(a, float(s))
         xp = grid[:-1] + 0.5 * h
         ph = P(xp)
         flux = ph * (u[1:] - u[:-1]) / h
